@@ -86,7 +86,8 @@ def suite_pfaffian(field: Field, rng, trials: int = 500, dw_trials: int = 200):
         if not dress_wenzel_holds(a, p, triple):
             _fail(dw, f"trial {i}: n={n} triple={triple}", "identity", "mismatch")
     dw.elapsed_ms = int((time.monotonic() - start) * 1000)
-    return [rep, dw]
+    # a part asked for zero trials is left out rather than reported as failed
+    return [r for r in (rep, dw) if r.trials]
 
 
 def dress_wenzel_holds(a, p: int, triple) -> bool:
@@ -330,18 +331,19 @@ def suite_sm(field: Field, rng, max_m: int = 12):
     return [rep]
 
 
+# suite name -> (default trials, runner taking the trial count)
 SUITES = {
-    "pfaffian": lambda field, rng, t: suite_pfaffian(field, rng, trials=t or 500,
-                                                     dw_trials=max((t or 500) * 2 // 5, 10)),
-    "sections": lambda field, rng, t: suite_sections(field, rng, trials=t or 100,
-                                                     spot=max((t or 100) // 2, 5)),
-    "witt": lambda field, rng, t: suite_witt(field, rng, trials=t or 100),
-    "complexes": lambda field, rng, t: suite_complexes(field, rng, trials=t or 200,
-                                                       cycles=max((t or 200) // 2, 5)),
-    "appendix": lambda field, rng, t: suite_appendix(field, rng, trials=t or 100),
-    "gamma-oracle": lambda field, rng, t: suite_gamma_oracle(field, rng, matrices=t or 50),
-    "units": lambda field, rng, t: suite_units(field, rng, searches=t or 10),
-    "sm": lambda field, rng, t: suite_sm(field, rng, max_m=t or 12),
+    "pfaffian": (500, lambda field, rng, t: suite_pfaffian(field, rng, trials=t,
+                                                           dw_trials=max(t * 2 // 5, 10))),
+    "sections": (100, lambda field, rng, t: suite_sections(field, rng, trials=t,
+                                                           spot=max(t // 2, 5))),
+    "witt": (100, lambda field, rng, t: suite_witt(field, rng, trials=t)),
+    "complexes": (200, lambda field, rng, t: suite_complexes(field, rng, trials=t,
+                                                             cycles=max(t // 2, 5))),
+    "appendix": (100, lambda field, rng, t: suite_appendix(field, rng, trials=t)),
+    "gamma-oracle": (50, lambda field, rng, t: suite_gamma_oracle(field, rng, matrices=t)),
+    "units": (10, lambda field, rng, t: suite_units(field, rng, searches=t)),
+    "sm": (12, lambda field, rng, t: suite_sm(field, rng, max_m=t)),
 }
 
 
@@ -352,10 +354,14 @@ SUITES = {
 def _load_matrix(path: str):
     with open(path) as fh:
         obj = json.load(fh)
-    if obj.get("skew"):
-        return SkewMatrix.from_json(obj)
-    m = Matrix.from_json(obj)
-    return SkewMatrix.from_matrix(m)
+    if not isinstance(obj, dict):
+        raise ParseError("a matrix file holds one JSON object")
+    try:
+        if obj.get("skew"):
+            return SkewMatrix.from_json(obj)
+        return SkewMatrix.from_matrix(Matrix.from_json(obj))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed matrix object: {exc!r}") from None
 
 
 def compute_pf(path: str) -> str:
@@ -374,6 +380,9 @@ def compute_section(path: str, ambient: int | None) -> dict:
     a = SkewPlusMatrix.certify(_load_matrix(path))
     if ambient is None:
         ambient = a.size if a.size % 2 == 0 else a.size - 1
+    if ambient < 0 or ambient % 2 or a.size > ambient + 1:
+        raise ParseError(f"--ambient must be even with size <= ambient + 1, "
+                         f"got {ambient} for size {a.size}")
     seq = sections.section_V(a.size, ambient, a)
     return seq.to_json()
 
@@ -451,11 +460,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(arg) -> int:
     if arg is None:
-        env = os.environ.get(SEED_ENV)
-        return int(env) if env else DEFAULT_SEED
-    if arg == "random":
+        arg = os.environ.get(SEED_ENV) or DEFAULT_SEED
+    elif arg == "random":
         return random.SystemRandom().randrange(2 ** 32)
-    return int(arg)
+    try:
+        return int(arg)
+    except ValueError:
+        raise ParseError(f"seed must be an integer or 'random', got {arg!r}") from None
 
 
 def run(argv=None) -> int:
@@ -501,12 +512,15 @@ def _run_verify(args) -> int:
               "field (the underlying results assume an infinite residue "
               "field); use --field q or fpt:P", file=sys.stderr)
         return 2
+    if args.trials is not None and args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     seed = _resolve_seed(args.seed)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
         rng = random.Random(f"{seed}:{name}")
-        reports.extend(SUITES[name](field, rng, args.trials))
+        default, suite = SUITES[name]
+        reports.extend(suite(field, rng, default if args.trials is None else args.trials))
     passed = all(r.passed for r in reports)
     _emit({
         "command": f"verify {args.suite}",

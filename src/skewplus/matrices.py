@@ -219,7 +219,11 @@ class Matrix:
         return m, aug, pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[2])
+        return len(self.pivot_columns())
+
+    def pivot_columns(self):
+        """0-based indices of the first independent columns, left to right."""
+        return self._echelon()[2]
 
     def inverse(self) -> "Matrix":
         if not self.is_square():

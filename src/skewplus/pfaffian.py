@@ -13,16 +13,21 @@ The certified subclass of skew matrices consists of those whose nonempty
 even-sized principal submatrices are all invertible, or equivalently all
 have nonzero Pfaffian.  These are exactly the Gram matrices of the
 non-degenerate vector sequences the rest of the library works with, and
-the certificate is inherited by principal submatrices.
+the certificate is inherited by principal submatrices.  It keeps its
+witness, the table of all even principal Pfaffians, so later questions
+about principal or bordered Pfaffians are lookups against the table.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .errors import (
     IndexOutOfRange,
     NotSkewPlus,
     OddSize,
     ParseError,
+    SamplerExhausted,
     ShapeMismatch,
 )
 from .fields import Field, Scalar
@@ -155,10 +160,10 @@ class SkewMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "SkewMatrix":
         field = Field.from_descriptor(obj["field"])
-        if obj.get("rows") != obj.get("cols"):
-            raise ShapeMismatch("skew matrix must be square")
         q = obj["rows"]
         entries = obj["entries"]
+        if obj.get("cols") != q or len(entries) != q or any(len(r) != q for r in entries):
+            raise ParseError("entry grid does not match a square declared shape")
         # only the strict upper triangle is trusted; the rest is reconstructed
         from .fields import parse_scalar
         rows = [[parse_scalar(entries[i][j], field) for j in range(i + 1, q)]
@@ -248,31 +253,49 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     return result if sign == 1 else -result
 
 
-def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix") -> dict:
-    """Pfaffians of all even-sized principal submatrices, keyed by the
-    sorted index tuple.  One bottom-up sweep over index subsets, cheaper
-    than eliminating each submatrix separately."""
-    from itertools import combinations
-
+def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> dict:
+    """Pfaffians of all even-sized principal submatrices (up to `max_size`,
+    if given), keyed by the sorted index tuple.  One bottom-up sweep over
+    index subsets, each expanded along its last column against the
+    smaller entries of the table."""
     a = _unwrap(a)
     q = a.size
-    one = a.field.one()
+    top = q if max_size is None else min(q, max_size)
+    columns = [[a.entry(i, j) for i in range(1, j)] for j in range(1, q + 1)]
     zero = a.field.zero()
-    out = {(): one}
-    for size in range(2, q + 1, 2):
+    out = {(): a.field.one()}
+    for size in range(2, top + 1, 2):
         for s in combinations(range(1, q + 1), size):
-            last = s[-1]
-            total = zero
-            sign = 1
-            for pos in range(size - 1):
-                coeff = a.entry(s[pos], last)
-                if not coeff.is_zero():
-                    rest = s[:pos] + s[pos + 1:size - 1]
-                    term = coeff * out[rest]
-                    total = total + term if sign > 0 else total - term
-                sign = -sign
-            out[s] = total
+            out[s] = _bordered_pf(out, columns[s[-1] - 1], s[:-1], zero)
     return out
+
+
+def _bordered_pf(table, column, s, zero) -> Scalar:
+    """Pf of the principal submatrix on the odd index tuple s, bordered by
+    a last index whose entry against i is column[i-1]:
+    sum_pos (-1)^pos column[s[pos]] table[s minus s[pos]]."""
+    total = zero
+    for pos, i in enumerate(s):
+        coeff = column[i - 1]
+        if not coeff.is_zero():
+            term = coeff * table[s[:pos] + s[pos + 1:]]
+            total = total + term if pos % 2 == 0 else total - term
+    return total
+
+
+def bordered_pfaffians_nonzero(table: dict, border, max_size: int) -> bool:
+    """Whether every Pfaffian through the border stays nonzero.
+
+    `table` holds the even principal Pfaffians of a skew matrix A of size
+    q = len(border) up to size max_size - 1.  Each odd I in 1..q with
+    |I| <= max_size must give A bordered by the last column `border` a
+    nonzero Pfaffian on I plus the border index.
+    """
+    q = len(border)
+    zero = border[0].field.zero() if q else None
+    return all(not _bordered_pf(table, border, s, zero).is_zero()
+               for size in range(1, min(q, max_size) + 1, 2)
+               for s in combinations(range(1, q + 1), size))
 
 
 def pfaffian(a) -> Scalar:
@@ -292,57 +315,58 @@ def random_skew_plus(field: Field, q: int, rng, bound: int = 9,
     Certificates fail rarely over an infinite field, but over F_p the
     certified set can be tiny or empty, hence the attempt cap.
     """
-    from .errors import SamplerExhausted
-
     for attempt in range(max_attempts):
         if attempt and attempt % 64 == 0:
             bound *= 2
         m = SkewMatrix.from_upper(
             field, q, [field.sample_nonzero(rng, bound)
                        for _ in range(q * (q - 1) // 2)])
-        if is_skew_plus(m):
-            return SkewPlusMatrix(m, _trusted=True)
+        try:
+            return SkewPlusMatrix.certify(m)
+        except NotSkewPlus:
+            continue
     raise SamplerExhausted(f"no certified size-{q} matrix in {max_attempts} attempts")
 
 
-def is_skew_plus(a: "SkewMatrix", rng=None, prefilter: int = 8) -> bool:
+def is_skew_plus(a: "SkewMatrix") -> bool:
     """Whether every nonempty even principal submatrix is invertible.
 
     Exhaustive over all even index subsets, so exponential in the size;
-    fine for the sizes (q <= 12 or so) this library works at.  With an
-    rng, a few random submatrices are tried first to fail fast.
+    fine for the sizes (q <= 12 or so) this library works at.
     """
-    a = _unwrap(a)
-    q = a.size
-    if rng is not None and q >= 4:
-        from itertools import combinations
-        pool = list(range(1, q + 1))
-        for _ in range(prefilter):
-            size = 2 * rng.randint(1, q // 2)
-            subset = sorted(rng.sample(pool, size))
-            if pf_eliminate(a.principal(subset)).is_zero():
-                return False
-    pfs = even_principal_pfaffians(a)
-    return all(not v.is_zero() for s, v in pfs.items() if s)
+    return not any(v.is_zero() for v in even_principal_pfaffians(a).values())
 
 
 class SkewPlusMatrix:
-    """A skew matrix together with its full-invertibility certificate."""
+    """A skew matrix with its certificate: the table of its even principal
+    Pfaffians, all nonzero.  Certification keeps the table it computes;
+    trusted constructions (faces, relabelings) fill it on first use."""
 
-    __slots__ = ("inner", "certified", "_hash")
+    __slots__ = ("inner", "_table", "_hash")
 
-    def __init__(self, inner: SkewMatrix, _trusted: bool = False):
-        if not _trusted and not is_skew_plus(inner):
-            raise NotSkewPlus("a nonempty even principal submatrix is singular")
+    def __init__(self, inner: SkewMatrix, _trusted: bool = False, _table=None):
+        if not _trusted:
+            _table = even_principal_pfaffians(inner)
+            if any(v.is_zero() for v in _table.values()):
+                raise NotSkewPlus("a nonempty even principal submatrix is singular")
         self.inner = inner
-        self.certified = True
+        self._table = _table
         self._hash = None
 
     @classmethod
-    def certify(cls, inner: SkewMatrix, rng=None) -> "SkewPlusMatrix":
-        if not is_skew_plus(inner, rng=rng):
-            raise NotSkewPlus("a nonempty even principal submatrix is singular")
-        return cls(inner, _trusted=True)
+    def certify(cls, inner: SkewMatrix) -> "SkewPlusMatrix":
+        return cls(inner)
+
+    @property
+    def table(self) -> dict:
+        """Pf of every even principal submatrix, keyed by sorted index tuple."""
+        if self._table is None:
+            self._table = even_principal_pfaffians(self.inner)
+        return self._table
+
+    def pf_without(self, *drop) -> Scalar:
+        """Pf(A with the indices `drop` removed), read from the table."""
+        return self.table[tuple(i for i in range(1, self.size + 1) if i not in drop)]
 
     # faces of a certified matrix stay certified: their even principal
     # submatrices are among the original ones
@@ -387,10 +411,12 @@ class SkewPlusMatrix:
         return self.inner.to_json()
 
 
-def star_extend_matrix(a: SkewPlusMatrix, v) -> SkewMatrix:
-    """Border a certified matrix by the vector v; the result is a plain
-    skew matrix and is only certified after its own check."""
-    return a.inner.star_extend(v)
+def _as_certified(a) -> SkewPlusMatrix:
+    if isinstance(a, SkewPlusMatrix):
+        return a
+    if isinstance(a, SkewMatrix):
+        return SkewPlusMatrix.certify(a)
+    raise NotSkewPlus(f"expected a skew matrix, got {type(a).__name__}")
 
 
 def _unwrap(a):

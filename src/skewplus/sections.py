@@ -5,7 +5,7 @@ sequence in U_q(R^{2n}), up to nothing at all, satisfying the recursion
 implemented here; it maps to A under the Gram matrix and is compatible
 with dropping the last index and with enlarging the ambient space.
 
-The recursion builds the sequence in the smallest possible number of
+The construction builds the sequence in the smallest possible number of
 coordinates.  For odd length 2r+1 there are two variants: the "snug"
 one, whose last vector is the unique w in R^{2r} with prescribed
 pairings against the previously built basis of R^{2r}, and the "roomy"
@@ -22,9 +22,9 @@ with determinant exactly 1 and unchanged Gram matrix.
 
 from __future__ import annotations
 
-from .errors import BadRange, EvenSize, InternalInvariant, NotSkewPlus, Singular
+from .errors import BadRange, EvenSize, InternalInvariant, Singular
 from .matrices import Matrix
-from .pfaffian import SkewMatrix, SkewPlusMatrix
+from .pfaffian import _as_certified
 from .symplectic import SymplecticSpace, pad_vector, pairing, psi_matrix
 from .unimod import NonDegSeq
 
@@ -52,34 +52,23 @@ def _solve_last(prefix, a_col, field):
 
 
 def _section(a, roomy: bool):
-    """Vectors of the section of `a`, each in its minimal coordinates."""
+    """Vectors of the section of `a`, each in its minimal coordinates,
+    built in one pass: every odd vector but a snug last one is roomy."""
     field = a.field
     q = a.size
-    if q == 0:
-        return []
-    if q % 2 == 1:
-        prefix = _section(a.remove_indices([q]), roomy=False)
-        w = _solve_last(prefix, [a.entry(i, q) for i in range(1, q)], field)
-        if roomy:
-            w = pad_vector(w, q, field)
-            w = w[:-1] + (w[-1] + field.one(),)
-        return prefix + [w]
-    left = _section(a.remove_indices([q]), roomy=True)
-    right = _section(a.remove_indices([q - 1]), roomy=False)
-    w_q = right[-1]
-    v_prev = left[-1]
-    coeff = a.entry(q - 1, q) - _pairing_padded(v_prev, w_q, field)
-    v_q = pad_vector(w_q, q, field)
-    v_q = v_q[:-1] + (v_q[-1] + coeff,)
-    return left + [v_q]
-
-
-def _as_certified(a) -> SkewPlusMatrix:
-    if isinstance(a, SkewPlusMatrix):
-        return a
-    if isinstance(a, SkewMatrix):
-        return SkewPlusMatrix.certify(a)
-    raise NotSkewPlus(f"expected a skew matrix, got {type(a).__name__}")
+    vectors = []
+    for k in range(1, q + 1):
+        if k % 2 == 1:
+            w = _solve_last(vectors, [a.entry(i, k) for i in range(1, k)], field)
+            extra = field.one() if k < q or roomy else None
+        else:
+            w = _solve_last(vectors[:-1], [a.entry(i, k) for i in range(1, k - 1)], field)
+            extra = a.entry(k - 1, k) - _pairing_padded(vectors[-1], w, field)
+        if extra is not None:
+            w = pad_vector(w, k, field)
+            w = w[:-1] + (w[-1] + extra,)
+        vectors.append(w)
+    return vectors
 
 
 def section_V(q: int, two_n: int, a) -> NonDegSeq:

@@ -18,6 +18,8 @@ viewing R^{2n-1} inside R^{2n}.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import (
     BadIndices,
     BadParity,
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .matrices import Matrix
-from .pfaffian import SkewMatrix
+from .pfaffian import SkewMatrix, pf_eliminate
 
 
 def psi_matrix(field: Field, dim: int) -> Matrix:
@@ -299,27 +301,27 @@ def split_odd_space(v: Subspace):
     Returns (V0, x, y): V0 non-degenerate of even rank inside V, x a
     generator of V cap V^perp, and y orthogonal to V0 with <x, y> = 1.
     """
-    from itertools import combinations
-
     if v.rank % 2 == 0:
         raise NotNonDegenerate("subspace has even rank")
     x = radical_line(v)
+    v0 = [v.basis[i - 1] for i in _corank1_subset(v)]
+    return Subspace(v.space, v0), x, _partner(v.space, v0, x)
+
+
+def _corank1_subset(v: Subspace):
+    """The first (rank-1)-subset of the basis with invertible Gram matrix."""
     g = v.gram()
-    target = v.rank - 1
-    v0 = None
-    from .pfaffian import pf_eliminate
-    for subset in combinations(range(1, v.rank + 1), target):
+    for subset in combinations(range(1, v.rank + 1), v.rank - 1):
         if not pf_eliminate(g.principal(subset)).is_zero():
-            v0 = Subspace(v.space, [v.basis[i - 1] for i in subset])
-            break
-    if v0 is None:
-        raise NotNonDegenerate("no non-degenerate corank-1 subspace found")
-    # y: orthogonal to V0, pairing 1 with x
-    field = v.space.field
-    rows = _pairing_matrix(v.space, list(v0.basis) + [x])
-    rhs = Matrix.column(field, [0] * v0.rank + [1])
-    y = tuple(rows.solve_any(rhs).col(1))
-    return v0, x, y
+            return subset
+    raise NotNonDegenerate("no non-degenerate corank-1 subspace found")
+
+
+def _partner(space: SymplecticSpace, v0, x):
+    """A y orthogonal to every vector of v0 with <x, y> = 1."""
+    rows = _pairing_matrix(space, list(v0) + [x])
+    rhs = Matrix.column(space.field, [0] * len(v0) + [1])
+    return tuple(rows.solve_any(rhs).col(1))
 
 
 def symplectic_basis(v: Subspace):
@@ -385,9 +387,6 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
         raise NotIsometry("the prescribed map does not preserve the form")
 
     if V.rank % 2 == 1:
-        from itertools import combinations
-        from .pfaffian import pf_eliminate
-
         x = radical_line(V)
         # express x in the v-basis; the same coefficients give the radical
         # generator of W, which is where the map must send x
@@ -396,23 +395,11 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
         y = tuple(sum((c * wi for c, wi in zip(coords, col)), field.zero())
                   for col in zip(*w_basis))
         # one even non-degenerate corank-1 piece serves both sides
-        g = V.gram()
-        subset = None
-        for s in combinations(range(1, V.rank + 1), V.rank - 1):
-            if not pf_eliminate(g.principal(s)).is_zero():
-                subset = s
-                break
-        if subset is None:
-            raise NotNonDegenerate("no non-degenerate corank-1 subspace found")
-
-        def partner(basis, radical):
-            rows = _pairing_matrix(space, [basis[i - 1] for i in subset] + [radical])
-            rhs = Matrix.column(field, [0] * (V.rank - 1) + [1])
-            return tuple(rows.solve_any(rhs).col(1))
-
-        return witt_extend(space,
-                           v_basis + [partner(v_basis, x)],
-                           w_basis + [partner(w_basis, y)])
+        subset = _corank1_subset(V)
+        return witt_extend(
+            space,
+            v_basis + [_partner(space, [v_basis[i - 1] for i in subset], x)],
+            w_basis + [_partner(space, [w_basis[i - 1] for i in subset], y)])
 
     ext_v = symplectic_basis(orthogonal_complement(V)) if V.rank < space.dim else ()
     ext_w = symplectic_basis(orthogonal_complement(W)) if W.rank < space.dim else ()

@@ -3,8 +3,12 @@
 A sequence of q vectors in R^{2n} is unimodular when every subsequence of
 length at most min(q, 2n) is linearly independent, and non-degenerate
 when additionally every even-sized sub-Gram matrix in that range is
-invertible.  Both conditions are decided by brute force over subsets,
-which is fine at the sizes this library handles (q <= 2n+1 <= 13 or so).
+invertible.  Both are read off one table, the even principal Pfaffians
+of the whole sequence's Gram matrix up to size min(q, 2n): an even
+subsequence with invertible Gram is independent, and so is every part of
+it, which leaves only the whole sequence for q odd and below 2n to a rank
+check.  One more vector or border adds bordered Pfaffians, each a signed
+dot product against the same table.
 
 A vector x is in good position with respect to a sequence v when (v, x)
 is again non-degenerate unimodular.  Over an infinite field the bad set
@@ -22,19 +26,24 @@ vector) serving every generator of xi at once.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .chains import FormalSum, boundary
 from .errors import (
     NotACycle,
     NotNonDegenerate,
+    NotSkewPlus,
     SamplerExhausted,
     ShapeMismatch,
 )
-from .fields import Field, Scalar
+from .fields import Field
 from .matrices import Matrix
-from .pfaffian import SkewMatrix, SkewPlusMatrix, pf_eliminate
-from .symplectic import SymplecticSpace, gram, pad_vector
+from .pfaffian import (
+    SkewMatrix,
+    SkewPlusMatrix,
+    bordered_pfaffians_nonzero,
+    even_principal_pfaffians,
+    pf_eliminate,  # noqa: F401  (perfbench's tracer test patches it here)
+)
+from .symplectic import SymplecticSpace, gram, pad_vector, pairing
 
 
 class NonDegSeq:
@@ -43,7 +52,7 @@ class NonDegSeq:
     Faces (and more generally subsequences) inherit the certificate.
     """
 
-    __slots__ = ("space", "vectors", "_hash")
+    __slots__ = ("space", "vectors", "_hash", "_gram_table")
 
     def __init__(self, space: SymplecticSpace, vectors, _trusted: bool = False):
         vectors = tuple(pad_vector(v, space.dim, space.field) for v in vectors)
@@ -52,6 +61,7 @@ class NonDegSeq:
         self.space = space
         self.vectors = vectors
         self._hash = None
+        self._gram_table = None
 
     @classmethod
     def empty(cls, space: SymplecticSpace) -> "NonDegSeq":
@@ -86,9 +96,19 @@ class NonDegSeq:
     def gram(self) -> SkewMatrix:
         return gram(self.vectors, self.space.field)
 
+    def gram_table(self) -> dict:
+        """Even principal Pfaffians of the Gram matrix up to size
+        min(q, 2n), all nonzero by membership; computed once."""
+        if self._gram_table is None:
+            self._gram_table = _gram_table(self.vectors, self.space)
+        return self._gram_table
+
     def gram_certified(self) -> SkewPlusMatrix:
-        """The Gram matrix with its certificate; valid whenever q <= 2n."""
-        return SkewPlusMatrix.certify(self.gram())
+        """The Gram matrix with its certificate; valid whenever q <= 2n+1,
+        where every even subsequence has length at most 2n."""
+        if self.length > self.space.dim + 1:
+            raise NotSkewPlus("more than 2n+1 vectors have singular even sub-Grams")
+        return SkewPlusMatrix(self.gram(), _trusted=True, _table=self.gram_table())
 
     def transform(self, g) -> "NonDegSeq":
         """Apply an isometry; membership is preserved."""
@@ -118,41 +138,45 @@ class NonDegSeq:
 
 
 def is_nondeg_unimodular(vectors, space: SymplecticSpace) -> bool:
-    """Brute-force membership test over index subsets."""
+    """Membership test: every even principal Pfaffian of the Gram matrix
+    up to size min(q, 2n) is nonzero, and, when q is odd and below 2n,
+    the whole sequence has rank q."""
     vectors = [pad_vector(v, space.dim, space.field) for v in vectors]
+    if any(v.is_zero() for v in _gram_table(vectors, space).values()):
+        return False
+    return _full_rank_if_odd(vectors, space)
+
+
+def _gram_table(vectors, space) -> dict:
+    """Even principal Pfaffians of the Gram matrix up to size min(q, 2n)."""
+    bound = min(len(vectors), space.dim)
+    if bound < 2:
+        return {(): space.field.one()}
+    return even_principal_pfaffians(gram(vectors, space.field), bound)
+
+
+def _full_rank_if_odd(vectors, space) -> bool:
+    """The one independence condition an even-subset table leaves open."""
     q = len(vectors)
-    bound = min(q, space.dim)
-    for r in range(1, bound + 1):
-        for subset in combinations(range(q), r):
-            chosen = [vectors[i] for i in subset]
-            if Matrix.from_columns(space.field, chosen).rank() != r:
-                return False
-            if r % 2 == 0:
-                g = gram(chosen, space.field)
-                if pf_eliminate(g).is_zero():
-                    return False
-    return True
+    if q % 2 == 0 or q >= space.dim:
+        return True
+    return Matrix.from_columns(space.field, vectors).rank() == q
 
 
 def is_good_position(seq: NonDegSeq, x) -> bool:
     """Whether appending x keeps the sequence non-degenerate unimodular.
 
     Only the subsets involving x are tested; the rest are covered by the
-    certificate of `seq`.
+    certificate of `seq`.  Each even one is a Pfaffian of the Gram matrix
+    of seq bordered by the pairings <v_i, x>.
     """
     space = seq.space
     x = pad_vector(x, space.dim, space.field)
-    q = seq.length
-    bound = min(q + 1, space.dim)
-    for r in range(1, bound + 1):
-        for subset in combinations(range(q), r - 1):
-            chosen = [seq.vectors[i] for i in subset] + [x]
-            if Matrix.from_columns(space.field, chosen).rank() != r:
-                return False
-            if r % 2 == 0:
-                if pf_eliminate(gram(chosen, space.field)).is_zero():
-                    return False
-    return True
+    max_size = min(seq.length + 1, space.dim) - 1
+    border = [pairing(v, x) for v in seq.vectors] if max_size > 0 else []
+    if not bordered_pfaffians_nonzero(seq.gram_table(), border, max_size):
+        return False
+    return _full_rank_if_odd(seq.vectors + (x,), space)
 
 
 def _sampler_loop(test, draw, max_attempts, what):
@@ -191,10 +215,11 @@ def good_position_linear_form(vectors, space: SymplecticSpace):
     if len(vectors) % 2 != 1:
         raise ShapeMismatch("the linear form is attached to odd subsequences")
     field = space.field
+    table = even_principal_pfaffians(gram(vectors, field))
+    everything = tuple(range(1, len(vectors) + 1))
     out = tuple(field.zero() for _ in range(space.dim))
     for i, v in enumerate(vectors):
-        rest = vectors[:i] + vectors[i + 1:]
-        coeff = pf_eliminate(gram(rest, field))
+        coeff = table[everything[:i] + everything[i + 1:]]
         if i % 2 == 1:
             coeff = -coeff
         out = tuple(o + coeff * c for o, c in zip(out, v))
@@ -222,16 +247,10 @@ def star_is_certified(a: SkewPlusMatrix, v) -> bool:
     row) need testing: for every odd subset I of 1..q the bordered
     principal matrix on I plus the new index must have nonzero Pfaffian.
     """
-    q = a.size
     v = [a.field.scalar(x) for x in v]
-    if len(v) != q:
+    if len(v) != a.size:
         raise ShapeMismatch("border vector has the wrong length")
-    for r in range(1, q + 1, 2):
-        for subset in combinations(range(1, q + 1), r):
-            bordered = a.inner.principal(subset).star_extend([v[i - 1] for i in subset])
-            if pf_eliminate(bordered).is_zero():
-                return False
-    return True
+    return bordered_pfaffians_nonzero(a.table, v, a.size)
 
 
 def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
@@ -284,18 +303,9 @@ def constant_border_obstructed(a: SkewPlusMatrix) -> bool:
     The bordered Pfaffian on an odd subset I is linear in the border, so
     a constant border c gives c times the alternating sum of the
     corner Pfaffians of I; certification by constants holds for every
-    nonzero c exactly when none of these sums vanishes.
+    nonzero c exactly when the all-ones border certifies.
     """
-    for r in range(3, a.size + 1, 2):
-        for subset in combinations(range(1, a.size + 1), r):
-            total = a.field.zero()
-            for pos, i in enumerate(subset):
-                corner = pf_eliminate(a.inner.principal(
-                    [x for x in subset if x != i]))
-                total = total + corner if pos % 2 == 0 else total - corner
-            if total.is_zero():
-                return True
-    return False
+    return not star_is_certified(a, [a.field.one()] * a.size)
 
 
 def _constant_contraction(xi: FormalSum, q: int, field) -> FormalSum:
@@ -367,31 +377,14 @@ def _contract_skew(xi, rng, max_attempts, depth):
 # ---------------------------------------------------------------------------
 
 def membership_witnesses(seq: NonDegSeq):
-    """The scalars whose nonvanishing certifies membership of `seq`:
-    all even sub-Gram Pfaffians plus one maximal minor per subset tested
-    for independence.  If none of them vanishes under a specialization,
-    membership is preserved."""
-    space = seq.space
-    field = space.field
-    out = []
-    q = seq.length
-    bound = min(q, space.dim)
-    for r in range(1, bound + 1):
-        for subset in combinations(range(q), r):
-            chosen = [seq.vectors[i] for i in subset]
-            m = Matrix.from_columns(field, chosen)
-            out.append(_some_maximal_minor(m, r))
-            if r % 2 == 0:
-                out.append(pf_eliminate(gram(chosen, field)))
-    return out
-
-
-def _some_maximal_minor(m: Matrix, r: int) -> Scalar:
-    for rows in combinations(range(1, m.rows + 1), r):
-        d = m.submatrix(rows, range(1, r + 1)).det()
-        if not d.is_zero():
-            return d
-    return m.field.zero()
+    """The scalars whose nonvanishing certifies membership of `seq`: the
+    Gram table (every even sub-Gram Pfaffian up to size min(q, 2n)) plus
+    one maximal minor of the whole sequence.  If none of them vanishes
+    under a specialization, membership is preserved."""
+    m = Matrix.from_columns(seq.space.field, seq.vectors)
+    rows = [i + 1 for i in m.transpose().pivot_columns()]
+    cols = [j + 1 for j in m.pivot_columns()]
+    return list(seq.gram_table().values()) + [m.submatrix(rows, cols).det()]
 
 
 def specialize_seq(seq: NonDegSeq, t0):

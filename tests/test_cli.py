@@ -111,3 +111,52 @@ def test_seed_env_variable(capsys, monkeypatch):
     assert run(["verify", "sm", "--trials", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] == 99
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    assert run(["verify", "witt", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials" in captured.err
+
+
+def test_verify_rejects_non_integer_seed(capsys):
+    assert run(["verify", "sm", "--seed", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err
+
+
+def test_report_without_trials_fails():
+    from skewplus.gamma import Report
+    assert not Report(check="empty", field="q", trials=0).passed
+    assert Report(check="one", field="q", trials=1).passed
+
+
+@pytest.mark.parametrize("text", [
+    "[[0, 1], [-1, 0]]",
+    '{"field": {"kind": "rationals"}, "rows": 2}',
+    '{"field": {"kind": "rationals"}, "rows": 2, "cols": 2, "entries": 5, "skew": true}',
+], ids=["array", "missing-entries", "entries-not-a-grid"])
+def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["compute", "pf", "--input", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_compute_section_rejects_odd_ambient(capsys, tmp_path):
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(SkewMatrix.from_upper(Q, 3, [1, 2, 3]).to_json()))
+    assert run(["compute", "section", "--input", str(path), "--ambient", "3"]) == 2
+    assert "ambient" in capsys.readouterr().err
+
+
+def test_compute_rejects_skew_grid_of_other_shape(tmp_path, capsys):
+    obj = SkewMatrix.from_upper(Q, 3, [1, 2, 3]).to_json()
+    obj["rows"] = obj["cols"] = 2
+    path = tmp_path / "declared2.json"
+    path.write_text(json.dumps(obj))
+    assert run(["compute", "pf", "--input", str(path)]) == 2
+    assert "shape" in capsys.readouterr().err

@@ -113,7 +113,7 @@ def test_is_skew_plus_matches_exhaustive():
         for s in combinations(range(1, 7), size):
             if pf_eliminate(fam.principal(s)).is_zero():
                 expected = False
-    assert is_skew_plus(fam, rng=rng) == expected
+    assert is_skew_plus(fam) == expected
     # the even-subset sweep agrees with per-subset elimination
     a = random_skew(Q, 6, rng)
     sweep = even_principal_pfaffians(a)

@@ -1,14 +1,23 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from skewplus.chains import FormalSum, diff_seq, diff_skew
 from skewplus.errors import NotACycle, NotNonDegenerate, SamplerExhausted
 from skewplus.fields import Field, specialize
-from skewplus.pfaffian import SkewPlusMatrix, pf_eliminate, random_skew_plus
+from skewplus.matrices import Matrix
+from skewplus.pfaffian import (
+    SkewMatrix,
+    SkewPlusMatrix,
+    is_skew_plus,
+    pf_eliminate,
+    random_skew_plus,
+)
 from skewplus.symplectic import SymplecticSpace, gram, pairing
 from skewplus.unimod import (
     NonDegSeq,
+    constant_border_obstructed,
     contract_cycle_seq,
     contract_cycle_skew,
     good_position_linear_form,
@@ -200,3 +209,65 @@ def test_specialization_preserves_membership():
     assert any(specialize(w, f2.scalar(0)).is_zero() for w in witnesses)
     vectors, res_space = specialize_seq(seq2, f2.scalar(0))
     assert not is_nondeg_unimodular(vectors, res_space)
+
+
+def _oracle_nondeg(vectors, space):
+    """The per-subset definition: every subsequence of length at most
+    min(q, 2n) is independent, and every even one has invertible Gram."""
+    field = space.field
+    bound = min(len(vectors), space.dim)
+    for r in range(1, bound + 1):
+        for subset in combinations(range(len(vectors)), r):
+            chosen = [vectors[i] for i in subset]
+            if Matrix.from_columns(field, chosen).rank() != r:
+                return False
+            if r % 2 == 0 and pf_eliminate(gram(chosen, field)).is_zero():
+                return False
+    return True
+
+
+def _oracle_star(a, v):
+    """Every even principal submatrix through the border index of the
+    bordered matrix, eliminated one by one."""
+    bordered = a.inner.star_extend(v)
+    q = a.size
+    return all(not pf_eliminate(bordered.principal(subset + (q + 1,))).is_zero()
+               for r in range(1, q + 1, 2)
+               for subset in combinations(range(1, q + 1), r))
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5), Field.function_field(3)],
+                         ids=["q", "f5", "f3t"])
+def test_table_path_matches_per_subset_oracle(field):
+    rng = random.Random(11)
+    seen = {name: set() for name in ("nondeg", "good", "star", "obstructed")}
+    for _ in range(40):
+        space = SymplecticSpace(field, rng.choice([1, 2]))
+        q = rng.randint(0, space.dim + 2)
+        vectors = [space.random_vector(rng, 2) for _ in range(q)]
+        got = is_nondeg_unimodular(vectors, space)
+        assert got == _oracle_nondeg(vectors, space)
+        seen["nondeg"].add(got)
+        if got:
+            seq = NonDegSeq(space, vectors, _trusted=True)
+            for _ in range(3):
+                x = space.random_vector(rng, 2)
+                got = is_good_position(seq, x)
+                assert got == _oracle_nondeg(list(vectors) + [x], space)
+                seen["good"].add(got)
+        size = rng.randint(0, 5)
+        m = SkewMatrix.from_upper(field, size, [field.sample(rng, 2)
+                                                for _ in range(size * (size - 1) // 2)])
+        if not is_skew_plus(m):
+            continue
+        a = SkewPlusMatrix.certify(m)
+        got = constant_border_obstructed(a)
+        assert got == (not _oracle_star(a, [field.one()] * size))
+        seen["obstructed"].add(got)
+        for _ in range(3):
+            v = [field.sample(rng, 2) for _ in range(size)]
+            got = star_is_certified(a, v)
+            assert got == _oracle_star(a, v)
+            seen["star"].add(got)
+    # both outcomes occur, so agreement is not vacuous
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
