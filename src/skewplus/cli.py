@@ -2,7 +2,7 @@
 
     skewplus verify pfaffian|sections|witt|complexes|appendix|gamma-oracle|units|sm|all
     skewplus compute pf|gamma|section --input FILE
-    skewplus bench pfaffian --max-n N
+    skewplus bench pfaffian --max-n N [--field q|fp:P|fpt:P]
 
 Every verification run is reproducible from (--seed, --trials, --field),
 and the emitted JSON report embeds that configuration.  Exit code 0 means
@@ -25,7 +25,7 @@ from itertools import combinations
 
 from . import chains, gamma, sections, symplectic, unimod
 from .errors import ParseError, SkewplusError
-from .fields import Field
+from .fields import RATIONALS, Field
 from .matrices import Matrix
 from .pfaffian import (
     SkewMatrix,
@@ -391,21 +391,28 @@ def compute_section(path: str, ambient: int | None) -> dict:
 # benchmark
 # ---------------------------------------------------------------------------
 
-def bench_pfaffian(max_n: int, rng, recursive_max: int = 13) -> dict:
-    """Time both Pfaffian algorithms on random integer-entry matrices.
+def bench_pfaffian(max_n: int, rng, recursive_max: int = 13,
+                   field: Field | None = None) -> dict:
+    """Time both Pfaffian algorithms on random matrices over `field`
+    (default Q): integer entries in -9..9 over Q, the field's own
+    sampler with pool bound 9 otherwise.
 
     The recursive algorithm's cached state count grows exponentially, so
     it is skipped above `recursive_max` half-size; agreement is recorded
     wherever both ran.  The crossover is the first n where elimination
     is strictly faster."""
-    field = Field.rationals()
+    field = Field.rationals() if field is None else field
+
+    def entry():
+        if field.kind == RATIONALS:
+            return field.scalar(rng.randint(-9, 9))
+        return field.sample(rng, 9)
+
     table = []
     crossover = None
     for n in range(1, max_n + 1):
         q = 2 * n
-        a = SkewMatrix.from_upper(field, q,
-                                  [field.scalar(rng.randint(-9, 9))
-                                   for _ in range(q * (q - 1) // 2)])
+        a = SkewMatrix.from_upper(field, q, [entry() for _ in range(q * (q - 1) // 2)])
         t0 = time.perf_counter()
         pe = pf_eliminate(a)
         te = time.perf_counter() - t0
@@ -454,6 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--recursive-max", type=int, default=13,
                     help="skip the recursive algorithm above this half-size")
     pb.add_argument("--seed", default=None)
+    pb.add_argument("--field", default="q", help="q | fp:P | fpt:P (default q)")
     pb.add_argument("--output", default=None)
     return parser
 
@@ -542,12 +550,18 @@ def _run_compute(args) -> int:
 
 
 def _run_bench(args) -> int:
+    # a run that timed no matrix, or compared none, checked nothing
+    for flag, value in (("--max-n", args.max_n), ("--recursive-max", args.recursive_max)):
+        if value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
+    field = Field.from_flag(args.field)
     rng = random.Random(_resolve_seed(args.seed))
-    result = bench_pfaffian(args.max_n, rng, recursive_max=args.recursive_max)
+    result = bench_pfaffian(args.max_n, rng, recursive_max=args.recursive_max, field=field)
     agree = all(row.get("agree", True) for row in result["rows"])
     _emit({
         "command": "bench pfaffian",
-        "config": {"max_n": args.max_n, "recursive_max": args.recursive_max},
+        "config": {"max_n": args.max_n, "recursive_max": args.recursive_max,
+                   "field": args.field},
         "result": result,
         "passed": agree,
     }, args.output)

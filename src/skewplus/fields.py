@@ -14,10 +14,13 @@ and scalars can be used as dictionary keys.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from fractions import Fraction
+from functools import partial
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, InternalInvariant, ParseError
 
 RATIONALS = "rationals"
 PRIME = "prime"
@@ -69,6 +72,10 @@ def poly_neg(a, p):
     return tuple((-x) % p for x in a)
 
 
+def poly_sub(a, b, p):
+    return poly_add(a, poly_neg(b, p), p)
+
+
 def poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -77,7 +84,7 @@ def poly_mul(a, b, p):
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
+            out[i + j] += x * y
     return poly_trim(out, p)
 
 
@@ -94,7 +101,7 @@ def poly_divmod(a, b, p):
         coef = coef * inv_lead % p
         q[i] = coef
         for j, y in enumerate(b):
-            r[i + j] = (r[i + j] - coef * y) % p
+            r[i + j] -= coef * y
     return poly_trim(q, p), poly_trim(r, p)
 
 
@@ -157,7 +164,7 @@ def poly_from_str(text, p):
 class Field:
     """Descriptor of a coefficient field: Q, F_p, or F_p(t)."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "_ring")
 
     def __init__(self, kind, p=0):
         if kind not in (RATIONALS, PRIME, FUNCTION_FIELD):
@@ -166,6 +173,7 @@ class Field:
             raise ParseError(f"{p} is not prime")
         self.kind = kind
         self.p = 0 if kind == RATIONALS else p
+        self._ring = None
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -281,10 +289,10 @@ class Field:
         """Parse the CLI field flag: "q", "fp:P", or "fpt:P"."""
         if flag == "q":
             return cls.rationals()
-        if flag.startswith("fp:"):
-            return cls.prime(int(flag[3:]))
-        if flag.startswith("fpt:"):
-            return cls.function_field(int(flag[4:]))
+        kind, _, p = flag.partition(":")
+        kinds = {"fp": PRIME, "fpt": FUNCTION_FIELD}
+        if kind in kinds and p.isascii() and p.isdigit():
+            return cls(kinds[kind], int(p))
         raise ParseError(f"bad field flag {flag!r} (expected q, fp:P, or fpt:P)")
 
     def flag(self) -> str:
@@ -294,6 +302,14 @@ class Field:
 
     def from_literal(self, text: str) -> "Scalar":
         return parse_scalar(text, self)
+
+    def ring(self):
+        """The ring whose fraction field this is, as the elimination
+        kernels use it: Z for Q, F_p[t] for F_p(t), F_p itself for F_p."""
+        if self._ring is None:
+            self._ring = {RATIONALS: IntegerRing, PRIME: ResidueRing,
+                          FUNCTION_FIELD: PolynomialRing}[self.kind](self)
+        return self._ring
 
 
 def _canonical_ratio(num, den, p):
@@ -468,6 +484,108 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.literal()})"
+
+
+# ---------------------------------------------------------------------------
+# ring views for fraction-free elimination
+# ---------------------------------------------------------------------------
+#
+# A kernel clears the denominators of its entries with one common L, so it
+# works on L*x in a ring R whose fraction field is the field; it computes
+# with add, sub, mul, neg and exact division only, and turns its result
+# num back into the canonical scalar num / L^e once, at the end.  In every
+# R the zero element is the only falsy one.
+
+class IntegerRing:
+    """Z, for Q."""
+
+    one = 1
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def clear(self, rows):
+        """(L, the rows of scalars times L as lists of ring elements)."""
+        rows = [[x.value for x in row] for row in rows]
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        return scale, [[x.numerator * (scale // x.denominator) for x in row]
+                       for row in rows]
+
+    def divide_by(self, d):
+        """Exact division by d, raising if a remainder is left."""
+        def div(x):
+            quo, rem = divmod(x, d)
+            if rem:
+                raise InternalInvariant(f"{d} does not divide {x}")
+            return quo
+        return div
+
+    def to_scalar(self, num, scale, e: int) -> Scalar:
+        """num / scale^e as a canonical scalar."""
+        return Scalar(self.field, Fraction(num, scale ** e))
+
+
+class ResidueRing(IntegerRing):
+    """F_p itself, with the integer operations on plain ints.  Only
+    division reduces mod p, and the kernels divide every entry they
+    update (one pivot inverse per step), so the entries they keep stay in
+    (-p, p), where a falsy int is exactly a zero residue.  In a field a
+    division by nonzero d leaves no remainder; d = 0 raises."""
+
+    def clear(self, rows):
+        return 1, [[x.value for x in row] for row in rows]
+
+    def divide_by(self, d):
+        p = self.field.p
+        inv = pow(d, -1, p)
+        return lambda x: x * inv % p
+
+    def to_scalar(self, num, scale, e: int) -> Scalar:
+        return Scalar(self.field, num % self.field.p)
+
+
+class PolynomialRing:
+    """F_p[t], for F_p(t); elements are trimmed coefficient tuples."""
+
+    one = (1,)
+
+    def __init__(self, field: Field):
+        self.field = field
+        p = field.p
+        self.add = partial(poly_add, p=p)
+        self.sub = partial(poly_sub, p=p)
+        self.mul = partial(poly_mul, p=p)
+        self.neg = partial(poly_neg, p=p)
+
+    def clear(self, rows):
+        p = self.field.p
+        rows = [[x.value for x in row] for row in rows]
+        dens = {den for row in rows for _, den in row}
+        scale = (1,)
+        for den in dens:
+            scale = poly_mul(scale, self.divide_by(poly_gcd(scale, den, p))(den), p)
+        cofactor = {den: self.divide_by(den)(scale) for den in dens}
+        return scale, [[poly_mul(num, cofactor[den], p) for num, den in row]
+                       for row in rows]
+
+    def divide_by(self, d):
+        p = self.field.p
+
+        def div(x):
+            quo, rem = poly_divmod(x, d, p)
+            if rem:
+                raise InternalInvariant(
+                    f"{poly_to_str(d)} does not divide {poly_to_str(x)} over F_{p}")
+            return quo
+        return div
+
+    def to_scalar(self, num, scale, e: int) -> Scalar:
+        p = self.field.p
+        den = (1,)
+        for _ in range(e):
+            den = poly_mul(den, scale, p)
+        return Scalar(self.field, _canonical_ratio(num, den, p))
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

@@ -154,34 +154,43 @@ class Matrix:
     # -- elimination kernels --------------------------------------------
 
     def det(self) -> Scalar:
-        """Exact determinant by fraction-free (division-delayed) elimination.
+        """Exact determinant by Bareiss elimination (Math. Comp. 22, 1968).
 
-        Over the rationals the Bareiss scheme keeps intermediate entries as
-        quotients of minors, which avoids the blow-up of naive elimination.
+        The entries are scaled by L, the lcm of their denominators, into
+        the ring R whose fraction field is the scalar field (Z for Q,
+        F_p[t] for F_p(t), F_p itself for F_p).  After pivot k, entry
+        (i, j) becomes (m_kk m_ij - m_ik m_kj) / (previous pivot), the
+        minor of the leading k+1 rows and columns bordered by row i and
+        column j, so every division is exact in R; each one is checked.
+        The last pivot is det(L A), reduced once to det(A) = det(L A) / L^n.
         """
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return self.field.one()
-        m = [list(row) for row in self.data]
+        ring = self.field.ring()
+        scale, m = ring.clear(self.data)
+        mul, sub = ring.mul, ring.sub
         sign = 1
-        prev = self.field.one()
+        prev = ring.one
         for k in range(n - 1):
-            if m[k][k].is_zero():
+            if not m[k][k]:
                 for r in range(k + 1, n):
-                    if not m[r][k].is_zero():
+                    if m[r][k]:
                         m[k], m[r] = m[r], m[k]
                         sign = -sign
                         break
                 else:
                     return self.field.zero()
-            for i in range(k + 1, n):
+            pivot, row_k = m[k][k], m[k]
+            div = ring.divide_by(prev)
+            for row in m[k + 1:]:
+                f = row[k]
                 for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = self.field.zero()
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
+                    row[j] = div(sub(mul(pivot, row[j]), mul(f, row_k[j])))
+            prev = pivot
+        d = ring.to_scalar(m[n - 1][n - 1], scale, n)
         return d if sign == 1 else -d
 
     def _echelon(self, augment=None):

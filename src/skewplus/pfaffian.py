@@ -212,12 +212,24 @@ def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
 
 
 def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
-    """Pfaffian by skew-symmetric elimination, cubic time.
+    """Pfaffian by fraction-free skew elimination, cubic time.
 
-    Congruence row+column updates clear the working column below the
-    pivot pair; the Pfaffian is the signed product of the pivot entries.
-    Pivots take the largest-index nonzero entry of the current column and
-    are moved into place by a paired row/column swap, which flips the sign.
+    The strict upper triangle is scaled by L, the lcm of its denominators,
+    into the ring R whose fraction field is the scalar field (Z for Q,
+    F_p[t] for F_p(t), F_p itself for F_p), and only that triangle is
+    updated.  After the pivot pair (k, k+1), entry (i, j) becomes
+
+        (m[k][k+1] m[i][j] - m[k][i] m[k+1][j] + m[k][j] m[k+1][i]) / prev,
+
+    with prev the previous pivot m[k-2][k-1] (1 at the start).  The
+    numerator is the Pfaffian of the principal block on {k, k+1, i, j};
+    by the Pfaffian analogue of Sylvester's identity (the Dress-Wenzel
+    identity), each entry is then the Pfaffian of the leading eliminated
+    block bordered by i and j, so every division is exact in R, and each
+    one is checked.  The last pivot is Pf(L A), reduced once to
+    Pf(A) = Pf(L A) / L^(q/2).  Pivots take the largest-index nonzero
+    entry of row k and are moved into place by a paired row/column swap,
+    which flips the sign.
     """
     a = _unwrap(a)
     q = a.size
@@ -225,31 +237,37 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
         raise OddSize(f"Pfaffian of odd size {q}")
     if q == 0:
         return a.field.one()
-    m = [list(row) for row in a.full_matrix().data]
+    ring = a.field.ring()
+    scale, upper = ring.clear(a.upper)
+    # m[i][j] holds entry (i, j) for i < j; the rest is padding
+    m = [[None] * (i + 1) + row for i, row in enumerate(upper)] + [[None] * q]
+    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
     sign = 1
-    result = a.field.one()
+    prev = ring.one
     for k in range(0, q, 2):
-        pivot = None
-        for r in range(q - 1, k, -1):
-            if not m[r][k].is_zero():
-                pivot = r
-                break
+        row_k = m[k]
+        pivot = next((r for r in range(q - 1, k, -1) if row_k[r]), None)
         if pivot is None:
             return a.field.zero()
         if pivot != k + 1:
-            m[pivot], m[k + 1] = m[k + 1], m[pivot]
-            for row in m:
-                row[pivot], row[k + 1] = row[k + 1], row[pivot]
+            # relabel k+1 <-> pivot on the active indices k..q-1
+            b, row_b = k + 1, m[k + 1]
+            row_k[b], row_k[pivot] = row_k[pivot], row_k[b]
+            for x in range(b + 1, pivot):
+                row_b[x], m[x][pivot] = neg(m[x][pivot]), neg(row_b[x])
+            row_b[pivot] = neg(row_b[pivot])
+            for x in range(pivot + 1, q):
+                row_b[x], m[pivot][x] = m[pivot][x], row_b[x]
             sign = -sign
-        base = m[k + 1][k]
-        for r in range(k + 2, q):
-            if m[r][k].is_zero():
-                continue
-            f = m[r][k] / base
-            m[r] = [x - f * y for x, y in zip(m[r], m[k + 1])]
-            for row in m:
-                row[r] = row[r] - f * row[k + 1]
-        result = result * m[k][k + 1]
+        row_k1, base = m[k + 1], row_k[k + 1]
+        div = ring.divide_by(prev)
+        for i in range(k + 2, q - 1):
+            row_i, ki, k1i = m[i], row_k[i], row_k1[i]
+            for j in range(i + 1, q):
+                row_i[j] = div(add(sub(mul(base, row_i[j]), mul(ki, row_k1[j])),
+                                   mul(row_k[j], k1i)))
+        prev = base
+    result = ring.to_scalar(prev, scale, q // 2)
     return result if sign == 1 else -result
 
 

@@ -309,8 +309,11 @@ def constant_border_obstructed(a: SkewPlusMatrix) -> bool:
 
 
 def _constant_contraction(xi: FormalSum, q: int, field) -> FormalSum:
+    # the caller has just found no generator obstructed, which is exactly
+    # that the all-ones border certifies every one of them
     ones = tuple(field.one() for _ in range(q))
-    eta = xi.map_generators(lambda g: star_extend_certified(g, ones))
+    eta = xi.map_generators(
+        lambda g: SkewPlusMatrix(g.inner.star_extend(ones), _trusted=True))
     return eta if q % 2 == 0 else -eta
 
 
@@ -357,8 +360,8 @@ def _contract_skew(xi, rng, max_attempts, depth):
     for _ in range(max_attempts):
         eta0 = FormalSum.zero()
         for gen, coeff in xi.items():
-            w = skew_plus_extend(gen, rng)
-            bordered = star_extend_certified(gen, w)
+            w = skew_plus_extend(gen, rng)  # accepted only if it certifies
+            bordered = SkewPlusMatrix(gen.inner.star_extend(w), _trusted=True)
             eta0 = eta0 + FormalSum.generator(
                 bordered, coeff if q % 2 == 0 else -coeff)
         remainder = xi - boundary(eta0)

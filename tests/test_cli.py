@@ -100,6 +100,31 @@ def test_bench_small(capsys):
     assert all(row["agree"] for row in rows)
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--recursive-max"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_bench_rejects_bounds_below_one(capsys, flag, value):
+    assert run(["bench", "pfaffian", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("flag", ["fp:5", "fpt:3"])
+def test_bench_field(capsys, flag):
+    assert run(["bench", "pfaffian", "--max-n", "3", "--field", flag, "--seed", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["field"] == flag
+    assert all(row["agree"] for row in payload["result"]["rows"])
+
+
+@pytest.mark.parametrize("command", [["bench", "pfaffian"], ["verify", "sm"]])
+def test_malformed_field_flag_is_usage_error(capsys, command):
+    assert run(command + ["--field", "fp:x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "field" in captured.err
+
+
 def test_usage_error():
     assert run(["verify", "nonsense"]) == 2
     assert run([]) == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skewplus.errors import NotSquare, ShapeMismatch, Singular
+from skewplus.errors import InternalInvariant, NotSquare, ShapeMismatch, Singular
 from skewplus.fields import Field
 from skewplus.matrices import Matrix, PermutationMap
 from skewplus.symplectic import psi_matrix
@@ -36,6 +36,30 @@ def test_det_against_cofactor_oracle():
         for _ in range(20):
             m = rand_matrix(rng, n)
             assert m.det() == det_cofactor(m)
+
+
+def test_det_against_cofactor_oracle_all_fields(sparse_field):
+    field, entry = sparse_field
+    rng = random.Random(f"det:{field!r}")
+    swaps = 0
+    for n in [0, 1, 2, 2] + [rng.randint(3, 5) for _ in range(30)]:
+        m = Matrix(field, [[entry(rng) for _ in range(n)] for _ in range(n)])
+        d = m.det()
+        assert d == det_cofactor(m)
+        swaps += n > 0 and m.entry(1, 1).is_zero() and not d.is_zero()
+    assert Matrix.zeros(field, 4, 4).det() == field.zero()
+    assert swaps, "no case needed a row swap"
+
+
+def test_ring_exact_division_raises_when_inexact():
+    assert Q.ring().divide_by(3)(12) == 4
+    with pytest.raises(InternalInvariant):
+        Q.ring().divide_by(3)(10)
+    f3t = Field.function_field(3)
+    t_plus_1 = (1, 1)
+    assert f3t.ring().divide_by(t_plus_1)((1, 2, 1)) == t_plus_1  # (t+1)^2
+    with pytest.raises(InternalInvariant):
+        f3t.ring().divide_by(t_plus_1)((1, 0, 1))  # t^2 + 1 has no root in F_3
 
 
 def test_det_identity_and_psi():

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import NotSkewPlus, OddSize, ShapeMismatch
-from skewplus.fields import Field
+from skewplus.fields import PRIME, Field
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import (
     SkewMatrix,
@@ -80,6 +81,57 @@ def test_pf_identities():
         assert pf_eliminate(congr) == u.det() * pf
         c = Q.scalar(rng.randint(-5, 5))
         assert pf_eliminate(a.scale(c)) == c ** (q // 2) * pf
+
+
+def test_eliminate_matches_recursive_all_fields(sparse_field):
+    field, entry = sparse_field
+    rng = random.Random(f"pf:{field!r}")
+    zero_first_pivot = 0
+    for q in [0, 2, 2] + [2 * rng.randint(2, 4) for _ in range(40)]:
+        a = SkewMatrix.from_upper(field, q, [entry(rng) for _ in range(q * (q - 1) // 2)])
+        pf = pf_eliminate(a)
+        assert pf == pf_recursive(a)
+        assert pf * pf == a.full_matrix().det()
+        zero_first_pivot += q > 0 and a.entry(1, 2).is_zero() and not pf.is_zero()
+    assert pf_eliminate(SkewMatrix.zero(field, 6)) == field.zero()
+    assert zero_first_pivot, "no case started on a zero pivot"
+
+
+def test_pf_scaling_by_function_field_element():
+    f3t = Field.function_field(3)
+    t = f3t.t()
+    c = (t * t + 1) / (t + 2)
+    rng = random.Random(11)
+    for q in (0, 2, 4, 6, 8):
+        a = random_skew(f3t, q, rng, bound=5)
+        assert pf_eliminate(a.scale(c)) == c ** (q // 2) * pf_eliminate(a)
+
+
+PROPERTY_FIELDS = [Q, Field.prime(5), Field.prime(1000003), Field.function_field(3)]
+
+
+@st.composite
+def skew_matrices(draw):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    q = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    if field == Q:
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    elif field.kind == PRIME:
+        entry = st.integers(0, field.p - 1)
+    else:
+        coeffs = st.lists(st.integers(0, field.p - 1), max_size=3)
+        # numerator of degree < 3 over a monic denominator of degree <= 2
+        entry = st.tuples(coeffs.map(tuple), coeffs.map(lambda c: tuple(c[:2]) + (1,)))
+    values = draw(st.lists(entry, min_size=q * (q - 1) // 2, max_size=q * (q - 1) // 2))
+    return SkewMatrix.from_upper(field, q, [field.scalar(x) for x in values])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(skew_matrices())
+def test_eliminate_property_all_fields(a):
+    pf = pf_eliminate(a)
+    assert pf * pf == a.full_matrix().det()
+    assert pf == pf_recursive(a)
 
 
 def test_remove_indices():
