@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import SamplerExhausted, ShapeMismatch, ZeroUnit
-from .fields import Field, Scalar
+from .errors import ShapeMismatch, ZeroUnit
+from .fields import Field, Scalar, sample_until
 
 
 def _coeff_is_zero(c) -> bool:
@@ -236,6 +236,21 @@ class GroupRingElt:
         return f"GroupRingElt({body})"
 
 
+def partial_sums(units):
+    """Every nonempty partial sum a_I of `units`, keyed by the 0-based index
+    tuple I (by size, then lexicographically), or None if one is zero."""
+    sums = {}
+    for size in range(1, len(units) + 1):
+        for subset in combinations(range(len(units)), size):
+            s = units[subset[-1]]
+            if size > 1:
+                s = sums[subset[:-1]] + s
+            if s.is_zero():
+                return None
+            sums[subset] = s
+    return sums
+
+
 def build_sm(m: int, field: Field, rng, max_attempts: int = 200):
     """Units a_1..a_m with every nonempty partial sum a_I a unit, and the
     alternating group-ring element they define.
@@ -243,50 +258,25 @@ def build_sm(m: int, field: Field, rng, max_attempts: int = 200):
     The element is - sum over nonempty I of (-1)^{|I|} <a_I>; its
     augmentation is exactly 1.  Powers of a fixed base element are tried
     first (distinct-power sums never vanish over Q or F_p(t)); a random
-    search with a growing pool is the fallback, which over a finite prime
-    field may exhaust.
+    search through `sample_until` is the fallback, which over a finite
+    prime field may exhaust.
     """
     if m < 1:
         raise ShapeMismatch("m must be at least 1")
 
-    def all_partial_sums_nonzero(units):
-        sums = {}
-        for size in range(1, m + 1):
-            for subset in combinations(range(m), size):
-                s = units[subset[0]]
-                for i in subset[1:]:
-                    s = s + units[i]
-                if s.is_zero():
-                    return None
-                sums[tuple(subset)] = s
-        return sums
+    def draw(bound):
+        units = [field.sample_nonzero(rng, bound) for _ in range(m)]
+        return units, partial_sums(units)
 
-    candidates = []
-    if field.kind == "rationals":
-        two = field.scalar(2)
-        candidates.append([two ** i for i in range(m)])
-    elif field.kind == "function_field":
-        t = field.t()
-        candidates.append([t ** i for i in range(m)])
-
-    attempt = 0
-    bound = 8
-    while True:
-        if candidates:
-            units = candidates.pop(0)
-        else:
-            attempt += 1
-            if attempt > max_attempts:
-                raise SamplerExhausted(
-                    f"no unit family with all partial sums nonzero after {max_attempts} tries")
-            if attempt % 16 == 0:
-                bound *= 2
-            units = [field.sample_nonzero(rng, bound) for _ in range(m)]
-        sums = all_partial_sums_nonzero(units)
-        if sums is None:
-            continue
-        terms = {}
-        for subset, s in sums.items():
-            sign = -1 if len(subset) % 2 == 0 else 1
-            terms[s] = terms.get(s, 0) + sign
-        return tuple(units), GroupRingElt(field, terms)
+    sums = None
+    if field.is_infinite:
+        base = field.t() if field.kind == "function_field" else field.scalar(2)
+        units = [base ** i for i in range(m)]
+        sums = partial_sums(units)
+    if sums is None:
+        units, sums = sample_until(lambda found: found[1] is not None, draw,
+                                   max_attempts, "unit family with all partial sums nonzero")
+    terms = {}
+    for subset, s in sums.items():
+        terms[s] = terms.get(s, 0) + (1 if len(subset) % 2 else -1)
+    return tuple(units), GroupRingElt(field, terms)

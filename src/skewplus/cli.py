@@ -24,7 +24,7 @@ import time
 from itertools import combinations
 
 from . import chains, gamma, sections, symplectic, unimod
-from .errors import ParseError, SkewplusError
+from .errors import DivisionByZero, FieldMismatch, ParseError, SkewplusError
 from .fields import RATIONALS, Field
 from .matrices import Matrix
 from .pfaffian import (
@@ -79,7 +79,7 @@ def suite_pfaffian(field: Field, rng, trials: int = 500, dw_trials: int = 200):
     dw = Report(check="pfaffian:dress-wenzel", field=field.flag(), trials=dw_trials)
     for i in range(dw_trials):
         n = rng.choice([2, 3])
-        a = random_skew_plus(field, 2 * n + 2, rng, bound=7)
+        a = random_skew_plus(field, 2 * n + 2, rng)
         p = 2 * n - 1
         others = [x for x in range(1, 2 * n + 3) if x != p]
         triple = sorted(rng.sample(others, 3))
@@ -115,7 +115,7 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
     for two_n in (2, 4, 6, 8):
         for q in range(0, two_n + 2):
             for i in range(trials):
-                a = random_skew_plus(field, q, rng, bound=6)
+                a = random_skew_plus(field, q, rng)
                 seq = sections.section_V(q, two_n, a)
                 if seq.gram() != a.inner:
                     _fail(rep, f"2n={two_n} q={q} trial {i}", "Gram round trip", "mismatch")
@@ -129,7 +129,7 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
         # stability holds in the range q <= 2n; at q = 2n+1 the smaller
         # space takes the snug variant and the larger the roomy one
         q = rng.randint(0, two_n)
-        a = random_skew_plus(field, q, rng, bound=6)
+        a = random_skew_plus(field, q, rng)
         small = sections.section_V(q, two_n, a)
         big = sections.section_V(q, two_m, a)
         trunc = [v[:two_n] for v in big.vectors]
@@ -139,7 +139,7 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
             _fail(stab, f"spot {i}", "stability", "mismatch")
         # face compatibility: dropping the last vector (full range of q)
         q = rng.randint(1, two_n + 1)
-        a = random_skew_plus(field, q, rng, bound=6)
+        a = random_skew_plus(field, q, rng)
         seq = sections.section_V(q, two_n, a)
         dropped = sections.section_V(q - 1, two_n, a.remove_indices([q]))
         if seq.vectors[:-1] != dropped.vectors:
@@ -150,7 +150,7 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
     det1 = Report(check="sections:det1", field=field.flag(), trials=spot)
     for i in range(spot):
         q = rng.choice([1, 3, 5, 7])
-        a = random_skew_plus(field, q, rng, bound=6)
+        a = random_skew_plus(field, q, rng)
         seq = sections.section_v_det1(a)
         mat = Matrix.from_columns(field, [v[:q] for v in seq.vectors])
         if mat.det() != field.one():
@@ -206,7 +206,7 @@ def suite_complexes(field: Field, rng, trials: int = 200, cycles: int = 100):
         if not chains.boundary(chains.boundary(chains.FormalSum.generator(gen))).is_zero():
             _fail(rep, f"seq trial {i}", "d d = 0", "violated")
         qs = rng.randint(1, 5)
-        sk = random_skew_plus(field, qs, rng, bound=6)
+        sk = random_skew_plus(field, qs, rng)
         if not chains.boundary(chains.boundary(chains.FormalSum.generator(sk))).is_zero():
             _fail(rep, f"skew trial {i}", "d d = 0", "violated")
     rep.elapsed_ms = int((time.monotonic() - start) * 1000)
@@ -230,7 +230,7 @@ def suite_complexes(field: Field, rng, trials: int = 200, cycles: int = 100):
         q = rng.randint(1, 3)
         chain = chains.FormalSum.zero()
         for _ in range(rng.randint(1, 3)):
-            gen = random_skew_plus(field, q + 1, rng, bound=6)
+            gen = random_skew_plus(field, q + 1, rng)
             chain = chain + chains.FormalSum.generator(gen, rng.randint(-3, 3))
         xi = chains.diff_skew(chain)
         eta = unimod.contract_cycle_skew(xi, rng)
@@ -266,7 +266,7 @@ def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
     rep = Report(check="gamma:oracle-vs-ratio", field=field.flag(),
                  trials=matrices * 20)
     for i in range(matrices):
-        a = random_skew_plus(field, 6, rng, bound=9)
+        a = random_skew_plus(field, 6, rng)
         for triple in combinations(range(1, 7), 3):
             c = gamma.gamma_oracle_c(a, triple)
             r = gamma.pfaffian_ratio(a, triple)
@@ -286,19 +286,19 @@ def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
     return [rep]
 
 
-def suite_units(field: Field, rng, searches: int = 10, max_attempts: int = 100):
+def suite_units(field: Field, rng, searches: int = 10):
     """Unit searches: inverse triples and both w-witness variants."""
     start = time.monotonic()
     rep = Report(check="units:searches", field=field.flag(), trials=searches)
     for i in range(searches):
         try:
-            u1, u2, u3 = gamma.find_inverse_triple(field, rng, max_attempts)
+            u1, u2, u3 = gamma.find_inverse_triple(field, rng, 100)
             if not (u1 + u2 + u3).is_zero() or \
                     (u1.inv() + u2.inv() + u3.inv()).is_zero():
                 _fail(rep, f"triple {i}", "constraints", "violated")
             for variant in ("linear", "square"):
                 b = field.sample_nonzero(rng, 8)
-                w1, w2, w3, w = gamma.find_w_units(b, variant, field, rng, max_attempts)
+                w1, w2, w3, w = gamma.find_w_units(b, variant, field, rng, 100)
                 sums = [w1, w2, w3, w1 + w2, w1 + w3, w2 + w3, w1 + w2 + w3]
                 if any(s.is_zero() for s in sums) or w.is_zero():
                     _fail(rep, f"{variant} {i}", "constraints", "violated")
@@ -360,12 +360,15 @@ def _load_matrix(path: str):
         if obj.get("skew"):
             return SkewMatrix.from_json(obj)
         return SkewMatrix.from_matrix(Matrix.from_json(obj))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, FieldMismatch, DivisionByZero) as exc:
         raise ParseError(f"malformed matrix object: {exc!r}") from None
 
 
 def compute_pf(path: str) -> str:
-    return pf_eliminate(_load_matrix(path)).literal()
+    a = _load_matrix(path)
+    if a.size % 2 != 0:
+        raise ParseError(f"pf needs even size, got {a.size}")
+    return pf_eliminate(a).literal()
 
 
 def compute_gamma(path: str) -> list:

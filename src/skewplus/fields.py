@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from functools import partial
 
-from .errors import DivisionByZero, FieldMismatch, InternalInvariant, ParseError
+from .errors import DivisionByZero, FieldMismatch, InternalInvariant, ParseError, SamplerExhausted
 
 RATIONALS = "rationals"
 PRIME = "prime"
@@ -277,11 +277,16 @@ class Field:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Field":
+        if not isinstance(d, dict):
+            raise ParseError(f"a field descriptor is a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == RATIONALS:
             return cls.rationals()
         if kind in (PRIME, FUNCTION_FIELD):
-            return cls(kind, int(d["p"]))
+            p = d.get("p")
+            if type(p) is not int:
+                raise ParseError(f"field characteristic must be an integer, got {p!r}")
+            return cls(kind, p)
         raise ParseError(f"bad field descriptor {d!r}")
 
     @classmethod
@@ -310,6 +315,26 @@ class Field:
             self._ring = {RATIONALS: IntegerRing, PRIME: ResidueRing,
                           FUNCTION_FIELD: PolynomialRing}[self.kind](self)
         return self._ring
+
+
+def sample_until(test, draw, max_attempts, what):
+    """The first draw(bound) that passes test.  The pool bound starts at 8
+    and doubles after every 16 attempts, so over an infinite field a finite
+    union of proper subvarieties is eventually avoided; after max_attempts
+    draws the search raises SamplerExhausted naming `what`."""
+    bound = 8
+    attempts = 0
+    while attempts < max_attempts:
+        for _ in range(16):
+            if attempts >= max_attempts:
+                break
+            attempts += 1
+            candidate = draw(bound)
+            if test(candidate):
+                return candidate
+        bound *= 2
+    raise SamplerExhausted(f"no {what} found in {max_attempts} attempts "
+                           "(pool too small, or the field is too small)")
 
 
 def _canonical_ratio(num, den, p):
@@ -599,6 +624,8 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
     Syntax: rationals "p/q" or "n"; prime-field "k mod p"; function-field
     "(num)/(den) over F_p[t]" with polynomials like "c0+c1*t+c3*t^3".
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a scalar literal is a string, got {text!r}")
     text = text.strip()
     m = _FPT_RE.match(text)
     if m:

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .chains import FormalSum
+from .chains import FormalSum, partial_sums
 from .errors import (
     BadIndices,
     BadRange,
@@ -43,7 +43,7 @@ from .errors import (
     SamplerExhausted,
     ZeroUnit,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, sample_until
 from .matrices import Matrix, PermutationMap
 from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, pf_eliminate
 from .sections import section_v_det1
@@ -299,26 +299,17 @@ def _require_infinite(field: Field):
 def find_inverse_triple(field: Field, rng, max_attempts: int = 256):
     """Units u1, u2, u3 with u1+u2+u3 = 0 and 1/u1 + 1/u2 + 1/u3 != 0."""
     _require_infinite(field)
-    bound = 8
-    for attempt in range(max_attempts):
-        if attempt and attempt % 16 == 0:
-            bound *= 2
+
+    def draw(bound):
         u1 = field.sample_nonzero(rng, bound)
         u2 = field.sample_nonzero(rng, bound)
-        u3 = -(u1 + u2)
-        if u3.is_zero():
-            continue
-        if not (u1.inv() + u2.inv() + u3.inv()).is_zero():
-            return u1, u2, u3
-    raise SamplerExhausted(f"no inverse triple in {max_attempts} attempts")
+        return u1, u2, -(u1 + u2)
 
+    def good(triple):
+        u1, u2, u3 = triple
+        return not u3.is_zero() and not (u1.inv() + u2.inv() + u3.inv()).is_zero()
 
-def _partial_sums_3(u1, u2, u3):
-    return {
-        (1,): u1, (2,): u2, (3,): u3,
-        (1, 2): u1 + u2, (1, 3): u1 + u3, (2, 3): u2 + u3,
-        (1, 2, 3): u1 + u2 + u3,
-    }
+    return sample_until(good, draw, max_attempts, "inverse triple")
 
 
 def find_w_units(b, variant: str, field: Field, rng, max_attempts: int = 256):
@@ -338,40 +329,39 @@ def find_w_units(b, variant: str, field: Field, rng, max_attempts: int = 256):
     b = field.scalar(b)
     if b.is_zero():
         raise ZeroUnit("b must be a unit")
-    bound = 8
-    for attempt in range(max_attempts):
-        if attempt and attempt % 16 == 0:
-            bound *= 2
+
+    def draw(bound):
         u1 = field.sample_nonzero(rng, bound)
         u2 = field.sample_nonzero(rng, bound)
         u3 = field.sample_nonzero(rng, bound)
-        sums = _partial_sums_3(u1, u2, u3)
-        if any(s.is_zero() for s in sums.values()):
-            continue
+        sums = partial_sums((u1, u2, u3))
+        if sums is None:
+            return None
         w = field.zero()
         s_companion = field.zero()
         for subset, val in sums.items():
-            sign = 1 if len(subset) % 2 == 1 else -1
-            rec = val.inv() if variant == "linear" else (val * val).inv()
-            w = w + rec if sign > 0 else w - rec
             sq = val * val
-            s_companion = s_companion + sq if sign > 0 else s_companion - sq
+            rec = val.inv() if variant == "linear" else sq.inv()
+            if len(subset) % 2 == 0:
+                rec, sq = -rec, -sq
+            w, s_companion = w + rec, s_companion + sq
         if not s_companion.is_zero():
             raise InternalInvariant("alternating sum of squares is not zero")
         if w.is_zero():
-            continue
+            return None
         if variant == "linear":
             t = field.sample_nonzero(rng, bound)
             total = field.zero()
             for subset, val in sums.items():
-                sign = 1 if len(subset) % 2 == 1 else -1
                 c = t * val
                 term = c * c / (b ** 3) + c.inv()
-                total = total + term if sign > 0 else total - term
+                total = total + term if len(subset) % 2 else total - term
             if total != w / t:
                 raise InternalInvariant("surjectivity identity fails")
         return u1, u2, u3, w
-    raise SamplerExhausted(f"no unit witness in {max_attempts} attempts")
+
+    return sample_until(lambda found: found is not None, draw, max_attempts,
+                        "unit witness")
 
 
 def zlinear_extension(f, field: Field):
@@ -565,13 +555,13 @@ def family_matrix(name: str, values: dict) -> SkewPlusMatrix:
     return SkewPlusMatrix.certify(SkewMatrix.from_upper(field, 6, upper))
 
 
-def sample_family_values(name: str, field: Field, rng, bound: int = 12) -> dict:
-    """Letter values with all required units nonzero (resampled until so)."""
+def sample_family_values(name: str, field: Field, rng) -> dict:
+    """Letter values with all required units nonzero."""
     fam = FAMILIES[name]
-    while True:
-        values = {letter: field.sample_nonzero(rng, bound) for letter in fam.letters}
-        if all(not u.is_zero() for u in fam.extra_units(values)):
-            return values
+    return sample_until(
+        lambda values: all(not u.is_zero() for u in fam.extra_units(values)),
+        lambda bound: {letter: field.sample_nonzero(rng, bound) for letter in fam.letters},
+        256, f"{name} family values")
 
 
 # ---------------------------------------------------------------------------

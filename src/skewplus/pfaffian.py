@@ -27,10 +27,9 @@ from .errors import (
     NotSkewPlus,
     OddSize,
     ParseError,
-    SamplerExhausted,
     ShapeMismatch,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, sample_until
 from .matrices import Matrix
 
 
@@ -326,24 +325,24 @@ def random_skew(field: Field, q: int, rng, bound: int = 9) -> SkewMatrix:
         field, q, [field.sample(rng, bound) for _ in range(q * (q - 1) // 2)])
 
 
-def random_skew_plus(field: Field, q: int, rng, bound: int = 9,
+def random_skew_plus(field: Field, q: int, rng,
                      max_attempts: int = 512) -> SkewPlusMatrix:
-    """Rejection-sample a certified matrix; entries from a growing pool.
+    """Rejection-sample a certified matrix with nonzero entries.
 
     Certificates fail rarely over an infinite field, but over F_p the
     certified set can be tiny or empty, hence the attempt cap.
     """
-    for attempt in range(max_attempts):
-        if attempt and attempt % 64 == 0:
-            bound *= 2
+    def draw(bound):
         m = SkewMatrix.from_upper(
             field, q, [field.sample_nonzero(rng, bound)
                        for _ in range(q * (q - 1) // 2)])
         try:
             return SkewPlusMatrix.certify(m)
         except NotSkewPlus:
-            continue
-    raise SamplerExhausted(f"no certified size-{q} matrix in {max_attempts} attempts")
+            return None
+
+    return sample_until(lambda a: a is not None, draw, max_attempts,
+                        f"certified size-{q} matrix")
 
 
 def is_skew_plus(a: "SkewMatrix") -> bool:

@@ -8,6 +8,8 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from skewplus.chains import build_sm
 from skewplus.cli import (
     bench_pfaffian,
@@ -24,6 +26,8 @@ from skewplus.gamma import verify_appendix
 from skewplus.pfaffian import SkewMatrix, pf_eliminate
 
 Q = Field.rationals()
+
+pytestmark = pytest.mark.acceptance
 
 
 def _finish(name, budget_s, start, reports=None, extra_ok=True):
@@ -155,7 +159,7 @@ def test_c11_unit_searches():
     for field in (Q, Field.function_field(2), Field.function_field(3),
                   Field.function_field(5)):
         rng = random.Random(111)
-        reports.extend(suite_units(field, rng, searches=5, max_attempts=100))
+        reports.extend(suite_units(field, rng, searches=5))
     _finish("unit searches over Q and F_p(t), p in {2,3,5}", 60, start,
             reports, extra_ok=ok)
 

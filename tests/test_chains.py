@@ -9,8 +9,9 @@ from skewplus.chains import (
     build_sm,
     diff_seq,
     diff_skew,
+    partial_sums,
 )
-from skewplus.errors import ShapeMismatch, ZeroUnit
+from skewplus.errors import SamplerExhausted, ShapeMismatch, ZeroUnit
 from skewplus.fields import Field
 from skewplus.pfaffian import SkewMatrix, SkewPlusMatrix, random_skew_plus
 from skewplus.symplectic import SymplecticSpace
@@ -59,7 +60,7 @@ def test_dd_zero_skew():
     rng = random.Random(4)
     for _ in range(60):
         q = rng.randint(1, 5)
-        gen = random_skew_plus(Q, q, rng, bound=6)
+        gen = random_skew_plus(Q, q, rng)
         assert diff_skew(diff_skew(FormalSum.generator(gen))).is_zero()
 
 
@@ -97,7 +98,7 @@ def test_skew_degree_two_diff_is_zero():
 
 def test_six_face_terms():
     rng = random.Random(7)
-    gen = random_skew_plus(Q, 6, rng, bound=9)
+    gen = random_skew_plus(Q, 6, rng)
     d = diff_skew(FormalSum.generator(gen))
     # six faces with alternating signs, generically distinct
     total = sum(abs(c) for _, c in d.items())
@@ -175,6 +176,24 @@ def test_build_sm_augmentation_up_to_12():
         units, sm = build_sm(m, Q, rng)
         assert len(units) == m
         assert sm.augmentation() == 1
+
+
+def test_partial_sums():
+    assert partial_sums((Q.one(), -Q.one())) is None
+    for m in range(1, 7):
+        sums = partial_sums([Q.scalar(2) ** i for i in range(m)])
+        assert len(sums) == 2 ** m - 1
+    assert partial_sums([Q.one(), Q.scalar(2), Q.scalar(4)])[(0, 2)] == Q.scalar(5)
+
+
+def test_build_sm_random_fallback_over_prime_field():
+    f7 = Field.prime(7)
+    units, sm = build_sm(3, f7, random.Random(15))
+    assert partial_sums(units) is not None
+    assert sm.augmentation() == 1
+    # over F_2 the only unit is 1, and 1 + 1 = 0
+    with pytest.raises(SamplerExhausted, match="in 5 attempts"):
+        build_sm(2, Field.prime(2), random.Random(15), max_attempts=5)
 
 
 def test_formal_sum_json():

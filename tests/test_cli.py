@@ -159,16 +159,30 @@ def test_report_without_trials_fails():
     assert Report(check="one", field="q", trials=1).passed
 
 
+def _skew2(field, entries):
+    return json.dumps({"field": field, "rows": 2, "cols": 2, "entries": entries, "skew": True})
+
+
 @pytest.mark.parametrize("text", [
     "[[0, 1], [-1, 0]]",
     '{"field": {"kind": "rationals"}, "rows": 2}',
     '{"field": {"kind": "rationals"}, "rows": 2, "cols": 2, "entries": 5, "skew": true}',
-], ids=["array", "missing-entries", "entries-not-a-grid"])
+    _skew2({"kind": "rationals"}, [[0, 1], [0, 0]]),
+    _skew2({"kind": "prime", "p": "x"}, [["0", "1"], ["-1", "0"]]),
+    _skew2({"kind": "prime", "p": 5.5}, [["0", "1"], ["-1", "0"]]),
+    _skew2("q", [["0", "1"], ["-1", "0"]]),
+    _skew2({"kind": "rationals"}, [["0", "1 mod 5"], ["-1", "0"]]),
+    _skew2({"kind": "rationals"}, [["0", "1/0"], ["-1", "0"]]),
+], ids=["array", "missing-entries", "entries-not-a-grid", "numeric-entries",
+        "string-characteristic", "fractional-characteristic", "field-not-an-object",
+        "literal-of-another-field", "zero-denominator"])
 def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert run(["compute", "pf", "--input", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    for command in ("pf", "gamma", "section"):
+        assert run(["compute", command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_compute_section_rejects_odd_ambient(capsys, tmp_path):
@@ -185,3 +199,11 @@ def test_compute_rejects_skew_grid_of_other_shape(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert run(["compute", "pf", "--input", str(path)]) == 2
     assert "shape" in capsys.readouterr().err
+
+
+def test_compute_pf_rejects_odd_size(tmp_path, capsys):
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(SkewMatrix.from_upper(Q, 3, [1, 2, 3]).to_json()))
+    for command in ("pf", "gamma"):
+        assert run(["compute", command, "--input", str(path)]) == 2
+        assert "even size" in capsys.readouterr().err

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from skewplus.errors import DivisionByZero, FieldMismatch, ParseError
-from skewplus.fields import Field, parse_scalar, specialize
+from skewplus.errors import DivisionByZero, FieldMismatch, ParseError, SamplerExhausted
+from skewplus.fields import Field, parse_scalar, sample_until, specialize
 
 FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
@@ -102,8 +102,9 @@ def test_literal_syntax():
     assert s.field == Field.function_field(2)
     t = s.field.t()
     assert s == (1 + t) / (1 + t + t * t)
-    with pytest.raises(ParseError):
-        parse_scalar("not a scalar")
+    for bad in ("not a scalar", 1, None):
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
 
 
 def test_integer_literal_coerces_into_any_field():
@@ -120,6 +121,9 @@ def test_descriptors():
     assert Field.from_flag("fp:11") == Field.prime(11)
     with pytest.raises(ParseError):
         Field.from_flag("fp:4")  # not prime
+    for p in ("5", 5.5, True, None):
+        with pytest.raises(ParseError):
+            Field.from_descriptor({"kind": "prime", "p": p})
 
 
 def test_is_infinite_flag():
@@ -146,3 +150,21 @@ def test_powers():
     assert a ** 3 == Q.fraction(8, 27)
     assert a ** 0 == Q.one()
     assert a ** -2 == Q.fraction(9, 4)
+
+
+def test_sample_until_doubles_the_pool_every_16_attempts():
+    bounds = []
+
+    def draw(bound):
+        bounds.append(bound)
+        return len(bounds)
+
+    assert sample_until(lambda x: x == 40, draw, 100, "fortieth draw") == 40
+    assert bounds == [8] * 16 + [16] * 16 + [32] * 8
+
+
+def test_sample_until_exhausts_after_max_attempts():
+    draws = []
+    with pytest.raises(SamplerExhausted, match="no lucky draw found in 21 attempts"):
+        sample_until(lambda x: False, draws.append, 21, "lucky draw")
+    assert len(draws) == 21

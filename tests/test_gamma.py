@@ -36,7 +36,7 @@ Q = Field.rationals()
 
 def test_gamma_term_count_and_degree():
     rng = random.Random(1)
-    a = random_skew_plus(Q, 6, rng, bound=9)
+    a = random_skew_plus(Q, 6, rng)
     terms = gamma_terms(a, 2)
     assert len(terms) == 20
     for triple, coeff, gen in terms:
@@ -96,21 +96,21 @@ def test_verify_appendix_all_families():
 
 def test_oracle_equals_ratio_canonical():
     rng = random.Random(7)
-    a = random_skew_plus(Q, 6, rng, bound=9)
+    a = random_skew_plus(Q, 6, rng)
     assert gamma_oracle_c(a, (4, 5, 6)) == pfaffian_ratio(a, (4, 5, 6))
 
 
 def test_oracle_equals_ratio_all_triples():
     rng = random.Random(8)
     for _ in range(3):
-        a = random_skew_plus(Q, 6, rng, bound=9)
+        a = random_skew_plus(Q, 6, rng)
         for triple in combinations(range(1, 7), 3):
             assert gamma_oracle_c(a, triple) == pfaffian_ratio(a, triple)
 
 
 def test_oracle_independent_of_free_parameters():
     rng = random.Random(9)
-    a = random_skew_plus(Q, 6, rng, bound=9)
+    a = random_skew_plus(Q, 6, rng)
     for triple in [(1, 2, 3), (2, 4, 6), (4, 5, 6)]:
         base = gamma_oracle_c(a, triple)
         betas = [Q.sample(rng, 9) for _ in range(3)]
@@ -119,7 +119,7 @@ def test_oracle_independent_of_free_parameters():
 
 def test_swap_invariance():
     rng = random.Random(10)
-    a = random_skew_plus(Q, 6, rng, bound=9)
+    a = random_skew_plus(Q, 6, rng)
     b = swap_adjacent(a, 5)
     assert pfaffian_ratio(a, (2, 3, 5)) == pfaffian_ratio(b, (2, 3, 6))
     assert gamma_oracle_c(a, (2, 3, 5)) == gamma_oracle_c(b, (2, 3, 6))
@@ -129,7 +129,7 @@ def test_swap_invariance():
 
 def test_oracle_sum_reconstructs_gamma():
     rng = random.Random(11)
-    a = random_skew_plus(Q, 6, rng, bound=9)
+    a = random_skew_plus(Q, 6, rng)
     rebuilt = FormalSum.zero()
     for triple in combinations(range(1, 7), 3):
         i, j, k = triple
@@ -142,7 +142,7 @@ def test_oracle_sum_reconstructs_gamma():
 
 def test_check_certificate_trivial():
     rng = random.Random(12)
-    a = random_skew_plus(Q, 6, rng, bound=9)
+    a = random_skew_plus(Q, 6, rng)
     target = gamma_map(a, 2)
     assert check_certificate(target, [(1, a)], 2)
     assert check_certificate(FormalSum.zero(), [], 2)

@@ -222,7 +222,7 @@ def test_dress_wenzel_three_term():
     rng = random.Random(8)
     for _ in range(30):
         n = rng.choice([2, 3])
-        a = random_skew_plus(Q, 2 * n + 2, rng, bound=6)
+        a = random_skew_plus(Q, 2 * n + 2, rng)
         p = 2 * n - 1
         others = [x for x in range(1, 2 * n + 3) if x != p]
         triple = sorted(rng.sample(others, 3))

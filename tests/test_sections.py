@@ -45,7 +45,7 @@ def test_round_trip_all_sizes():
     for two_n in (2, 4, 6, 8):
         for q in range(0, two_n + 2):
             for _ in range(5):
-                a = random_skew_plus(Q, q, rng, bound=6)
+                a = random_skew_plus(Q, q, rng)
                 seq = section_V(q, two_n, a)
                 assert seq.gram() == a.inner
 
@@ -55,7 +55,7 @@ def test_section_output_is_member():
     for two_n in (2, 4, 6):
         space = SymplecticSpace(Q, two_n // 2)
         for q in range(0, two_n + 2):
-            a = random_skew_plus(Q, q, rng, bound=6)
+            a = random_skew_plus(Q, q, rng)
             seq = section_V(q, two_n, a)
             assert is_nondeg_unimodular(seq.vectors, space)
 
@@ -66,7 +66,7 @@ def test_stability():
         two_n = 2 * rng.randint(1, 3)
         two_m = two_n + 2 * rng.randint(1, 2)
         q = rng.randint(0, two_n)
-        a = random_skew_plus(Q, q, rng, bound=6)
+        a = random_skew_plus(Q, q, rng)
         small = section_V(q, two_n, a)
         big = section_V(q, two_m, a)
         assert all(x.is_zero() for v in big.vectors for x in v[two_n:])
@@ -78,7 +78,7 @@ def test_face_compatibility():
     for _ in range(20):
         two_n = 2 * rng.randint(1, 3)
         q = rng.randint(1, two_n + 1)
-        a = random_skew_plus(Q, q, rng, bound=6)
+        a = random_skew_plus(Q, q, rng)
         seq = section_V(q, two_n, a)
         dropped = section_V(q - 1, two_n, a.remove_indices([q]))
         assert seq.vectors[:-1] == dropped.vectors
@@ -86,7 +86,7 @@ def test_face_compatibility():
 
 def test_deterministic():
     rng = random.Random(5)
-    a = random_skew_plus(Q, 5, rng, bound=6)
+    a = random_skew_plus(Q, 5, rng)
     assert section_V(5, 6, a).vectors == section_V(5, 6, a).vectors
 
 
@@ -109,7 +109,7 @@ def test_det1_properties():
     rng = random.Random(7)
     for _ in range(15):
         q = rng.choice([1, 3, 5])
-        a = random_skew_plus(Q, q, rng, bound=6)
+        a = random_skew_plus(Q, q, rng)
         seq = section_v_det1(a)
         assert seq.gram() == a.inner
         # column i lies in span(e_1..e_i)

@@ -126,7 +126,7 @@ def test_skew_plus_extend():
     v = skew_plus_extend(empty, rng)
     assert v == ()
     for q in range(1, 6):
-        a = random_skew_plus(Q, q, rng, bound=6)
+        a = random_skew_plus(Q, q, rng)
         v = skew_plus_extend(a, rng, max_attempts=50)
         assert star_is_certified(a, v)
 
@@ -164,7 +164,7 @@ def test_contract_cycle_skew():
         chain = FormalSum.zero()
         for _ in range(rng.randint(1, 3)):
             chain = chain + FormalSum.generator(
-                random_skew_plus(Q, q + 1, rng, bound=6), rng.randint(-3, 3))
+                random_skew_plus(Q, q + 1, rng), rng.randint(-3, 3))
         xi = diff_skew(chain)
         eta = contract_cycle_skew(xi, rng)
         assert diff_skew(eta) == xi
