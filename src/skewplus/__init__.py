@@ -14,7 +14,6 @@ from .pfaffian import (
     is_skew_plus,
     pf_eliminate,
     pf_recursive,
-    pfaffian,
 )
 from .symplectic import (
     SpMatrix,
@@ -35,7 +34,7 @@ __all__ = [
     "Field", "Scalar", "parse_scalar",
     "Matrix", "PermutationMap",
     "SkewMatrix", "SkewPlusMatrix", "is_skew_plus",
-    "pf_eliminate", "pf_recursive", "pfaffian",
+    "pf_eliminate", "pf_recursive",
     "SpMatrix", "Subspace", "SymplecticSpace",
     "gram", "pairing", "psi_matrix", "witt_extend",
     "NonDegSeq", "good_position_sample", "is_nondeg_unimodular",

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from . import chains, gamma, sections, symplectic, unimod
 from .errors import DivisionByZero, FieldMismatch, ParseError, SkewplusError
-from .fields import RATIONALS, Field
+from .fields import FUNCTION_FIELD, RATIONALS, Field
 from .matrices import Matrix
 from .pfaffian import (
     SkewMatrix,
@@ -461,8 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="benchmark the Pfaffian algorithms")
     pb.add_argument("target", choices=["pfaffian"])
     pb.add_argument("--max-n", type=int, default=12)
-    pb.add_argument("--recursive-max", type=int, default=13,
-                    help="skip the recursive algorithm above this half-size")
+    pb.add_argument("--recursive-max", type=int, default=None,
+                    help="skip the recursive algorithm above this half-size "
+                         "(default 13, or 7 over fpt:P)")
     pb.add_argument("--seed", default=None)
     pb.add_argument("--field", default="q", help="q | fp:P | fpt:P (default q)")
     pb.add_argument("--output", default=None)
@@ -553,11 +554,15 @@ def _run_compute(args) -> int:
 
 
 def _run_bench(args) -> int:
+    field = Field.from_flag(args.field)
+    # pf_recursive's time grows about 4.5x per step over F_p(t), where
+    # every scalar operation is a polynomial gcd
+    if args.recursive_max is None:
+        args.recursive_max = 7 if field.kind == FUNCTION_FIELD else 13
     # a run that timed no matrix, or compared none, checked nothing
     for flag, value in (("--max-n", args.max_n), ("--recursive-max", args.recursive_max)):
         if value < 1:
             raise ParseError(f"{flag} must be at least 1, got {value}")
-    field = Field.from_flag(args.field)
     rng = random.Random(_resolve_seed(args.seed))
     result = bench_pfaffian(args.max_n, rng, recursive_max=args.recursive_max, field=field)
     agree = all(row.get("agree", True) for row in result["rows"])

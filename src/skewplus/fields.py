@@ -305,9 +305,6 @@ class Field:
             return "q"
         return ("fp:" if self.kind == PRIME else "fpt:") + str(self.p)
 
-    def from_literal(self, text: str) -> "Scalar":
-        return parse_scalar(text, self)
-
     def ring(self):
         """The ring whose fraction field this is, as the elimination
         kernels use it: Z for Q, F_p[t] for F_p(t), F_p itself for F_p."""
@@ -515,11 +512,11 @@ class Scalar:
 # ring views for fraction-free elimination
 # ---------------------------------------------------------------------------
 #
-# A kernel clears the denominators of its entries with one common L, so it
-# works on L*x in a ring R whose fraction field is the field; it computes
-# with add, sub, mul, neg and exact division only, and turns its result
-# num back into the canonical scalar num / L^e once, at the end.  In every
-# R the zero element is the only falsy one.
+# A kernel clears the denominators of its entries with one common L (or
+# one per row), so it works on L*x in a ring R whose fraction field is the
+# field; it computes with add, sub, mul, neg and exact division only, and
+# turns each result num back into the canonical scalar num / L^e once, at
+# the end.  In every R the zero element is the only falsy one.
 
 class IntegerRing:
     """Z, for Q."""
@@ -552,11 +549,12 @@ class IntegerRing:
 
 
 class ResidueRing(IntegerRing):
-    """F_p itself, with the integer operations on plain ints.  Only
-    division reduces mod p, and the kernels divide every entry they
-    update (one pivot inverse per step), so the entries they keep stay in
-    (-p, p), where a falsy int is exactly a zero residue.  In a field a
-    division by nonzero d leaves no remainder; d = 0 raises."""
+    """F_p itself, with the integer operations on plain ints.  Clearing
+    scales by 1.  Only division and to_scalar reduce mod p, and the
+    kernels divide every entry they update (one pivot inverse per step),
+    so the entries they keep stay in (-p, p), where a falsy int is exactly
+    a zero residue.  In a field a division by nonzero d leaves no
+    remainder; d = 0 raises."""
 
     def clear(self, rows):
         return 1, [[x.value for x in row] for row in rows]
@@ -567,7 +565,8 @@ class ResidueRing(IntegerRing):
         return lambda x: x * inv % p
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
-        return Scalar(self.field, num % self.field.p)
+        p = self.field.p
+        return Scalar(self.field, num * pow(scale, -e, p) % p)
 
 
 class PolynomialRing:

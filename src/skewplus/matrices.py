@@ -151,96 +151,101 @@ class Matrix:
         body = "; ".join(" ".join(x.literal() for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    # -- elimination kernels --------------------------------------------
+    # -- the elimination kernel -----------------------------------------
 
-    def det(self) -> Scalar:
-        """Exact determinant by Bareiss elimination (Math. Comp. 22, 1968).
+    def _eliminate(self, augment=None, upward=True):
+        """Fraction-free elimination of self, or of [self | augment].
 
-        The entries are scaled by L, the lcm of their denominators, into
-        the ring R whose fraction field is the scalar field (Z for Q,
-        F_p[t] for F_p(t), F_p itself for F_p).  After pivot k, entry
-        (i, j) becomes (m_kk m_ij - m_ik m_kj) / (previous pivot), the
-        minor of the leading k+1 rows and columns bordered by row i and
-        column j, so every division is exact in R; each one is checked.
-        The last pivot is det(L A), reduced once to det(A) = det(L A) / L^n.
+        Each row is scaled by its own L_i, the lcm of its denominators,
+        into the ring R whose fraction field is the scalar field (Z for Q,
+        F_p[t] for F_p(t), F_p itself for F_p); row scaling changes
+        neither the pivots nor the solutions.  Pivots are the first
+        nonzero entries of the columns of self, left to right, with zero
+        columns skipped and rows swapped into place.  With pivot p on row
+        r, every updated entry becomes (p m_ij - m_ic m_rj) / prev, prev
+        the previous pivot (1 at the start): a minor of the scaled matrix,
+        so every division is exact in R (Bareiss, Math. Comp. 22, 1968),
+        and each one is checked.  Pivot columns are never read again, so
+        they are not updated.  The forward pass (upward=False) updates the
+        rows below r only, and the last pivot of a square matrix of full
+        rank is det(L A).  The full pass updates the rows above too
+        (Nakos, Turner & Williams, SIGSAM Bull. 31(3), 1997), so the last
+        pivot D is the common denominator: off the pivot columns, the
+        reduced echelon form is the rows over D.
+
+        Returns (ring, the product of the L_i, rows, pivot columns 0-based,
+        sign of the row swaps).
         """
-        if not self.is_square():
-            raise NotSquare("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return self.field.one()
         ring = self.field.ring()
-        scale, m = ring.clear(self.data)
+        rows = self.data if augment is None else \
+            [a + b for a, b in zip(self.data, augment.data)]
+        scale, m = ring.one, []
+        for row in rows:
+            row_scale, (cleared,) = ring.clear([row])
+            scale = ring.mul(scale, row_scale)
+            m.append(cleared)
         mul, sub = ring.mul, ring.sub
-        sign = 1
-        prev = ring.one
-        for k in range(n - 1):
-            if not m[k][k]:
-                for r in range(k + 1, n):
-                    if m[r][k]:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return self.field.zero()
-            pivot, row_k = m[k][k], m[k]
-            div = ring.divide_by(prev)
-            for row in m[k + 1:]:
-                f = row[k]
-                for j in range(k + 1, n):
-                    row[j] = div(sub(mul(pivot, row[j]), mul(f, row_k[j])))
-            prev = pivot
-        d = ring.to_scalar(m[n - 1][n - 1], scale, n)
-        return d if sign == 1 else -d
-
-    def _echelon(self, augment=None):
-        """Row reduce self (optionally with an augmented block); returns
-        (reduced rows, augmented rows, pivot column 0-based indices)."""
-        m = [list(row) for row in self.data]
-        aug = [list(row) for row in augment.data] if augment is not None else None
-        pivots = []
-        r = 0
+        width = len(m[0]) if m else 0
+        pivots, sign, prev = [], 1, ring.one
         for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            if aug is not None:
-                aug[r], aug[pivot] = aug[pivot], aug[r]
-            inv = m[r][c].inv()
-            m[r] = [x * inv for x in m[r]]
-            if aug is not None:
-                aug[r] = [x * inv for x in aug[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                    if aug is not None:
-                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
+            r = len(pivots)
             if r == self.rows:
                 break
-        return m, aug, pivots
+            found = next((i for i in range(r, self.rows) if m[i][c]), None)
+            if found is None:
+                continue
+            if found != r:
+                m[r], m[found] = m[found], m[r]
+                sign = -sign
+            pivot, row_r = m[r][c], m[r]
+            pivots.append(c)
+            live = [j for j in range(width) if j not in pivots]
+            div = ring.divide_by(prev)
+            for i in range(0 if upward else r + 1, self.rows):
+                if i != r:
+                    row, f = m[i], m[i][c]
+                    for j in live:
+                        row[j] = div(sub(mul(pivot, row[j]), mul(f, row_r[j])))
+            prev = pivot
+        return ring, scale, m, pivots, sign
+
+    def det(self) -> Scalar:
+        """Exact determinant: the forward pass's last pivot over the
+        product of the row scales, with the sign of the row swaps."""
+        if not self.is_square():
+            raise NotSquare("determinant of a non-square matrix")
+        if self.rows == 0:
+            return self.field.one()
+        ring, scale, m, pivots, sign = self._eliminate(upward=False)
+        if len(pivots) < self.rows:
+            return self.field.zero()
+        d = ring.to_scalar(m[-1][-1], scale, 1)
+        return d if sign == 1 else -d
 
     def rank(self) -> int:
         return len(self.pivot_columns())
 
     def pivot_columns(self):
         """0-based indices of the first independent columns, left to right."""
-        return self._echelon()[2]
+        return self._eliminate(upward=False)[3]
+
+    def _reduced(self, augment=None):
+        """The full pass: (ring, rows, pivot columns, to_scalar), where
+        to_scalar(x) is x over the common denominator D as a scalar."""
+        ring, _, m, pivots, _ = self._eliminate(augment)
+        d = m[len(pivots) - 1][pivots[-1]] if pivots else ring.one
+        return ring, m, pivots, lambda x: ring.to_scalar(x, d, 1)
+
+    def _solve_invertible(self, b: "Matrix") -> "Matrix":
+        _, m, pivots, to_scalar = self._reduced(b)
+        if len(pivots) != self.rows:
+            raise Singular("matrix is not invertible")
+        return Matrix(self.field, [[to_scalar(x) for x in row[self.cols:]] for row in m])
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
-        m, aug, pivots = self._echelon(Matrix.identity(self.field, self.rows))
-        if len(pivots) != self.rows:
-            raise Singular("matrix is not invertible")
-        return Matrix(self.field, aug)
+        return self._solve_invertible(Matrix.identity(self.field, self.rows))
 
     def solve(self, b: "Matrix") -> "Matrix":
         """Unique solution of A x = b for invertible A."""
@@ -249,10 +254,7 @@ class Matrix:
         if b.rows != self.rows:
             raise ShapeMismatch("right-hand side has wrong row count")
         self._check_field(b)
-        m, aug, pivots = self._echelon(b)
-        if len(pivots) != self.rows:
-            raise Singular("matrix is not invertible")
-        return Matrix(self.field, aug)
+        return self._solve_invertible(b)
 
     def solve_any(self, b: "Matrix") -> "Matrix":
         """A particular solution of A x = b for any A of full row rank
@@ -260,27 +262,25 @@ class Matrix:
         self._check_field(b)
         if b.rows != self.rows:
             raise ShapeMismatch("right-hand side has wrong row count")
-        m, aug, pivots = self._echelon(b)
+        _, m, pivots, to_scalar = self._reduced(b)
+        if any(x for row in m[len(pivots):] for x in row[self.cols:]):
+            raise Singular("inconsistent linear system")
         zero = self.field.zero()
-        for i in range(len(pivots), self.rows):
-            if any(not x.is_zero() for x in aug[i]):
-                raise Singular("inconsistent linear system")
         sol = [[zero] * b.cols for _ in range(self.cols)]
-        for r, c in enumerate(pivots):
-            sol[c] = aug[r]
+        for row, c in zip(m, pivots):
+            sol[c] = [to_scalar(x) for x in row[self.cols:]]
         return Matrix(self.field, sol)
 
     def nullspace(self):
         """Basis of the kernel, as a list of plain tuple vectors."""
-        m, _, pivots = self._echelon()
-        free = [c for c in range(self.cols) if c not in pivots]
+        ring, m, pivots, to_scalar = self._reduced()
         basis = []
         zero, one = self.field.zero(), self.field.one()
-        for f in free:
+        for f in (c for c in range(self.cols) if c not in pivots):
             vec = [zero] * self.cols
             vec[f] = one
-            for r, c in enumerate(pivots):
-                vec[c] = -m[r][f]
+            for row, c in zip(m, pivots):
+                vec[c] = to_scalar(ring.neg(row[f]))
             basis.append(tuple(vec))
         return basis
 

@@ -315,11 +315,6 @@ def bordered_pfaffians_nonzero(table: dict, border, max_size: int) -> bool:
                for s in combinations(range(1, q + 1), size))
 
 
-def pfaffian(a) -> Scalar:
-    """Default Pfaffian: elimination, the cubic-time algorithm."""
-    return pf_eliminate(a)
-
-
 def random_skew(field: Field, q: int, rng, bound: int = 9) -> SkewMatrix:
     return SkewMatrix.from_upper(
         field, q, [field.sample(rng, bound) for _ in range(q * (q - 1) // 2)])

@@ -18,8 +18,6 @@ viewing R^{2n-1} inside R^{2n}.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import (
     BadIndices,
     BadParity,
@@ -32,7 +30,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .matrices import Matrix
-from .pfaffian import SkewMatrix, pf_eliminate
+from .pfaffian import SkewMatrix
 
 
 def psi_matrix(field: Field, dim: int) -> Matrix:
@@ -214,10 +212,8 @@ def elementary(field: Field, i: int, j: int, a, dim: int) -> Matrix:
     if not (1 <= i <= dim and 1 <= j <= dim):
         raise BadIndices(f"spot ({i},{j}) outside dimension {dim}")
     rows = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-    m = Matrix(field, rows)
-    data = [list(row) for row in m.data]
-    data[i - 1][j - 1] = field.scalar(a)
-    return Matrix(field, data)
+    rows[i - 1][j - 1] = a
+    return Matrix(field, rows)
 
 
 def transvection(space: SymplecticSpace, v, a) -> Matrix:
@@ -282,6 +278,11 @@ def _pairing_matrix(space: SymplecticSpace, vectors) -> Matrix:
 
 def radical_line(v: Subspace):
     """Generator of V cap V^perp for non-degenerate V of odd rank."""
+    return _radical(v)[1]
+
+
+def _radical(v: Subspace):
+    """(c, x): the kernel vector c of V's Gram matrix, and x = sum c_i v_i."""
     g = v.gram().full_matrix()
     kernel = g.nullspace()
     if len(kernel) != 1:
@@ -292,7 +293,18 @@ def radical_line(v: Subspace):
     out = tuple(field.zero() for _ in range(v.space.dim))
     for c, b in zip(coeffs, v.basis):
         out = tuple(x + c * y for x, y in zip(out, b))
-    return out
+    return coeffs, out
+
+
+def _corank1_piece(basis, coeffs):
+    """The basis without its last vector whose radical coefficient is nonzero.
+
+    The kernel of an odd Gram matrix of corank 1 is spanned by
+    ((-1)^i Pf(Gram without i))_i, so dropping vector i leaves an
+    invertible Gram matrix exactly when c_i is nonzero; the last such i
+    gives the first such (rank-1)-subset in lexicographic order."""
+    drop = max(i for i, c in enumerate(coeffs) if not c.is_zero())
+    return list(basis[:drop]) + list(basis[drop + 1:])
 
 
 def split_odd_space(v: Subspace):
@@ -303,18 +315,9 @@ def split_odd_space(v: Subspace):
     """
     if v.rank % 2 == 0:
         raise NotNonDegenerate("subspace has even rank")
-    x = radical_line(v)
-    v0 = [v.basis[i - 1] for i in _corank1_subset(v)]
+    coeffs, x = _radical(v)
+    v0 = _corank1_piece(v.basis, coeffs)
     return Subspace(v.space, v0), x, _partner(v.space, v0, x)
-
-
-def _corank1_subset(v: Subspace):
-    """The first (rank-1)-subset of the basis with invertible Gram matrix."""
-    g = v.gram()
-    for subset in combinations(range(1, v.rank + 1), v.rank - 1):
-        if not pf_eliminate(g.principal(subset)).is_zero():
-            return subset
-    raise NotNonDegenerate("no non-degenerate corank-1 subspace found")
 
 
 def _partner(space: SymplecticSpace, v0, x):
@@ -387,7 +390,7 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
         raise NotIsometry("the prescribed map does not preserve the form")
 
     if V.rank % 2 == 1:
-        x = radical_line(V)
+        coeffs, x = _radical(V)
         # express x in the v-basis; the same coefficients give the radical
         # generator of W, which is where the map must send x
         coords = Matrix.from_columns(field, v_basis).solve_any(
@@ -395,11 +398,10 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
         y = tuple(sum((c * wi for c, wi in zip(coords, col)), field.zero())
                   for col in zip(*w_basis))
         # one even non-degenerate corank-1 piece serves both sides
-        subset = _corank1_subset(V)
         return witt_extend(
             space,
-            v_basis + [_partner(space, [v_basis[i - 1] for i in subset], x)],
-            w_basis + [_partner(space, [w_basis[i - 1] for i in subset], y)])
+            v_basis + [_partner(space, _corank1_piece(v_basis, coeffs), x)],
+            w_basis + [_partner(space, _corank1_piece(w_basis, coeffs), y)])
 
     ext_v = symplectic_basis(orthogonal_complement(V)) if V.rank < space.dim else ()
     ext_w = symplectic_basis(orthogonal_complement(W)) if W.rank < space.dim else ()
@@ -447,14 +449,10 @@ def t_conjugator(field: Field, b, dim: int) -> Matrix:
     b = field.scalar(b)
     if b.is_zero():
         raise ZeroUnit("conjugation unit must be nonzero")
-    rows = [[0] * dim for _ in range(dim)]
-    m = Matrix(field, rows)
-    data = [list(r) for r in m.data]
-    data[0][0] = b
-    data[1][1] = b.inv()
-    for i in range(2, dim):
-        data[i][i] = field.one()
-    return Matrix(field, data)
+    rows = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
+    rows[0][0] = b
+    rows[1][1] = b.inv()
+    return Matrix(field, rows)
 
 
 def conjugate_Tb(a: SpMatrix, b) -> SpMatrix:

@@ -117,6 +117,18 @@ def test_bench_field(capsys, flag):
     assert all(row["agree"] for row in payload["result"]["rows"])
 
 
+# the default cap follows the field: the recursive Pfaffian over F_p(t)
+# would take about an hour up to 24x24; an explicit flag wins
+@pytest.mark.parametrize("flags, cap", [(["--field", "q"], 13), (["--field", "fp:5"], 13),
+                                        (["--field", "fpt:3"], 7),
+                                        (["--field", "fpt:3", "--recursive-max", "1"], 1)])
+def test_bench_recursive_cap(capsys, flags, cap):
+    assert run(["bench", "pfaffian", "--max-n", "2", "--seed", "1"] + flags) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["recursive_max"] == cap
+    assert ["recursive_ms" in row for row in payload["result"]["rows"]] == [1 <= cap, 2 <= cap]
+
+
 @pytest.mark.parametrize("command", [["bench", "pfaffian"], ["verify", "sm"]])
 def test_malformed_field_flag_is_usage_error(capsys, command):
     assert run(command + ["--field", "fp:x"]) == 2

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import InternalInvariant, NotSquare, ShapeMismatch, Singular
-from skewplus.fields import Field
+from skewplus.fields import PRIME, Field
 from skewplus.matrices import Matrix, PermutationMap
 from skewplus.symplectic import psi_matrix
 
@@ -28,6 +29,134 @@ def det_cofactor(m):
         term = m.entry(1, j) * det_cofactor(minor)
         total = total + term if j % 2 == 1 else total - term
     return total
+
+
+def echelon_oracle(a, augment=None):
+    """Reference Gauss-Jordan over the field itself, one Scalar operation at
+    a time: (reduced rows, reduced augmented rows, 0-based pivot columns)."""
+    m = [list(row) for row in a.data]
+    aug = [list(row) for row in augment.data] if augment is not None else None
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot = next((i for i in range(r, a.rows) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        if aug is not None:
+            aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        if aug is not None:
+            aug[r] = [x * inv for x in aug[r]]
+        for i in range(a.rows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                if aug is not None:
+                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return m, aug, pivots
+
+
+def check_against_oracle(a, b):
+    """Every elimination-backed method of `a` (with right-hand side `b`)
+    against echelon_oracle and det_cofactor; returns (rank, consistent)."""
+    field = a.field
+    m, aug, pivots = echelon_oracle(a, b)
+    rank = len(pivots)
+    assert a.pivot_columns() == pivots
+    assert a.rank() == rank
+    kernel = []
+    for f in (c for c in range(a.cols) if c not in pivots):
+        vec = [field.zero()] * a.cols
+        vec[f] = field.one()
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        kernel.append(tuple(vec))
+    assert a.nullspace() == kernel
+    consistent = all(x.is_zero() for row in aug[rank:] for x in row)
+    if consistent:
+        sol = [[field.zero()] * b.cols for _ in range(a.cols)]
+        for r, c in enumerate(pivots):
+            sol[c] = aug[r]
+        assert a.solve_any(b) == Matrix(field, sol)
+    else:
+        with pytest.raises(Singular):
+            a.solve_any(b)
+    if a.is_square():
+        assert a.det() == det_cofactor(a)
+        if rank == a.rows:
+            assert a.solve(b) == Matrix(field, aug)
+            identity = Matrix.identity(field, a.rows)
+            assert a.inverse() == Matrix(field, echelon_oracle(a, identity)[1])
+        else:
+            with pytest.raises(Singular):
+                a.solve(b)
+            with pytest.raises(Singular):
+                a.inverse()
+    return rank, consistent
+
+
+def test_kernel_against_echelon_oracle(sparse_field):
+    field, entry = sparse_field
+    rng = random.Random(f"kernel:{field!r}")
+    seen = set()
+    for case in range(80):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        if case % 3 == 0 and rows and cols:
+            # a product through k inner columns has rank at most k
+            k = rng.randint(1, min(rows, cols))
+            left = Matrix(field, [[entry(rng) for _ in range(k)] for _ in range(rows)])
+            right = Matrix(field, [[entry(rng) for _ in range(cols)] for _ in range(k)])
+            a = left * right
+        else:
+            a = Matrix(field, [[entry(rng) for _ in range(cols)] for _ in range(rows)])
+        rhs = rng.randint(1, 3)
+        b = Matrix(field, [[entry(rng) for _ in range(rhs)] for _ in range(rows)])
+        if case % 4 == 1 and rows and cols:
+            b = a * Matrix(field, [[entry(rng) for _ in range(2)] for _ in range(cols)])
+        rank, consistent = check_against_oracle(a, b)
+        seen.add(("deficient" if rank < min(rows, cols) else "full", consistent))
+        seen.add(("square", rank == rows) if rows == cols else ("rectangular",))
+        if cols and rows > 1 and a.entry(1, 1).is_zero() and any(a.col(1)):
+            seen.add(("swap",))
+    assert seen >= {("deficient", True), ("deficient", False), ("full", True),
+                    ("square", True), ("square", False), ("rectangular",), ("swap",)}
+
+
+PROPERTY_FIELDS = [Q, Field.prime(5), Field.prime(1000003), Field.function_field(3)]
+
+
+@st.composite
+def systems(draw):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    rows, cols, rhs = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 2))
+    if field == Q:
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+    elif field.kind == PRIME:
+        entry = st.integers(0, field.p - 1)
+    else:
+        coeffs = st.lists(st.integers(0, field.p - 1), max_size=3)
+        # numerator of degree < 3 over a monic denominator of degree <= 1
+        entry = st.tuples(coeffs.map(tuple), coeffs.map(lambda c: tuple(c[:1]) + (1,)))
+    entry = st.one_of(st.just(0), entry)
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    a = grid(rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        a[-1] = a[0]  # a repeated row
+    return Matrix(field, a), Matrix(field, grid(rows, rhs))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(systems())
+def test_kernel_property_against_echelon_oracle(system):
+    check_against_oracle(*system)
 
 
 def test_det_against_cofactor_oracle():

@@ -127,6 +127,15 @@ def test_split_odd_space():
     assert all(pairing(b, y).is_zero() for b in v0.basis)
 
 
+def test_split_odd_space_keeps_first_nondegenerate_pair():
+    # Pf(Gram(e1, e3)) = 0, so the piece is (e1, e2), not the leading pair
+    space = SymplecticSpace(Q, 2)
+    e = space.basis_vector
+    v0, x, _ = split_odd_space(Subspace(space, [e(1), e(3), e(2)]))
+    assert v0.basis == (e(1), e(2))
+    assert Matrix.from_columns(Q, [x, e(3)]).rank() == 1
+
+
 def test_split_odd_space_random():
     rng = random.Random(4)
     space = SymplecticSpace(Q, 3)
