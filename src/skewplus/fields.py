@@ -314,6 +314,15 @@ class Field:
         return self._ring
 
 
+def as_scalars(field: Field, values):
+    """`values` as a tuple of scalars of `field`.  Scalars of `field` are
+    taken as they are, anything else goes through `field.scalar`, which
+    raises FieldMismatch on a scalar of another field."""
+    if all(type(x) is Scalar and (x.field is field or x.field == field) for x in values):
+        return tuple(values)
+    return tuple(map(field.scalar, values))
+
+
 def sample_until(test, draw, max_attempts, what):
     """The first draw(bound) that passes test.  The pool bound starts at 8
     and doubles after every 16 attempts, so over an infinite field a finite
@@ -513,16 +522,22 @@ class Scalar:
 # ---------------------------------------------------------------------------
 #
 # A kernel clears the denominators of its entries with one common L (or
-# one per row), so it works on L*x in a ring R whose fraction field is the
-# field; it computes with add, sub, mul, neg and exact division only, and
-# turns each result num back into the canonical scalar num / L^e once, at
-# the end.  In every R the zero element is the only falsy one.
+# one per row, vector or column), so it works on L*x in a ring R whose
+# fraction field is the field; it computes with add, sub, mul, neg, dot and
+# exact division only, and turns each result num back into the canonical
+# scalar num / L^e once, at the end.  In every R the zero element is the
+# only falsy one.
 
 class IntegerRing:
     """Z, for Q."""
 
-    one = 1
+    zero, one = 0, 1
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+
+    @staticmethod
+    def dot(x, y):
+        """sum_k x[k] y[k]."""
+        return sum(map(operator.mul, x, y))
 
     def __init__(self, field: Field):
         self.field = field
@@ -530,7 +545,9 @@ class IntegerRing:
     def clear(self, rows):
         """(L, the rows of scalars times L as lists of ring elements)."""
         rows = [[x.value for x in row] for row in rows]
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        scale = math.lcm(*[x.denominator for row in rows for x in row])
+        if scale == 1:
+            return 1, [[x.numerator for x in row] for row in rows]
         return scale, [[x.numerator * (scale // x.denominator) for x in row]
                        for row in rows]
 
@@ -553,8 +570,8 @@ class ResidueRing(IntegerRing):
     scales by 1.  Only division and to_scalar reduce mod p, and the
     kernels divide every entry they update (one pivot inverse per step),
     so the entries they keep stay in (-p, p), where a falsy int is exactly
-    a zero residue.  In a field a division by nonzero d leaves no
-    remainder; d = 0 raises."""
+    a zero residue; a dot product is reduced by to_scalar.  In a field a
+    division by nonzero d leaves no remainder; d = 0 raises."""
 
     def clear(self, rows):
         return 1, [[x.value for x in row] for row in rows]
@@ -566,13 +583,15 @@ class ResidueRing(IntegerRing):
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
         p = self.field.p
-        return Scalar(self.field, num * pow(scale, -e, p) % p)
+        if scale != 1:
+            num *= pow(scale, -e, p)
+        return Scalar(self.field, num % p)
 
 
 class PolynomialRing:
     """F_p[t], for F_p(t); elements are trimmed coefficient tuples."""
 
-    one = (1,)
+    zero, one = (), (1,)
 
     def __init__(self, field: Field):
         self.field = field
@@ -581,6 +600,21 @@ class PolynomialRing:
         self.sub = partial(poly_sub, p=p)
         self.mul = partial(poly_mul, p=p)
         self.neg = partial(poly_neg, p=p)
+
+    def dot(self, x, y):
+        """sum_k x[k] y[k], the coefficient products summed as plain ints
+        and reduced mod p once."""
+        out = []
+        for a, b in zip(x, y):
+            if not a or not b:
+                continue
+            if len(out) < len(a) + len(b) - 1:
+                out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+            for i, u in enumerate(a):
+                if u:
+                    for k, v in enumerate(b, start=i):
+                        out[k] += u * v
+        return poly_trim(out, self.field.p)
 
     def clear(self, rows):
         p = self.field.p

@@ -47,7 +47,7 @@ from .fields import Field, Scalar, sample_until
 from .matrices import Matrix, PermutationMap
 from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, pf_eliminate
 from .sections import section_v_det1
-from .symplectic import pairing, psi_matrix
+from .symplectic import gram, pairing, psi_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +182,8 @@ def _oracle_canonical(a: SkewPlusMatrix, betas=None) -> Scalar:
                            built[col][1], built[col][2]) for col in (s, t)}
         # the assembled sequence must realize the face Gram matrix exactly
         seq = [v1, v2, v3, u_vecs[r][s], u_vecs[r][t]]
-        face = a.remove_indices([r])
-        for p in range(5):
-            for q in range(p + 1, 5):
-                if pairing(seq[p], seq[q]) != face.entry(p + 1, q + 1):
-                    raise InternalInvariant("sequence Gram does not match the face")
+        if gram(seq, field) != a.remove_indices([r]).inner:
+            raise InternalInvariant("sequence Gram does not match the face")
         # determinant identity tying the free parameters to Pfaffians
         lhs = pf_eliminate(a.remove_indices([3, r]))
         rhs = a.entry(1, 2) * (d_s * pf_key(r, s) - d_t * pf_key(r, t))

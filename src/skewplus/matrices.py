@@ -8,6 +8,8 @@ vectors.  Internal storage is plain 0-based tuples.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import (
     BadIndices,
     FieldMismatch,
@@ -16,26 +18,53 @@ from .errors import (
     NotSquare,
     Singular,
 )
-from .fields import Field, Scalar, parse_scalar
+from .fields import Field, Scalar, as_scalars, parse_scalar
+
+
+def _products(field: Field, rows, cols):
+    """[[sum_k r[k] c[k] for c in cols] for r in rows] on rows and columns
+    of canonical scalars of `field`.  Each row and each column is cleared
+    once by its own lcm L into the ring R of `field.ring()`, so entry
+    (i, j) is one dot product in R over L_i L_j, reduced once."""
+    ring = field.ring()
+    right = [ring.clear([c]) for c in cols]
+    dot, mul, to_scalar = ring.dot, ring.mul, ring.to_scalar
+    out = []
+    for r in rows:
+        lr, (r,) = ring.clear([r])
+        out.append([to_scalar(dot(r, c), mul(lr, lc), 1) for lc, (c,) in right])
+    return out
 
 
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data", "_hash")
 
     def __init__(self, field: Field, data):
-        self.field = field
-        self._hash = None
-        self.data = tuple(tuple(field.scalar(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
+        self._set(field, tuple(tuple(field.scalar(x) for x in row) for row in data))
         if any(len(row) != self.cols for row in self.data):
             raise ShapeMismatch("ragged rows")
+
+    def _set(self, field, data):
+        self.field = field
+        self._hash = None
+        self.data = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+
+    @classmethod
+    def _of(cls, field: Field, rows) -> "Matrix":
+        """The matrix on equal-length rows of canonical scalars of `field`,
+        taken as they are: no coercion and no shape check."""
+        m = cls.__new__(cls)
+        m._set(field, tuple(map(tuple, rows)))
+        return m
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = field.zero(), field.one()
+        return cls._of(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -76,8 +105,8 @@ class Matrix:
 
     def submatrix(self, keep_rows, keep_cols) -> "Matrix":
         """Submatrix on the given 1-based row and column index lists."""
-        return Matrix(self.field,
-                      [[self.data[i - 1][j - 1] for j in keep_cols] for i in keep_rows])
+        return Matrix._of(self.field,
+                          [[self.data[i - 1][j - 1] for j in keep_cols] for i in keep_rows])
 
     # -- algebra -------------------------------------------------------
 
@@ -89,54 +118,36 @@ class Matrix:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition of different shapes")
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of(self.field,
+                          [[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.data])
+        return Matrix._of(self.field, [[-a for a in row] for row in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_field(other)
             if self.cols != other.rows:
                 raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            cols = list(zip(*other.data)) if other.data else []
-            zero = self.field.zero()
-            out = []
-            for r in self.data:
-                out_row = []
-                for c in cols:
-                    acc = zero
-                    for a, b in zip(r, c):
-                        acc = acc + a * b
-                    out_row.append(acc)
-                out.append(out_row)
-            return Matrix(self.field, out)
+            return Matrix._of(self.field, _products(self.field, self.data, zip(*other.data)))
         scalar = self.field.scalar(other)
-        return Matrix(self.field, [[a * scalar for a in row] for row in self.data])
+        return Matrix._of(self.field, [[a * scalar for a in row] for row in self.data])
 
     def __rmul__(self, other):
         return self * other
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
+        return Matrix._of(self.field, zip(*self.data))
 
     def apply_vector(self, v):
         """Matrix times a plain tuple vector, returned as a tuple."""
         if len(v) != self.cols:
             raise ShapeMismatch("vector length does not match column count")
-        v = [self.field.scalar(x) for x in v]
-        out = []
-        for row in self.data:
-            acc = self.field.zero()
-            for a, b in zip(row, v):
-                acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(x for (x,) in _products(self.field, self.data, [as_scalars(self.field, v)]))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -173,16 +184,16 @@ class Matrix:
         pivot D is the common denominator: off the pivot columns, the
         reduced echelon form is the rows over D.
 
-        Returns (ring, the product of the L_i, rows, pivot columns 0-based,
-        sign of the row swaps).
+        Returns (ring, the L_i, rows, pivot columns 0-based, sign of the
+        row swaps).
         """
         ring = self.field.ring()
         rows = self.data if augment is None else \
             [a + b for a, b in zip(self.data, augment.data)]
-        scale, m = ring.one, []
+        scales, m = [], []
         for row in rows:
             row_scale, (cleared,) = ring.clear([row])
-            scale = ring.mul(scale, row_scale)
+            scales.append(row_scale)
             m.append(cleared)
         mul, sub = ring.mul, ring.sub
         width = len(m[0]) if m else 0
@@ -207,7 +218,7 @@ class Matrix:
                     for j in live:
                         row[j] = div(sub(mul(pivot, row[j]), mul(f, row_r[j])))
             prev = pivot
-        return ring, scale, m, pivots, sign
+        return ring, scales, m, pivots, sign
 
     def det(self) -> Scalar:
         """Exact determinant: the forward pass's last pivot over the
@@ -216,10 +227,10 @@ class Matrix:
             raise NotSquare("determinant of a non-square matrix")
         if self.rows == 0:
             return self.field.one()
-        ring, scale, m, pivots, sign = self._eliminate(upward=False)
+        ring, scales, m, pivots, sign = self._eliminate(upward=False)
         if len(pivots) < self.rows:
             return self.field.zero()
-        d = ring.to_scalar(m[-1][-1], scale, 1)
+        d = ring.to_scalar(m[-1][-1], reduce(ring.mul, scales), 1)
         return d if sign == 1 else -d
 
     def rank(self) -> int:
@@ -240,7 +251,7 @@ class Matrix:
         _, m, pivots, to_scalar = self._reduced(b)
         if len(pivots) != self.rows:
             raise Singular("matrix is not invertible")
-        return Matrix(self.field, [[to_scalar(x) for x in row[self.cols:]] for row in m])
+        return Matrix._of(self.field, [[to_scalar(x) for x in row[self.cols:]] for row in m])
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -269,7 +280,7 @@ class Matrix:
         sol = [[zero] * b.cols for _ in range(self.cols)]
         for row, c in zip(m, pivots):
             sol[c] = [to_scalar(x) for x in row[self.cols:]]
-        return Matrix(self.field, sol)
+        return Matrix._of(self.field, sol)
 
     def nullspace(self):
         """Basis of the kernel, as a list of plain tuple vectors."""
@@ -299,8 +310,8 @@ class Matrix:
         cols = range(1, self.cols + 1)
         ri = (lambda i: perm(i)) if side in ("rows", "both") else (lambda i: i)
         ci = (lambda j: perm(j)) if side in ("cols", "both") else (lambda j: j)
-        return Matrix(self.field,
-                      [[self.data[ri(i) - 1][ci(j) - 1] for j in cols] for i in rows])
+        return Matrix._of(self.field,
+                          [[self.data[ri(i) - 1][ci(j) - 1] for j in cols] for i in rows])
 
     # -- serialization -----------------------------------------------------
 

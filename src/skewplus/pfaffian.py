@@ -44,15 +44,28 @@ class SkewMatrix:
 
     def __init__(self, field: Field, size: int, upper_rows):
         # upper_rows[i] holds (a_{i+1,i+2}, ..., a_{i+1,q}), 0-based lists
-        self.field = field
-        self.size = size
-        self._hash = None
-        self.upper = tuple(tuple(field.scalar(x) for x in row) for row in upper_rows)
+        self._set(field, size,
+                  tuple(tuple(field.scalar(x) for x in row) for row in upper_rows))
         if len(self.upper) != max(size - 1, 0):
             raise ShapeMismatch(f"size {size} needs {max(size - 1, 0)} upper rows")
         for i, row in enumerate(self.upper):
             if len(row) != self.size - 1 - i:
                 raise ShapeMismatch("upper triangle rows have wrong lengths")
+
+    def _set(self, field, size, upper):
+        self.field = field
+        self.size = size
+        self._hash = None
+        self.upper = upper
+
+    @classmethod
+    def _of(cls, field: Field, size: int, upper_rows) -> "SkewMatrix":
+        """The size-`size` skew matrix on upper rows of canonical scalars of
+        `field` of the right lengths, taken as they are: no coercion and no
+        shape check."""
+        a = cls.__new__(cls)
+        a._set(field, size, tuple(map(tuple, upper_rows)))
+        return a
 
     @classmethod
     def zero(cls, field: Field, q: int) -> "SkewMatrix":
@@ -95,8 +108,12 @@ class SkewMatrix:
 
     def full_matrix(self) -> Matrix:
         q = self.size
-        return Matrix(self.field,
-                      [[self.entry(i, j) for j in range(1, q + 1)] for i in range(1, q + 1)])
+        zero = self.field.zero()
+        rows = [[zero] * q for _ in range(q)]
+        for i, row in enumerate(self.upper):
+            for j, x in enumerate(row, start=i + 1):
+                rows[i][j], rows[j][i] = x, -x
+        return Matrix._of(self.field, rows)
 
     def principal(self, indices) -> "SkewMatrix":
         """Submatrix on the given sorted 1-based indices (rows and columns)."""
@@ -105,9 +122,10 @@ class SkewMatrix:
             raise IndexOutOfRange(f"indices {idx} outside 1..{self.size}")
         if len(set(idx)) != len(idx):
             raise IndexOutOfRange("repeated index")
-        return SkewMatrix(self.field, len(idx),
-                          [[self.entry(idx[i], idx[j]) for j in range(i + 1, len(idx))]
-                           for i in range(len(idx) - 1)])
+        upper = self.upper
+        return SkewMatrix._of(self.field, len(idx),
+                              [[upper[i - 1][j - i - 1] for j in idx[k + 1:]]
+                               for k, i in enumerate(idx[:-1])])
 
     def remove_indices(self, indices) -> "SkewMatrix":
         """Drop the given 1-based rows and columns."""
@@ -121,23 +139,23 @@ class SkewMatrix:
         v = [self.field.scalar(x) for x in v]
         if len(v) != self.size:
             raise ShapeMismatch(f"border vector has length {len(v)}, matrix size {self.size}")
-        rows = [list(row) + [v[i]] for i, row in enumerate(self.upper)]
+        rows = [row + (v[i],) for i, row in enumerate(self.upper)]
         if self.size:
-            rows.append([v[self.size - 1]])
-        return SkewMatrix(self.field, self.size + 1, rows)
+            rows.append((v[self.size - 1],))
+        return SkewMatrix._of(self.field, self.size + 1, rows)
 
     def scale(self, c) -> "SkewMatrix":
         c = self.field.scalar(c)
-        return SkewMatrix(self.field, self.size,
-                          [[c * x for x in row] for row in self.upper])
+        return SkewMatrix._of(self.field, self.size,
+                              [[c * x for x in row] for row in self.upper])
 
     def permuted(self, perm) -> "SkewMatrix":
         """Simultaneous row/column relabeling: entry (i, j) of the output
         is entry (perm(i), perm(j)) of self."""
         q = self.size
-        return SkewMatrix(self.field, q,
-                          [[self.entry(perm(i), perm(j)) for j in range(i + 1, q + 1)]
-                           for i in range(1, q)])
+        return SkewMatrix._of(self.field, q,
+                              [[self.entry(perm(i), perm(j)) for j in range(i + 1, q + 1)]
+                               for i in range(1, q)])
 
     def __eq__(self, other):
         return (isinstance(other, SkewMatrix) and self.field == other.field

@@ -28,8 +28,8 @@ from .errors import (
     ShapeMismatch,
     ZeroUnit,
 )
-from .fields import Field, Scalar
-from .matrices import Matrix
+from .fields import Field, Scalar, as_scalars
+from .matrices import Matrix, _products
 from .pfaffian import SkewMatrix
 
 
@@ -37,11 +37,28 @@ def psi_matrix(field: Field, dim: int) -> Matrix:
     """Gram matrix of the standard form on R^dim (dim even)."""
     if dim % 2 != 0:
         raise BadParity("the standard form lives on even-dimensional space")
-    rows = [[0] * dim for _ in range(dim)]
+    zero, one = field.zero(), field.one()
+    rows = [[zero] * dim for _ in range(dim)]
     for k in range(0, dim, 2):
-        rows[k][k + 1] = 1
-        rows[k + 1][k] = -1
-    return Matrix(field, rows)
+        rows[k][k + 1] = one
+        rows[k + 1][k] = -one
+    return Matrix._of(field, rows)
+
+
+# Pairings run in the ring R of `field.ring()`: each vector v is cleared
+# once by its own lcm L, and <x, y> = sum_k x_k (psi y)_k with
+# psi y = (y_2, -y_1, y_4, -y_3, ...) is one dot product in R over L_x L_y,
+# reduced once.  psi y stops at the last even coordinate, so an odd last
+# coordinate of x pairs with nothing.
+
+def _cleared(field: Field, v):
+    """(L, L v, L psi v) in the ring, for a vector v of `field`."""
+    ring = field.ring()
+    scale, (c,) = ring.clear([as_scalars(field, v)])
+    rotated = []
+    for k in range(0, len(c) - 1, 2):
+        rotated += (c[k + 1], ring.neg(c[k]))
+    return scale, c, rotated
 
 
 def pairing(x, y) -> Scalar:
@@ -51,10 +68,9 @@ def pairing(x, y) -> Scalar:
     if not x:
         raise ShapeMismatch("pairing needs at least one coordinate")
     field = x[0].field
-    acc = field.zero()
-    for k in range(0, len(x) - 1, 2):
-        acc = acc + x[k] * y[k + 1] - x[k + 1] * y[k]
-    return acc
+    ring = field.ring()
+    (lx, cx, _), (ly, _, psi_y) = _cleared(field, x), _cleared(field, y)
+    return ring.to_scalar(ring.dot(cx, psi_y), ring.mul(lx, ly), 1)
 
 
 def gram(vectors, field: Field | None = None) -> SkewMatrix:
@@ -65,9 +81,17 @@ def gram(vectors, field: Field | None = None) -> SkewMatrix:
             raise ShapeMismatch("empty sequence needs an explicit field")
         field = vectors[0][0].field
     q = len(vectors)
-    return SkewMatrix(field, q,
-                      [[pairing(vectors[i], vectors[j]) for j in range(i + 1, q)]
-                       for i in range(q - 1)])
+    if q > 1 and any(len(v) != len(vectors[0]) for v in vectors):
+        raise ShapeMismatch("pairing of vectors of different lengths")
+    if q > 1 and not vectors[0]:
+        raise ShapeMismatch("pairing needs at least one coordinate")
+    ring = field.ring()
+    dot, mul, to_scalar = ring.dot, ring.mul, ring.to_scalar
+    cleared = [_cleared(field, v) for v in vectors]
+    return SkewMatrix._of(field, q,
+                          [[to_scalar(dot(ci, psi_j), mul(li, lj), 1)
+                            for lj, _, psi_j in cleared[i + 1:]]
+                           for i, (li, ci, _) in enumerate(cleared[:-1])])
 
 
 def standard_basis_vector(field: Field, dim: int, i: int):
@@ -157,7 +181,7 @@ def is_sp_member(m: Matrix, size: int) -> bool:
     # top-right block must be u^t psi M with u the second column tail
     u = [m.entry(i, 2) for i in range(3, dim + 1)]
     inner = m.submatrix(range(3, dim + 1), range(3, dim + 1))
-    expected = (Matrix(field, [u]) * psi_matrix(field, dim - 2) * inner).row(1)
+    expected = (Matrix._of(field, [u]) * psi_matrix(field, dim - 2) * inner).row(1)
     for j in range(3, dim + 1):
         if m.entry(1, j) != expected[j - 3]:
             return False
@@ -250,7 +274,8 @@ class Subspace:
     __slots__ = ("space", "basis")
 
     def __init__(self, space: SymplecticSpace, basis):
-        basis = tuple(pad_vector(v, space.dim, space.field) for v in basis)
+        basis = tuple(pad_vector(as_scalars(space.field, v), space.dim, space.field)
+                      for v in basis)
         if basis:
             m = Matrix.from_columns(space.field, basis)
             if m.rank() != len(basis):
@@ -270,10 +295,13 @@ class Subspace:
 
 
 def _pairing_matrix(space: SymplecticSpace, vectors) -> Matrix:
-    """Rows are the functionals <v_i, .> on R^{2n}."""
-    field = space.field
-    return Matrix(field, [[pairing(v, space.basis_vector(j))
-                           for j in range(1, space.dim + 1)] for v in vectors])
+    """Rows are the functionals <v_i, .> = (-v_2, v_1, -v_4, v_3, ...) on
+    R^{2n}, for vectors v_i of R^{2n}."""
+    rows = []
+    for v in vectors:
+        v = as_scalars(space.field, v)
+        rows.append([x for k in range(0, space.dim, 2) for x in (-v[k + 1], v[k])])
+    return Matrix._of(space.field, rows)
 
 
 def radical_line(v: Subspace):
@@ -289,11 +317,12 @@ def _radical(v: Subspace):
         raise NotNonDegenerate(
             f"restricted form has radical of rank {len(kernel)}, expected 1")
     coeffs = kernel[0]
-    field = v.space.field
-    out = tuple(field.zero() for _ in range(v.space.dim))
-    for c, b in zip(coeffs, v.basis):
-        out = tuple(x + c * y for x, y in zip(out, b))
-    return coeffs, out
+    return coeffs, _combination(v.space.field, coeffs, v.basis)
+
+
+def _combination(field: Field, coeffs, basis):
+    """sum_i coeffs[i] basis[i], for scalars and vectors of `field`."""
+    return tuple(x for (x,) in _products(field, zip(*basis), [coeffs]))
 
 
 def _corank1_piece(basis, coeffs):
@@ -390,13 +419,10 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
         raise NotIsometry("the prescribed map does not preserve the form")
 
     if V.rank % 2 == 1:
+        # x = sum c_i v_i generates the radical of V; Gram(W) = Gram(V),
+        # so y = sum c_i w_i generates that of W, and the map sends x to y
         coeffs, x = _radical(V)
-        # express x in the v-basis; the same coefficients give the radical
-        # generator of W, which is where the map must send x
-        coords = Matrix.from_columns(field, v_basis).solve_any(
-            Matrix.column(field, x)).col(1)
-        y = tuple(sum((c * wi for c, wi in zip(coords, col)), field.zero())
-                  for col in zip(*w_basis))
+        y = _combination(field, coeffs, W.basis)
         # one even non-degenerate corank-1 piece serves both sides
         return witt_extend(
             space,

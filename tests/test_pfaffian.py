@@ -256,3 +256,26 @@ def test_permuted_faces_match():
     for i in range(1, 6):
         for j in range(1, 6):
             assert b.entry(i, j) == a.entry(perm(i), perm(j))
+
+
+def test_trusted_views_match_public_constructors(sparse_field):
+    from skewplus.matrices import PermutationMap
+    field, entry = sparse_field
+    rng = random.Random(f"views:{field!r}")
+    for q in range(0, 7):
+        a = SkewMatrix.from_upper(field, q, [entry(rng) for _ in range(q * (q - 1) // 2)])
+        full = a.full_matrix()
+        assert full == Matrix(field, [[a.entry(i, j) for j in range(1, q + 1)]
+                                      for i in range(1, q + 1)])
+        assert SkewMatrix.from_matrix(full) == a
+        keep = sorted(rng.sample(range(1, q + 1), rng.randint(0, q)))
+        sub = a.principal(keep)
+        assert sub == SkewMatrix(field, len(keep),
+                                 [[a.entry(i, j) for j in keep[k + 1:]]
+                                  for k, i in enumerate(keep[:-1])])
+        assert a.remove_indices([i for i in range(1, q + 1) if i not in keep]) == sub
+        assert full.submatrix(keep, keep) == sub.full_matrix()
+        images = list(range(1, q + 1))
+        rng.shuffle(images)
+        perm = PermutationMap(images)
+        assert a.permuted(perm).full_matrix() == full.apply_permutation(perm)

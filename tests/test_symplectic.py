@@ -31,6 +31,7 @@ from skewplus.symplectic import (
     split_odd_space,
     symplectic_basis,
     witt_extend,
+    _radical,
 )
 from skewplus.unimod import random_nondeg_seq
 
@@ -197,6 +198,24 @@ def test_witt_extend_random():
         g = witt_extend(space, list(v.vectors), list(w.vectors))
         assert is_sp_member(g.matrix, two_n)
         assert all(g.apply(x) == y for x, y in zip(v.vectors, w.vectors))
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(1000003), Field.function_field(3)],
+                         ids=["q", "f1000003", "f3t"])
+def test_witt_extend_odd_all_fields(field):
+    rng = random.Random(f"witt:{field!r}")
+    for two_n, r in [(2, 1), (4, 1), (4, 3), (6, 3), (6, 5)]:
+        space = SymplecticSpace(field, two_n // 2)
+        v = random_nondeg_seq(space, r, rng)
+        # the radical's kernel coefficients are the coordinates of its
+        # generator in the v basis, which witt_extend sends to the w basis
+        coeffs, x = _radical(Subspace(space, v.vectors))
+        coords = Matrix.from_columns(field, v.vectors).solve_any(Matrix.column(field, x))
+        assert coords.col(1) == coeffs
+        w = v.transform(random_sp(space, rng, steps=2, bound=3))
+        g = witt_extend(space, list(v.vectors), list(w.vectors))
+        assert is_sp_member(g.matrix, two_n)
+        assert all(g.apply(a) == b for a, b in zip(v.vectors, w.vectors))
 
 
 def test_embed_even_and_odd():
