@@ -13,9 +13,11 @@ over certified generators of size 2n-1.
 route (only exercised at n = 2, size 6).  Working at the canonical triple
 (4,5,6), it builds three length-5 sequences in R^4 that share the unit
 determinant triangular section of the common 3x3 corner, each realizing
-one face Gram matrix; the change-of-basis maps between them fix a
+one face Gram matrix, its last two vectors solved by the sections'
+triangular substitution; the change-of-basis maps between them fix a
 hyperplane pointwise and are therefore elementary matrices e_{3,4}(c),
-and the alternating sum of the extracted c values is the coefficient.
+c read in closed form, and the alternating sum of the c values is the
+coefficient.
 Agreement with the Pfaffian ratio is mathematically forced, not built
 in: the oracle never evaluates the ratio.  Non-canonical triples
 are reduced to the canonical one by adjacent-swap relabelings, under
@@ -44,10 +46,10 @@ from .errors import (
     ZeroUnit,
 )
 from .fields import Field, Scalar, sample_until
-from .matrices import Matrix, PermutationMap
+from .matrices import PermutationMap
 from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, pf_eliminate
-from .sections import section_v_det1
-from .symplectic import gram, pairing, psi_matrix
+from .sections import _solve_pairings, section_v_det1
+from .symplectic import gram, pairing
 
 
 # ---------------------------------------------------------------------------
@@ -146,63 +148,49 @@ def _oracle_canonical(a: SkewPlusMatrix, betas=None) -> Scalar:
     else:
         betas = {r: field.scalar(b) for r, b in zip(idx, betas)}
 
-    pf = {(u, v): pf_eliminate(a.remove_indices([u, v]))
-          for u, v in combinations(idx, 2)}
+    pf = {}
+    for u, v in combinations(idx, 2):
+        pf[u, v] = pf[v, u] = pf_eliminate(a.remove_indices([u, v]))
 
     # shared corner: det-1 triangular section of the 3x3 block
     tri = section_v_det1(a.remove_indices(idx))
     v1, v2, v3 = tri.vectors          # tuples in R^4, last coordinate 0
-    w_cols = [v1[:2], v2[:2]]
-    w = Matrix.from_columns(field, w_cols)
-    delta = v3[2]
-    psi2 = psi_matrix(field, 2)
-    wt_psi = w.transpose() * psi2
-
-    def pf_key(u, v):
-        return pf[(u, v)] if u < v else pf[(v, u)]
 
     # for each r, the two remaining vectors of the length-5 sequence with
-    # Gram equal to the r-th face of a
+    # Gram equal to the r-th face of a: (x, 0, z) has the pairings
+    # a_{1..3,col} against v1, v2, v3, and d fills the third coordinate
     u_vecs = {}
     for r in idx:
         s, t = sorted(set(idx) - {r})
-        built = {}
-        for col in (s, t):
-            rhs = Matrix.column(field, [a.entry(1, col), a.entry(2, col)])
-            x = tuple(wt_psi.solve(rhs).col(1))
-            z = (a.entry(3, col) - pairing((v3[0], v3[1]), x)) / delta
-            built[col] = [x, None, z]
-        if built[s][2] != pf_key(r, t) or built[t][2] != pf_key(r, s):
+        built = {col: _solve_pairings(tri.vectors, [a.entry(i, col) for i in (1, 2, 3)], field)
+                 for col in (s, t)}
+        z_s, z_t = built[s][3], built[t][3]
+        if z_s != pf[r, t] or z_t != pf[r, s]:
             raise InternalInvariant("last coordinate does not match its Pfaffian")
-        z_s, z_t = built[s][2], built[t][2]
         d_t = betas[r]
-        d_s = (a.entry(s, t) - pairing(built[s][0], built[t][0]) + z_s * d_t) / z_t
-        built[s][1], built[t][1] = d_s, d_t
-        u_vecs[r] = {col: (built[col][0][0], built[col][0][1],
-                           built[col][1], built[col][2]) for col in (s, t)}
+        d_s = (a.entry(s, t) - pairing(built[s][:2], built[t][:2]) + z_s * d_t) / z_t
+        u_vecs[r] = {col: built[col][:2] + (d, built[col][3])
+                     for col, d in ((s, d_s), (t, d_t))}
         # the assembled sequence must realize the face Gram matrix exactly
         seq = [v1, v2, v3, u_vecs[r][s], u_vecs[r][t]]
         if gram(seq, field) != a.remove_indices([r]).inner:
             raise InternalInvariant("sequence Gram does not match the face")
         # determinant identity tying the free parameters to Pfaffians
         lhs = pf_eliminate(a.remove_indices([3, r]))
-        rhs = a.entry(1, 2) * (d_s * pf_key(r, s) - d_t * pf_key(r, t))
+        rhs = a.entry(1, 2) * (d_s * pf[r, s] - d_t * pf[r, t])
         if lhs != rhs:
             raise InternalInvariant("determinant identity fails")
 
     def c_of(r, s):
         """Extract c with basis-change map = e_{3,4}(c) between the r and s
-        sequences restricted away from positions r and s."""
+        sequences restricted away from positions r and s.  v1, v2, v3 span
+        e_1..e_3, so the map fixes them and sends y = u_s[t] to x = u_r[t]:
+        it is e_{3,4}(c) iff x, y agree at 1, 2, 4, and c = (x_3 - y_3) / y_4."""
         t = (set(idx) - {r, s}).pop()
-        m_r = Matrix.from_columns(field, [v1, v2, v3, u_vecs[r][t]])
-        m_s = Matrix.from_columns(field, [v1, v2, v3, u_vecs[s][t]])
-        g = m_r * m_s.inverse()
-        for p in range(1, 5):
-            for q in range(1, 5):
-                expected = field.one() if p == q else zero
-                if (p, q) != (3, 4) and g.entry(p, q) != expected:
-                    raise InternalInvariant("basis change is not elementary")
-        return g.entry(3, 4)
+        x, y = u_vecs[r][t], u_vecs[s][t]
+        if (x[0], x[1], x[3]) != (y[0], y[1], y[3]):
+            raise InternalInvariant("basis change is not elementary")
+        return (x[2] - y[2]) / y[3]
 
     i, j, k = idx
     return c_of(i, k) + c_of(k, j) + c_of(j, i)

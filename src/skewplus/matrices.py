@@ -44,19 +44,20 @@ class Matrix:
         if any(len(row) != self.cols for row in self.data):
             raise ShapeMismatch("ragged rows")
 
-    def _set(self, field, data):
+    def _set(self, field, data, cols=0):
         self.field = field
         self._hash = None
         self.data = data
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = len(data[0]) if data else cols
 
     @classmethod
-    def _of(cls, field: Field, rows) -> "Matrix":
+    def _of(cls, field: Field, rows, cols: int = 0) -> "Matrix":
         """The matrix on equal-length rows of canonical scalars of `field`,
-        taken as they are: no coercion and no shape check."""
+        taken as they are: no coercion and no shape check.  `cols` is the
+        column count of a matrix without rows."""
         m = cls.__new__(cls)
-        m._set(field, tuple(map(tuple, rows)))
+        m._set(field, tuple(map(tuple, rows)), cols)
         return m
 
     # -- constructors ----------------------------------------------------
@@ -68,16 +69,17 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
+        zero = field.zero()
+        return cls._of(field, [[zero] * cols for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
         columns = [tuple(c) for c in columns]
-        if not columns:
-            return cls.zeros(field, 0, 0)
-        n = len(columns[0])
+        n = len(columns[0]) if columns else 0
         if any(len(c) != n for c in columns):
             raise ShapeMismatch("columns of unequal length")
+        if n == 0:
+            return cls.zeros(field, 0, len(columns))
         return cls(field, [[columns[j][i] for j in range(len(columns))] for i in range(n)])
 
     @classmethod
@@ -98,7 +100,7 @@ class Matrix:
         return tuple(row[j - 1] for row in self.data)
 
     def columns(self):
-        return [self.col(j) for j in range(1, self.cols + 1)]
+        return list(zip(*self.data)) if self.data else [()] * self.cols
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -106,7 +108,8 @@ class Matrix:
     def submatrix(self, keep_rows, keep_cols) -> "Matrix":
         """Submatrix on the given 1-based row and column index lists."""
         return Matrix._of(self.field,
-                          [[self.data[i - 1][j - 1] for j in keep_cols] for i in keep_rows])
+                          [[self.data[i - 1][j - 1] for j in keep_cols] for i in keep_rows],
+                          len(keep_cols))
 
     # -- algebra -------------------------------------------------------
 
@@ -120,28 +123,30 @@ class Matrix:
             raise ShapeMismatch("addition of different shapes")
         return Matrix._of(self.field,
                           [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.data, other.data)])
+                           for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(self.field, [[-a for a in row] for row in self.data])
+        return Matrix._of(self.field, [[-a for a in row] for row in self.data], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_field(other)
             if self.cols != other.rows:
                 raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            return Matrix._of(self.field, _products(self.field, self.data, zip(*other.data)))
+            return Matrix._of(self.field, _products(self.field, self.data, other.columns()),
+                              other.cols)
         scalar = self.field.scalar(other)
-        return Matrix._of(self.field, [[a * scalar for a in row] for row in self.data])
+        return Matrix._of(self.field, [[a * scalar for a in row] for row in self.data],
+                          self.cols)
 
     def __rmul__(self, other):
         return self * other
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, zip(*self.data))
+        return Matrix._of(self.field, self.columns(), self.rows)
 
     def apply_vector(self, v):
         """Matrix times a plain tuple vector, returned as a tuple."""
@@ -151,7 +156,7 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
+                and self.cols == other.cols and self.data == other.data)
 
     def __hash__(self):
         if self._hash is None:

@@ -6,14 +6,16 @@ implemented here; it maps to A under the Gram matrix and is compatible
 with dropping the last index and with enlarging the ambient space.
 
 The construction builds the sequence in the smallest possible number of
-coordinates.  For odd length 2r+1 there are two variants: the "snug"
-one, whose last vector is the unique w in R^{2r} with prescribed
-pairings against the previously built basis of R^{2r}, and the "roomy"
-one, which adds e_{2r+1} to w so the sequence can keep growing.  The
-snug variant is what a maximal-length section (q = 2n+1) returns; the
-roomy one feeds the even step, which appends
-
-    v_q = w_q + (A_{q-1,q} - <v_{q-1}, w_q>) e_q.
+coordinates: v_k lies in span(e_1..e_k) with a nonzero k-th coordinate,
+so the pairings <v_i, w> = A_ik (i < k) are triangular in u = psi w,
+solved by one forward substitution, and w = (-u_2, u_1, -u_4, u_3, ...)
+with u padded by a zero to even length.  For odd length 2r+1 there are
+two variants: the "snug" one, whose last vector is that w in R^{2r}, and
+the "roomy" one, which adds e_{2r+1} to w so the sequence can keep
+growing.  The snug variant is what a maximal-length section (q = 2n+1)
+returns; the roomy v_{k-1} ends in 1, so at even k the substitution
+ends in v_k = w + (A_{k-1,k} - <v_{k-1}, w>) e_k, w solving against
+v_1..v_{k-2}.
 
 `section_v_det1` post-composes the snug odd section with a determinant
 correction along e_q, producing an upper triangular matrix of columns
@@ -22,33 +24,28 @@ with determinant exactly 1 and unchanged Gram matrix.
 
 from __future__ import annotations
 
-from .errors import BadRange, EvenSize, InternalInvariant, Singular
+from .errors import BadRange, EvenSize, InternalInvariant
 from .matrices import Matrix
 from .pfaffian import _as_certified
-from .symplectic import SymplecticSpace, pad_vector, pairing, psi_matrix
+from .symplectic import SymplecticSpace, pad_vector
 from .unimod import NonDegSeq
 
 
-def _pairing_padded(x, y, field):
-    n = max(len(x), len(y))
-    if n % 2 == 1:
-        n += 1
-    return pairing(pad_vector(x, n, field), pad_vector(y, n, field))
-
-
-def _solve_last(prefix, a_col, field):
-    """The unique w in R^{2r} with <v_i, w> = a_i against the basis prefix."""
-    r2 = len(prefix)
-    if r2 == 0:
-        return ()
-    p = Matrix.from_columns(field, [pad_vector(v, r2, field) for v in prefix])
-    lhs = p.transpose() * psi_matrix(field, r2)
-    rhs = Matrix.column(field, a_col)
-    try:
-        return tuple(lhs.solve(rhs).col(1))
-    except Singular as exc:
-        raise InternalInvariant(
-            "prefix Gram matrix is singular despite the certificate") from exc
+def _solve_pairings(vectors, values, field):
+    """The w with <v_i, w> = values[i] for every i, of even length
+    2 ceil(len(vectors) / 2), for vectors v_i in span(e_1..e_i) with
+    nonzero i-th coordinate (coordinates past the i-th are not read)."""
+    u = []
+    for i, (v, a) in enumerate(zip(vectors, values)):
+        if v[i].is_zero():
+            raise InternalInvariant(
+                "prefix Gram matrix is singular despite the certificate")
+        for x, y in zip(v, u):
+            a = a - x * y
+        u.append(a / v[i])
+    if len(u) % 2 == 1:
+        u.append(field.zero())
+    return tuple(x for k in range(0, len(u), 2) for x in (-u[k + 1], u[k]))
 
 
 def _section(a, roomy: bool):
@@ -58,15 +55,9 @@ def _section(a, roomy: bool):
     q = a.size
     vectors = []
     for k in range(1, q + 1):
-        if k % 2 == 1:
-            w = _solve_last(vectors, [a.entry(i, k) for i in range(1, k)], field)
-            extra = field.one() if k < q or roomy else None
-        else:
-            w = _solve_last(vectors[:-1], [a.entry(i, k) for i in range(1, k - 1)], field)
-            extra = a.entry(k - 1, k) - _pairing_padded(vectors[-1], w, field)
-        if extra is not None:
-            w = pad_vector(w, k, field)
-            w = w[:-1] + (w[-1] + extra,)
+        w = _solve_pairings(vectors, [a.entry(i, k) for i in range(1, k)], field)
+        if k % 2 == 1 and (k < q or roomy):
+            w += (field.one(),)
         vectors.append(w)
     return vectors
 
@@ -105,12 +96,11 @@ def section_v_det1(a) -> NonDegSeq:
         raise EvenSize(f"this section needs odd size, got {q}")
     vectors = _section(a.inner, roomy=False)
     field = a.field
-    if q > 1:
-        block = Matrix.from_columns(
-            field, [pad_vector(v, q - 1, field) for v in vectors[:-1]])
-        det_block = block.det()
-    else:
-        det_block = field.one()
+    # the first q - 1 vectors are upper triangular: the determinant of
+    # their block is the product of the diagonal
+    det_block = field.one()
+    for i, v in enumerate(vectors[:-1]):
+        det_block = det_block * v[i]
     last = pad_vector(vectors[-1], q, field)
     last = last[:-1] + (last[-1] + det_block.inv(),)
     vectors = vectors[:-1] + [last]

@@ -159,33 +159,22 @@ def realized_dim(size: int) -> int:
 
 
 def is_sp_member(m: Matrix, size: int) -> bool:
-    """Form preservation, plus the fixed-vector block shape for odd rank."""
+    """m^t psi m = psi, read as the Gram matrix of the columns, plus m e_1 =
+    e_1 for odd rank, which gives the rest of the block shape: row 2 is
+    e_2^t as <e_1, m x> = <e_1, x>, and the top-right block is u^t psi M
+    as <m e_2, m e_j> = 0 for j >= 3."""
     dim = realized_dim(size)
     if m.rows != dim or m.cols != dim:
         raise ShapeMismatch(f"rank {size} needs a {dim}x{dim} matrix")
     if dim == 0:
         return True
-    psi = psi_matrix(m.field, dim)
-    if m.transpose() * psi * m != psi:
-        return False
-    if size % 2 == 0:
-        return True
     field = m.field
-    one, zero = field.one(), field.zero()
-    # first column e_1 and second row e_2^t
-    for i in range(1, dim + 1):
-        if m.entry(i, 1) != (one if i == 1 else zero):
-            return False
-        if m.entry(2, i) != (one if i == 2 else zero):
-            return False
-    # top-right block must be u^t psi M with u the second column tail
-    u = [m.entry(i, 2) for i in range(3, dim + 1)]
-    inner = m.submatrix(range(3, dim + 1), range(3, dim + 1))
-    expected = (Matrix._of(field, [u]) * psi_matrix(field, dim - 2) * inner).row(1)
-    for j in range(3, dim + 1):
-        if m.entry(1, j) != expected[j - 3]:
-            return False
-    return True
+    zero, one = field.zero(), field.one()
+    psi = SkewMatrix._of(field, dim, [(one if i % 2 == 0 else zero,) + (zero,) * (dim - 2 - i)
+                                      for i in range(dim - 1)])
+    if gram(zip(*m.data), field) != psi:
+        return False
+    return size % 2 == 0 or m.col(1) == (one,) + (zero,) * (dim - 1)
 
 
 class SpMatrix:

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import DivisionByZero, FieldMismatch, ParseError, SamplerExhausted
-from skewplus.fields import Field, parse_scalar, sample_until, specialize
+from skewplus.fields import PRIME, Field, parse_scalar, sample_until, specialize
 
 FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
@@ -43,6 +44,41 @@ def test_field_axioms_thousand_triples():
             assert a + (-a) == field.zero()
             if not a.is_zero():
                 assert a * a.inv() == field.one()
+
+
+PROPERTY_FIELDS = [Field.rationals(), Field.prime(5), Field.prime(1000003),
+                   Field.function_field(3)]
+
+
+@st.composite
+def triples(draw):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    if field.kind == PRIME:
+        entry = st.integers(-2 * field.p, 2 * field.p)
+    elif field.characteristic == 0:
+        entry = st.fractions(max_denominator=50).filter(lambda x: abs(x) < 10 ** 6)
+    else:
+        coeffs = st.lists(st.integers(0, field.p - 1), max_size=4).map(tuple)
+        # numerator over a monic denominator of degree <= 2
+        entry = st.tuples(coeffs, coeffs.map(lambda c: c[:2] + (1,)))
+    return field, [field.scalar(x) for x in draw(st.lists(entry, min_size=3, max_size=3))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(triples())
+def test_field_axioms_property(case):
+    field, (a, b, c) = case
+    zero, one = field.zero(), field.one()
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b)
+    if not b.is_zero():
+        assert (a / b) * b == a and b * b.inv() == one
+    for x in (a, b, c):
+        assert parse_scalar(x.literal(), field) == x
+        assert parse_scalar(x.literal()) == x
 
 
 def test_canonical_form_idempotent():

@@ -19,6 +19,7 @@ from skewplus.gamma import (
     gamma_oracle_c,
     gamma_terms,
     pfaffian_ratio,
+    reduce_to_canonical,
     sample_family_values,
     seven_term_certificate,
     seven_term_relation,
@@ -29,9 +30,60 @@ from skewplus.gamma import (
     verify_appendix,
     zlinear_extension,
 )
+from skewplus.matrices import Matrix
 from skewplus.pfaffian import pf_eliminate, random_skew_plus
+from skewplus.sections import section_v_det1
+from skewplus.symplectic import gram, pairing, psi_matrix
 
 Q = Field.rationals()
+
+
+def oracle_reference(a, triple, betas=None):
+    """gamma_oracle_c with generic linear algebra: the first two
+    coordinates of each face vector by a Matrix solve against the corner,
+    and each c by inverting one basis matrix and checking that the basis
+    change is e_{3,4}(c)."""
+    a = reduce_to_canonical(a, triple)
+    field = a.field
+    idx = (4, 5, 6)
+    betas = [field.zero()] * 3 if betas is None else [field.scalar(b) for b in betas]
+    betas = dict(zip(idx, betas))
+    pf = {(u, v): pf_eliminate(a.remove_indices([u, v])) for u, v in combinations(idx, 2)}
+
+    def pf_key(u, v):
+        return pf[(u, v)] if u < v else pf[(v, u)]
+
+    v1, v2, v3 = section_v_det1(a.remove_indices(idx)).vectors
+    wt_psi = Matrix.from_columns(field, [v1[:2], v2[:2]]).transpose() * psi_matrix(field, 2)
+    u_vecs = {}
+    for r in idx:
+        s, t = sorted(set(idx) - {r})
+        built = {}
+        for col in (s, t):
+            x = wt_psi.solve(Matrix.column(field, [a.entry(1, col), a.entry(2, col)])).col(1)
+            z = (a.entry(3, col) - pairing(v3[:2], x)) / v3[2]
+            built[col] = (x, z)
+        (x_s, z_s), (x_t, z_t) = built[s], built[t]
+        assert (z_s, z_t) == (pf_key(r, t), pf_key(r, s))
+        d_t = betas[r]
+        d_s = (a.entry(s, t) - pairing(x_s, x_t) + z_s * d_t) / z_t
+        u_vecs[r] = {s: x_s + (d_s, z_s), t: x_t + (d_t, z_t)}
+        assert gram([v1, v2, v3, u_vecs[r][s], u_vecs[r][t]], field) == \
+            a.remove_indices([r]).inner
+
+    def c_of(r, s):
+        t = (set(idx) - {r, s}).pop()
+        m_r = Matrix.from_columns(field, [v1, v2, v3, u_vecs[r][t]])
+        m_s = Matrix.from_columns(field, [v1, v2, v3, u_vecs[s][t]])
+        g = m_r * m_s.inverse()
+        for p in range(1, 5):
+            for q in range(1, 5):
+                if (p, q) != (3, 4):
+                    assert g.entry(p, q) == (field.one() if p == q else field.zero())
+        return g.entry(3, 4)
+
+    i, j, k = idx
+    return c_of(i, k) + c_of(k, j) + c_of(j, i)
 
 
 def test_gamma_term_count_and_degree():
@@ -115,6 +167,16 @@ def test_oracle_independent_of_free_parameters():
         base = gamma_oracle_c(a, triple)
         betas = [Q.sample(rng, 9) for _ in range(3)]
         assert gamma_oracle_c(a, triple, betas=betas) == base
+
+
+@pytest.mark.parametrize("field", [Q, Field.function_field(3)], ids=["q", "f3t"])
+def test_oracle_against_generic_reference(field):
+    rng = random.Random(f"oracle:{field!r}")
+    a = random_skew_plus(field, 6, rng)
+    betas = [field.sample(rng, 5) for _ in range(3)]
+    for triple in combinations(range(1, 7), 3):
+        assert gamma_oracle_c(a, triple) == oracle_reference(a, triple)
+        assert gamma_oracle_c(a, triple, betas) == oracle_reference(a, triple, betas)
 
 
 def test_swap_invariance():

@@ -22,13 +22,13 @@ def product_oracle(a, b):
     out = []
     for r in a.data:
         out_row = []
-        for c in zip(*b.data):
+        for c in b.columns():
             acc = zero
             for x, y in zip(r, c):
                 acc = acc + x * y
             out_row.append(acc)
         out.append(out_row)
-    return Matrix(a.field, out)
+    return Matrix(a.field, out) if out else Matrix.zeros(a.field, 0, b.cols)
 
 
 def apply_vector_oracle(a, v):
@@ -101,10 +101,18 @@ def test_products_against_oracles(sparse_field):
 
 def test_empty_shapes(sparse_field):
     field, _ = sparse_field
-    # a matrix without rows has no columns either, so r x 0 times 0 x c is r x 0
+    # r x 0 times 0 x c is the r x c zero matrix
     for r, c in [(0, 0), (3, 0), (0, 3), (2, 4)]:
         a, b = Matrix.zeros(field, r, 0), Matrix.zeros(field, 0, c)
-        assert a * b == product_oracle(a, b) == Matrix.zeros(field, r, 0)
+        assert (b.rows, b.cols) == (0, c)
+        assert a * b == product_oracle(a, b) == Matrix.zeros(field, r, c)
+        assert ((a * b).rows, (a * b).cols) == (r, c)
+        assert (a.transpose().rows, a.transpose().cols) == (0, r)
+        assert (b.transpose().rows, b.transpose().cols) == (c, 0)
+    assert Matrix.zeros(field, 0, 3) != Matrix.zeros(field, 0, 0)
+    assert Matrix.from_columns(field, [(), (), ()]) == Matrix.zeros(field, 0, 3)
+    assert Matrix.zeros(field, 2, 3).submatrix([], [1, 3]) == Matrix.zeros(field, 0, 2)
+    assert -Matrix.zeros(field, 0, 3) == Matrix.zeros(field, 0, 3) * 2 == Matrix.zeros(field, 0, 3)
     a = Matrix(field, [[1, 2], [3, 4], [5, 6]])
     empty_cols = Matrix(field, [[], []])
     assert a * empty_cols == product_oracle(a, empty_cols) == Matrix(field, [[], [], []])

@@ -30,12 +30,37 @@ from skewplus.symplectic import (
     retract_rho,
     split_odd_space,
     symplectic_basis,
+    transvection,
     witt_extend,
     _radical,
 )
 from skewplus.unimod import random_nondeg_seq
 
 Q = Field.rationals()
+
+
+def sp_member_oracle(m, size):
+    """Membership by m^t psi m = psi as two matrix products, plus the odd
+    block shape checked entry by entry."""
+    dim = size if size % 2 == 0 else size + 1
+    if dim == 0:
+        return True
+    field = m.field
+    psi = psi_matrix(field, dim)
+    if m.transpose() * psi * m != psi:
+        return False
+    if size % 2 == 0:
+        return True
+    one, zero = field.one(), field.zero()
+    for i in range(1, dim + 1):
+        if m.entry(i, 1) != (one if i == 1 else zero):
+            return False
+        if m.entry(2, i) != (one if i == 2 else zero):
+            return False
+    u = [m.entry(i, 2) for i in range(3, dim + 1)]
+    inner = m.submatrix(range(3, dim + 1), range(3, dim + 1))
+    expected = (Matrix(field, [u]) * psi_matrix(field, dim - 2) * inner).row(1)
+    return all(m.entry(1, j) == expected[j - 3] for j in range(3, dim + 1))
 
 
 def test_gram_of_standard_basis():
@@ -306,3 +331,36 @@ def test_odd_rank_one_membership():
     for c in (-4, 0, 9):
         assert is_sp_member(elementary(Q, 1, 2, c, 2), 1)
     assert not is_sp_member(psi_matrix(Q, 2), 1)  # moves e1
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5), Field.function_field(3)],
+                         ids=["q", "f5", "f3t"])
+def test_membership_against_oracle(field):
+    rng = random.Random(f"membership:{field!r}")
+    seen = set()
+    for two_n in (0, 2, 4, 6):
+        space, big = SymplecticSpace(field, two_n // 2), SymplecticSpace(field, two_n // 2 + 1)
+        # psi preserves the form but moves e_1
+        cases = [(psi_matrix(field, two_n + 2), two_n + 1)]
+        for _ in range(3):
+            g = random_sp(space, rng)
+            # a transvection along v with v_2 = 0 fixes e_1, giving odd
+            # elements with nonzero c and u
+            v = list(big.random_vector(rng, 5))
+            v[1] = field.zero()
+            odd = embed(g, two_n + 1) * SpMatrix(
+                transvection(big, v, field.sample(rng, 5)), two_n + 1)
+            b = field.sample_nonzero(rng, 5)
+            cases += [(g.matrix, two_n), (odd.matrix, two_n + 1),
+                      (conjugate_Tb(odd, b).matrix, two_n + 1)]
+        for m, size in list(cases):
+            if m.rows:
+                rows = [list(r) for r in m.data]
+                i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+                rows[i][j] += field.one()
+                cases.append((Matrix(field, rows), size))
+        for m, size in cases:
+            got = is_sp_member(m, size)
+            assert got == sp_member_oracle(m, size)
+            seen.add((size % 2, got))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
