@@ -372,21 +372,21 @@ def compute_pf(path: str) -> str:
 
 
 def compute_gamma(path: str) -> list:
-    a = SkewPlusMatrix.certify(_load_matrix(path))
+    a = _load_matrix(path)
     if a.size % 2 != 0 or a.size < 4:
         raise ParseError(f"gamma needs even size >= 4, got {a.size}")
     n = (a.size - 2) // 2
-    return chains.formal_sum_to_json(gamma.gamma_map(a, n))
+    return chains.formal_sum_to_json(gamma.gamma_map(SkewPlusMatrix.certify(a), n))
 
 
 def compute_section(path: str, ambient: int | None) -> dict:
-    a = SkewPlusMatrix.certify(_load_matrix(path))
+    a = _load_matrix(path)
     if ambient is None:
         ambient = a.size if a.size % 2 == 0 else a.size - 1
     if ambient < 0 or ambient % 2 or a.size > ambient + 1:
         raise ParseError(f"--ambient must be even with size <= ambient + 1, "
                          f"got {ambient} for size {a.size}")
-    seq = sections.section_V(a.size, ambient, a)
+    seq = sections.section_V(a.size, ambient, SkewPlusMatrix.certify(a))
     return seq.to_json()
 
 

@@ -567,11 +567,14 @@ class IntegerRing:
 
 class ResidueRing(IntegerRing):
     """F_p itself, with the integer operations on plain ints.  Clearing
-    scales by 1.  Only division and to_scalar reduce mod p, and the
+    scales by 1.  Only division, dot and to_scalar reduce mod p, and the
     kernels divide every entry they update (one pivot inverse per step),
     so the entries they keep stay in (-p, p), where a falsy int is exactly
-    a zero residue; a dot product is reduced by to_scalar.  In a field a
-    division by nonzero d leaves no remainder; d = 0 raises."""
+    a zero residue.  In a field a division by nonzero d leaves no
+    remainder; d = 0 raises."""
+
+    def dot(self, x, y):
+        return sum(map(operator.mul, x, y)) % self.field.p
 
     def clear(self, rows):
         return 1, [[x.value for x in row] for row in rows]

@@ -20,8 +20,10 @@ c read in closed form, and the alternating sum of the c values is the
 coefficient.
 Agreement with the Pfaffian ratio is mathematically forced, not built
 in: the oracle never evaluates the ratio.  Non-canonical triples
-are reduced to the canonical one by adjacent-swap relabelings, under
-which both the oracle value and the ratio are invariant.
+are reduced to the canonical one by one relabeling, the composite of
+adjacent swaps, under which both the oracle value and the ratio are
+invariant.  The face vectors are solved once per column of the triple,
+in the ring, by the sections' substitution.
 
 The bracket calculus provides the compact generators of size-3 sums:
 square brackets [a b; c] are plain generators, braces x{a b; c} rescale
@@ -107,22 +109,16 @@ def swap_adjacent(a: SkewPlusMatrix, k: int) -> SkewPlusMatrix:
 
 
 def reduce_to_canonical(a: SkewPlusMatrix, triple):
-    """Push a triple up to (2n, 2n+1, 2n+2) by adjacent swaps, relabeling
-    the matrix along the way.  Returns the transformed matrix."""
+    """Relabel the matrix so that the triple becomes (2n, 2n+1, 2n+2) and
+    the other indices keep their order: one permutation, the composite of
+    the adjacent swaps that push k, then j, then i to the end.  Returns
+    the transformed matrix."""
     q = a.size
     i, j, k = triple
     if not 1 <= i < j < k <= q:
         raise BadIndices(f"triple {triple} is not increasing inside 1..{q}")
-    while k < q:
-        a = swap_adjacent(a, k)
-        k += 1
-    while j < q - 1:
-        a = swap_adjacent(a, j)
-        j += 1
-    while i < q - 2:
-        a = swap_adjacent(a, i)
-        i += 1
-    return a
+    rest = [x for x in range(1, q + 1) if x not in (i, j, k)]
+    return a.permuted(PermutationMap(rest + [i, j, k]))
 
 
 def gamma_oracle_c(a, triple, betas=None) -> Scalar:
@@ -159,11 +155,11 @@ def _oracle_canonical(a: SkewPlusMatrix, betas=None) -> Scalar:
     # for each r, the two remaining vectors of the length-5 sequence with
     # Gram equal to the r-th face of a: (x, 0, z) has the pairings
     # a_{1..3,col} against v1, v2, v3, and d fills the third coordinate
+    built = {col: _solve_pairings(tri.vectors, [a.entry(i, col) for i in (1, 2, 3)], field)
+             for col in idx}
     u_vecs = {}
     for r in idx:
         s, t = sorted(set(idx) - {r})
-        built = {col: _solve_pairings(tri.vectors, [a.entry(i, col) for i in (1, 2, 3)], field)
-                 for col in (s, t)}
         z_s, z_t = built[s][3], built[t][3]
         if z_s != pf[r, t] or z_t != pf[r, s]:
             raise InternalInvariant("last coordinate does not match its Pfaffian")

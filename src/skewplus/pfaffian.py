@@ -292,17 +292,24 @@ def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) ->
     """Pfaffians of all even-sized principal submatrices (up to `max_size`,
     if given), keyed by the sorted index tuple.  One bottom-up sweep over
     index subsets, each expanded along its last column against the
-    smaller entries of the table."""
+    smaller entries of the table, in the ring of `Field.ring()` on the
+    upper triangle cleared by one L: the entry for an index set of size 2k
+    is L^k Pf, one dot product, reduced once to its scalar."""
     a = _unwrap(a)
     q = a.size
     top = q if max_size is None else min(q, max_size)
-    columns = [[a.entry(i, j) for i in range(1, j)] for j in range(1, q + 1)]
-    zero = a.field.zero()
-    out = {(): a.field.one()}
+    ring = a.field.ring()
+    scale, upper = ring.clear(a.upper)
+    # signed[j-1][i-1] is (L a_ij, -L a_ij): the sign follows the position
+    signed = [[(x, ring.neg(x)) for x in (upper[i][j - i - 1] for i in range(j))]
+              for j in range(q)]
+    table = {(): ring.one}
     for size in range(2, top + 1, 2):
         for s in combinations(range(1, q + 1), size):
-            out[s] = _bordered_pf(out, columns[s[-1] - 1], s[:-1], zero)
-    return out
+            rest, column = s[:-1], signed[s[-1] - 1]
+            table[s] = ring.dot([column[i - 1][pos & 1] for pos, i in enumerate(rest)],
+                                [table[rest[:pos] + rest[pos + 1:]] for pos in range(size - 1)])
+    return {s: ring.to_scalar(x, scale, len(s) // 2) for s, x in table.items()}
 
 
 def _bordered_pf(table, column, s, zero) -> Scalar:

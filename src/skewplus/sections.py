@@ -8,14 +8,14 @@ with dropping the last index and with enlarging the ambient space.
 The construction builds the sequence in the smallest possible number of
 coordinates: v_k lies in span(e_1..e_k) with a nonzero k-th coordinate,
 so the pairings <v_i, w> = A_ik (i < k) are triangular in u = psi w,
-solved by one forward substitution, and w = (-u_2, u_1, -u_4, u_3, ...)
-with u padded by a zero to even length.  For odd length 2r+1 there are
-two variants: the "snug" one, whose last vector is that w in R^{2r}, and
-the "roomy" one, which adds e_{2r+1} to w so the sequence can keep
-growing.  The snug variant is what a maximal-length section (q = 2n+1)
-returns; the roomy v_{k-1} ends in 1, so at even k the substitution
-ends in v_k = w + (A_{k-1,k} - <v_{k-1}, w>) e_k, w solving against
-v_1..v_{k-2}.
+solved by one fraction-free forward substitution in the ring of the
+field, and w = (-u_2, u_1, -u_4, u_3, ...) with u padded by a zero to
+even length.  For odd length 2r+1 there are two variants: the "snug"
+one, whose last vector is that w in R^{2r}, and the "roomy" one, which
+adds e_{2r+1} to w so the sequence can keep growing.  The snug variant
+is what a maximal-length section (q = 2n+1) returns; the roomy v_{k-1}
+ends in 1, so at even k the substitution ends in
+v_k = w + (A_{k-1,k} - <v_{k-1}, w>) e_k, w solving against v_1..v_{k-2}.
 
 `section_v_det1` post-composes the snug odd section with a determinant
 correction along e_q, producing an upper triangular matrix of columns
@@ -34,18 +34,25 @@ from .unimod import NonDegSeq
 def _solve_pairings(vectors, values, field):
     """The w with <v_i, w> = values[i] for every i, of even length
     2 ceil(len(vectors) / 2), for vectors v_i in span(e_1..e_i) with
-    nonzero i-th coordinate (coordinates past the i-th are not read)."""
-    u = []
+    nonzero i-th coordinate (coordinates past the i-th are not read).
+    In the ring of `field.ring()`, each row (v_i[1..i], values[i]) is
+    cleared once to (m_i1..m_ii, b_i), and num_j = u_j D is kept over the
+    product D of the pivots m_ii so far, so each u_j is reduced once."""
+    ring = field.ring()
+    mul = ring.mul
+    den, nums = ring.one, []
     for i, (v, a) in enumerate(zip(vectors, values)):
         if v[i].is_zero():
             raise InternalInvariant(
                 "prefix Gram matrix is singular despite the certificate")
-        for x, y in zip(v, u):
-            a = a - x * y
-        u.append(a / v[i])
-    if len(u) % 2 == 1:
-        u.append(field.zero())
-    return tuple(x for k in range(0, len(u), 2) for x in (-u[k + 1], u[k]))
+        _, ((*m, pivot, b),) = ring.clear([(*v[:i + 1], a)])
+        s = ring.sub(mul(den, b), ring.dot(m, nums))
+        nums = [mul(x, pivot) for x in nums] + [s]
+        den = mul(den, pivot)
+    if len(nums) % 2 == 1:
+        nums.append(ring.zero)
+    return tuple(ring.to_scalar(x, den, 1) for k in range(0, len(nums), 2)
+                 for x in (ring.neg(nums[k + 1]), nums[k]))
 
 
 def _section(a, roomy: bool):

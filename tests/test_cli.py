@@ -197,11 +197,14 @@ def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# the shape and ambient checks come before certification, so an
+# uncertified matrix (the zero 3x3) gets the usage error too
 def test_compute_section_rejects_odd_ambient(capsys, tmp_path):
     path = tmp_path / "a3.json"
-    path.write_text(json.dumps(SkewMatrix.from_upper(Q, 3, [1, 2, 3]).to_json()))
-    assert run(["compute", "section", "--input", str(path), "--ambient", "3"]) == 2
-    assert "ambient" in capsys.readouterr().err
+    for upper in ([1, 2, 3], [0, 0, 0]):
+        path.write_text(json.dumps(SkewMatrix.from_upper(Q, 3, upper).to_json()))
+        assert run(["compute", "section", "--input", str(path), "--ambient", "3"]) == 2
+        assert "ambient" in capsys.readouterr().err
 
 
 def test_compute_rejects_skew_grid_of_other_shape(tmp_path, capsys):
@@ -215,7 +218,8 @@ def test_compute_rejects_skew_grid_of_other_shape(tmp_path, capsys):
 
 def test_compute_pf_rejects_odd_size(tmp_path, capsys):
     path = tmp_path / "a3.json"
-    path.write_text(json.dumps(SkewMatrix.from_upper(Q, 3, [1, 2, 3]).to_json()))
-    for command in ("pf", "gamma"):
-        assert run(["compute", command, "--input", str(path)]) == 2
-        assert "even size" in capsys.readouterr().err
+    for upper in ([1, 2, 3], [0, 0, 0]):
+        path.write_text(json.dumps(SkewMatrix.from_upper(Q, 3, upper).to_json()))
+        for command in ("pf", "gamma"):
+            assert run(["compute", command, "--input", str(path)]) == 2
+            assert "even size" in capsys.readouterr().err

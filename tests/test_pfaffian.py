@@ -1,14 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import NotSkewPlus, OddSize, ShapeMismatch
-from skewplus.fields import PRIME, Field
-from skewplus.matrices import Matrix
+from skewplus.fields import PRIME, Field, Scalar
+from skewplus.matrices import Matrix, PermutationMap
 from skewplus.pfaffian import (
     SkewMatrix,
     SkewPlusMatrix,
+    _bordered_pf,
     even_principal_pfaffians,
     is_skew_plus,
     pf_eliminate,
@@ -111,9 +113,9 @@ PROPERTY_FIELDS = [Q, Field.prime(5), Field.prime(1000003), Field.function_field
 
 
 @st.composite
-def skew_matrices(draw):
+def skew_matrices(draw, sizes=(0, 2, 4, 6, 8)):
     field = draw(st.sampled_from(PROPERTY_FIELDS))
-    q = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    q = draw(st.sampled_from(sizes))
     if field == Q:
         entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
     elif field.kind == PRIME:
@@ -132,6 +134,67 @@ def test_eliminate_property_all_fields(a):
     pf = pf_eliminate(a)
     assert pf * pf == a.full_matrix().det()
     assert pf == pf_recursive(a)
+
+
+# -- the certificate table against the Scalar sweep it replaced ------------
+
+def table_oracle(a, max_size=None):
+    """even_principal_pfaffians in Scalar arithmetic: each even index set
+    expanded along its last column against the smaller entries, one
+    Scalar multiply-add per term."""
+    q = a.size
+    top = q if max_size is None else min(q, max_size)
+    columns = [[a.entry(i, j) for i in range(1, j)] for j in range(1, q + 1)]
+    zero = a.field.zero()
+    out = {(): a.field.one()}
+    for size in range(2, top + 1, 2):
+        for s in combinations(range(1, q + 1), size):
+            out[s] = _bordered_pf(out, columns[s[-1] - 1], s[:-1], zero)
+    return out
+
+
+def check_table(a, max_size=None):
+    table = even_principal_pfaffians(a, max_size)
+    assert table == table_oracle(a, max_size)
+    assert all(type(v) is Scalar and v.field == a.field for v in table.values())
+
+
+def test_table_matches_oracle(sparse_field):
+    field, entry = sparse_field
+    rng = random.Random(f"table:{field!r}")
+    for q in range(0, 9):
+        for _ in range(3):
+            a = SkewMatrix.from_upper(field, q, [entry(rng) for _ in range(q * (q - 1) // 2)])
+            for max_size in (None, 0, 1, 2, rng.randint(0, q)):
+                check_table(a, max_size)
+            assert is_skew_plus(a) == all(not v.is_zero() for v in table_oracle(a).values())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(skew_matrices(sizes=range(0, 9)), st.one_of(st.none(), st.integers(0, 9)))
+def test_table_property_against_oracle(a, max_size):
+    check_table(a, max_size)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(skew_matrices(sizes=range(0, 8)), st.data())
+def test_faces_and_relabelings_inherit_the_table(a, data):
+    """A face's table is the parent's restricted and re-keyed; a
+    relabeling's is the parent's times the sign of the sorting permutation."""
+    q = a.size
+    table = even_principal_pfaffians(a)
+    mask = data.draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    keep = [i for i, kept in enumerate(mask, start=1) if kept]
+    face = a.remove_indices([i for i in range(1, q + 1) if i not in keep])
+    assert even_principal_pfaffians(face) == {
+        tuple(keep.index(i) + 1 for i in s): v for s, v in table.items() if set(s) <= set(keep)}
+    perm = PermutationMap(data.draw(st.permutations(range(1, q + 1))))
+    relabeled = even_principal_pfaffians(a.permuted(perm))
+    for s, v in relabeled.items():
+        images = [perm(i) for i in s]
+        inversions = sum(x > y for x, y in combinations(images, 2))
+        want = table[tuple(sorted(images))]
+        assert v == (-want if inversions % 2 else want)
 
 
 def test_remove_indices():

@@ -7,7 +7,7 @@ from skewplus.errors import BadRange, EvenSize, InternalInvariant, Singular
 from skewplus.fields import PRIME, Field
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import SkewMatrix, SkewPlusMatrix, is_skew_plus, random_skew_plus
-from skewplus.sections import section_V, section_v_det1
+from skewplus.sections import _solve_pairings, section_V, section_v_det1
 from skewplus.symplectic import SymplecticSpace, pad_vector, pairing, psi_matrix
 from skewplus.unimod import is_nondeg_unimodular
 
@@ -120,6 +120,66 @@ def certified(draw):
 @given(certified())
 def test_sections_property_against_oracle(case):
     check_against_oracle(*case)
+
+
+# -- the substitution against the Scalar loop it replaced -----------------
+
+def solve_pairings_oracle(vectors, values, field):
+    """sections._solve_pairings in Scalar arithmetic: the forward
+    substitution u_i = (a_i - sum_{j<i} v_i[j] u_j) / v_i[i], one Scalar
+    multiply-add per term, then w = (-u_2, u_1, -u_4, u_3, ...)."""
+    u = []
+    for i, (v, a) in enumerate(zip(vectors, values)):
+        if v[i].is_zero():
+            raise InternalInvariant(
+                "prefix Gram matrix is singular despite the certificate")
+        for x, y in zip(v, u):
+            a = a - x * y
+        u.append(a / v[i])
+    if len(u) % 2 == 1:
+        u.append(field.zero())
+    return tuple(x for k in range(0, len(u), 2) for x in (-u[k + 1], u[k]))
+
+
+def entries(field):
+    """Scalars of `field`, zero among them."""
+    if field == Q:
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    elif field.kind == PRIME:
+        entry = st.integers(0, field.p - 1)
+    else:
+        coeffs = st.lists(st.integers(0, field.p - 1), max_size=3)
+        entry = st.tuples(coeffs.map(tuple), coeffs.map(lambda c: tuple(c[:1]) + (1,)))
+    return entry.map(field.scalar)
+
+
+@st.composite
+def triangular_systems(draw):
+    """(field, vectors, values): v_i in span(e_1..e_i) with a nonzero i-th
+    coordinate, followed by up to two coordinates the solve does not read."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    count = draw(st.integers(0, 9))
+    entry = entries(field)
+    vectors = [tuple(draw(st.lists(entry, min_size=i, max_size=i)))
+               + (draw(entry.filter(lambda x: not x.is_zero())),)
+               + tuple(draw(st.lists(entry, max_size=2)))
+               for i in range(count)]
+    return field, vectors, draw(st.lists(entry, min_size=count, max_size=count))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(triangular_systems())
+def test_solve_pairings_property_against_oracle(system):
+    field, vectors, values = system
+    w = _solve_pairings(vectors, values, field)
+    assert w == solve_pairings_oracle(vectors, values, field)
+    assert len(w) == len(vectors) + len(vectors) % 2
+
+
+def test_solve_pairings_rejects_a_zero_pivot():
+    one, zero = Q.one(), Q.zero()
+    with pytest.raises(InternalInvariant):
+        _solve_pairings([(one,), (one, zero)], [one, one], Q)
 
 
 def upper3(a, b, c):
