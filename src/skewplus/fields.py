@@ -10,6 +10,13 @@ Every value is canonical (fractions fully reduced with positive
 denominator, residues in 0..p-1, function-field elements reduced with
 monic denominator), so equality of scalars is plain structural equality
 and scalars can be used as dictionary keys.
+
+F_p(t) sums and products follow Henrici's rule (J. ACM 3, 1956, as in
+CPython's Fraction): the gcds are taken of the canonical operands' parts, so
+none is taken of the full products.  Gcds run Euclid's remainder sequence
+in place.  Two polynomials of at least 6 coefficients each multiply by
+Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009): each is packed in
+byte slots into one int, and one big-int product gives all coefficients.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from array import array
 from fractions import Fraction
 from functools import partial
 
@@ -63,9 +72,9 @@ def poly_trim(coeffs, p):
 
 
 def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)], p)
+    if len(a) < len(b):
+        a, b = b, a
+    return poly_trim([*map(operator.add, a, b), *a[len(b):]], p)
 
 
 def poly_neg(a, p):
@@ -76,16 +85,44 @@ def poly_sub(a, b, p):
     return poly_add(a, poly_neg(b, p), p)
 
 
+# Kronecker products against the schoolbook loop (2 CPUs, Python 3.11, equal
+# lengths, p = 3 and 1000003): 0.7x at length 5, 1.1-1.2x at 6, 3x at 12, 4x
+# at 20, 13x at 80.  Slots are little-endian, as int.from_bytes reads them.
+_KRONECKER_MIN = 6
+_SLOTS = tuple((array(c).itemsize, c) for c in "BHIQ") if sys.byteorder == "little" else ()
+
+
+def _kronecker(pairs, p):
+    """sum a*b over pairs of nonzero polynomials, or None if no slot fits."""
+    bound = sum(min(len(a), len(b)) * max(a) * max(b) for a, b in pairs)
+    for width, code in _SLOTS:
+        if bound < 1 << 8 * width:
+            break
+    else:
+        return None
+    total = sum(int.from_bytes(array(code, a).tobytes(), "little")
+                * int.from_bytes(array(code, b).tobytes(), "little") for a, b in pairs)
+    n = max(len(a) + len(b) for a, b in pairs) - 1
+    return poly_trim(memoryview(total.to_bytes(n * width, "little")).cast(code), p)
+
+
+def _schoolbook(out, a, b):
+    """Add the coefficient products of a*b into out, unreduced."""
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, start=i):
+                out[k] += x * y
+    return out
+
+
 def poly_mul(a, b, p):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out, p)
+    if min(len(a), len(b)) >= _KRONECKER_MIN:
+        out = _kronecker(((a, b),), p)
+        if out is not None:
+            return out
+    return poly_trim(_schoolbook([0] * (len(a) + len(b) - 1), a, b), p)
 
 
 def poly_divmod(a, b, p):
@@ -106,12 +143,20 @@ def poly_divmod(a, b, p):
 
 
 def poly_gcd(a, b, p):
-    while b:
-        a, b = b, poly_divmod(a, b, p)[1]
-    if a:
-        inv_lead = pow(a[-1], -1, p)
-        a = tuple(x * inv_lead % p for x in a)
-    return a
+    """The monic gcd, by Euclid's remainder sequence in place on lists."""
+    r, s = (list(a), list(b)) if len(a) >= len(b) else (list(b), list(a))
+    while len(s) > 1:
+        inv, m = pow(s[-1], -1, p), len(s) - 1
+        for i in range(len(r) - 1, m - 1, -1):
+            c = r[i] * inv % p
+            if c:
+                for j, y in enumerate(s, i - m):
+                    r[j] -= c * y
+        r, s = s, list(poly_trim(r[:m], p))
+    if s:
+        return (1,)
+    inv = pow(r[-1], -1, p) if r else 0
+    return tuple(x * inv % p for x in r)
 
 
 def poly_to_str(a):
@@ -350,13 +395,9 @@ def _canonical_ratio(num, den, p):
         raise DivisionByZero("zero denominator in function field element")
     if not num:
         return ((), (1,))
-    g = poly_gcd(num, den, p)
-    num = poly_divmod(num, g, p)[0]
-    den = poly_divmod(den, g, p)[0]
-    inv_lead = pow(den[-1], -1, p)
-    num = tuple(x * inv_lead % p for x in num)
-    den = tuple(x * inv_lead % p for x in den)
-    return (num, den)
+    # the gcd times den's leading coefficient leaves a monic denominator
+    g = tuple(x * den[-1] % p for x in poly_gcd(num, den, p))
+    return (poly_divmod(num, g, p)[0], poly_divmod(den, g, p)[0])
 
 
 class Scalar:
@@ -403,10 +444,22 @@ class Scalar:
             return Scalar(self.field, self.value + other.value)
         if k == PRIME:
             return Scalar(self.field, (self.value + other.value) % self.field.p)
-        p = self.field.p
-        (n1, d1), (n2, d2) = self.value, other.value
-        num = poly_add(poly_mul(n1, d2, p), poly_mul(n2, d1, p), p)
-        return Scalar(self.field, _canonical_ratio(num, poly_mul(d1, d2, p), p))
+        # Henrici's rule: with g = gcd(d1, d2), s = d1/g, u = d2/g and
+        # t = n1 u + n2 s, only g2 = gcd(t, g) cancels from t / (g s u), so
+        # the sum is (t/g2, s (d2/g2)); for g = 1 it is the plain cross sum
+        (n1, d1), (n2, d2), p = self.value, other.value, self.field.p
+        if not n1 or not n2:
+            return self if n1 else other
+        g = d1 if d1 == d2 else poly_gcd(d1, d2, p)
+        if g == (1,):
+            return Scalar(self.field, (poly_add(poly_mul(n1, d2, p), poly_mul(n2, d1, p), p),
+                                       poly_mul(d1, d2, p)))
+        s, u = poly_divmod(d1, g, p)[0], poly_divmod(d2, g, p)[0]
+        t = poly_add(poly_mul(n1, u, p), poly_mul(n2, s, p), p)
+        g2 = poly_gcd(t, g, p)
+        if g2 != (1,):
+            t, d2 = poly_divmod(t, g2, p)[0], poly_divmod(d2, g2, p)[0]
+        return Scalar(self.field, (t, poly_mul(s, d2, p)))
 
     __radd__ = __add__
 
@@ -439,10 +492,17 @@ class Scalar:
             return Scalar(self.field, self.value * other.value)
         if k == PRIME:
             return Scalar(self.field, (self.value * other.value) % self.field.p)
-        p = self.field.p
-        (n1, d1), (n2, d2) = self.value, other.value
-        return Scalar(self.field,
-                      _canonical_ratio(poly_mul(n1, n2, p), poly_mul(d1, d2, p), p))
+        # Henrici's rule: with g1 = gcd(n1, d2) and g2 = gcd(n2, d1), the
+        # product ((n1/g1)(n2/g2), (d1/g2)(d2/g1)) is already canonical
+        (n1, d1), (n2, d2), p = self.value, other.value, self.field.p
+        if not n1 or not n2:
+            return other if n1 else self
+        g1, g2 = poly_gcd(n1, d2, p), poly_gcd(n2, d1, p)
+        if g1 != (1,):
+            n1, d2 = poly_divmod(n1, g1, p)[0], poly_divmod(d2, g1, p)[0]
+        if g2 != (1,):
+            n2, d1 = poly_divmod(n2, g2, p)[0], poly_divmod(d1, g2, p)[0]
+        return Scalar(self.field, (poly_mul(n1, n2, p), poly_mul(d1, d2, p)))
 
     __rmul__ = __mul__
 
@@ -592,7 +652,9 @@ class ResidueRing(IntegerRing):
 
 
 class PolynomialRing:
-    """F_p[t], for F_p(t); elements are trimmed coefficient tuples."""
+    """F_p[t], for F_p(t); elements are trimmed coefficient tuples.  Long
+    products and dot products go by Kronecker substitution, at least
+    _KRONECKER_MIN = 6 coefficients in every factor."""
 
     zero, one = (), (1,)
 
@@ -605,18 +667,19 @@ class PolynomialRing:
         self.neg = partial(poly_neg, p=p)
 
     def dot(self, x, y):
-        """sum_k x[k] y[k], the coefficient products summed as plain ints
-        and reduced mod p once."""
-        out = []
-        for a, b in zip(x, y):
-            if not a or not b:
-                continue
-            if len(out) < len(a) + len(b) - 1:
-                out.extend([0] * (len(a) + len(b) - 1 - len(out)))
-            for i, u in enumerate(a):
-                if u:
-                    for k, v in enumerate(b, start=i):
-                        out[k] += u * v
+        """sum_k x[k] y[k], reduced mod p once: by Kronecker substitution
+        when every nonzero pair has both factors at least _KRONECKER_MIN
+        long, else the coefficient products summed as plain ints."""
+        pairs = [(a, b) for a, b in zip(x, y) if a and b]
+        if not pairs:
+            return ()
+        if min(min(len(a), len(b)) for a, b in pairs) >= _KRONECKER_MIN:
+            out = _kronecker(pairs, self.field.p)
+            if out is not None:
+                return out
+        out = [0] * (max(len(a) + len(b) for a, b in pairs) - 1)
+        for a, b in pairs:
+            _schoolbook(out, a, b)
         return poly_trim(out, self.field.p)
 
     def clear(self, rows):

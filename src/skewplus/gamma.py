@@ -153,16 +153,16 @@ def _oracle_canonical(a: SkewPlusMatrix, betas=None) -> Scalar:
     v1, v2, v3 = tri.vectors          # tuples in R^4, last coordinate 0
 
     # for each r, the two remaining vectors of the length-5 sequence with
-    # Gram equal to the r-th face of a: (x, 0, z) has the pairings
-    # a_{1..3,col} against v1, v2, v3, and d fills the third coordinate
+    # Gram equal to the r-th face of a: (x, 0, z) has the pairings a_{1..3,col}
+    # against v1, v2, v3, z is Pf(a without the other two), d fills the rest
     built = {col: _solve_pairings(tri.vectors, [a.entry(i, col) for i in (1, 2, 3)], field)
              for col in idx}
+    if any(built[col][3] != pf[tuple(set(idx) - {col})] for col in idx):
+        raise InternalInvariant("last coordinate does not match its Pfaffian")
     u_vecs = {}
     for r in idx:
         s, t = sorted(set(idx) - {r})
         z_s, z_t = built[s][3], built[t][3]
-        if z_s != pf[r, t] or z_t != pf[r, s]:
-            raise InternalInvariant("last coordinate does not match its Pfaffian")
         d_t = betas[r]
         d_s = (a.entry(s, t) - pairing(built[s][:2], built[t][:2]) + z_s * d_t) / z_t
         u_vecs[r] = {col: built[col][:2] + (d, built[col][3])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import DivisionByZero, FieldMismatch, ParseError, SamplerExhausted
-from skewplus.fields import PRIME, Field, parse_scalar, sample_until, specialize
+from skewplus.fields import (_KRONECKER_MIN, PRIME, Field, Scalar, parse_scalar, poly_divmod,
+                             poly_gcd, poly_mul, poly_trim, sample_until, specialize)
 
 FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
@@ -204,3 +205,200 @@ def test_sample_until_exhausts_after_max_attempts():
     with pytest.raises(SamplerExhausted, match="no lucky draw found in 21 attempts"):
         sample_until(lambda x: False, draws.append, 21, "lucky draw")
     assert len(draws) == 21
+
+
+# ---------------------------------------------------------------------------
+# F_p(t) arithmetic against the routines it replaced
+# ---------------------------------------------------------------------------
+
+def poly_mul_oracle(a, b, p):
+    """The schoolbook product."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out, p)
+
+
+def dot_oracle(x, y, p):
+    """sum_k x[k] y[k], the coefficient products summed as plain ints."""
+    out = []
+    for a, b in zip(x, y):
+        if not a or not b:
+            continue
+        if len(out) < len(a) + len(b) - 1:
+            out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+        for i, u in enumerate(a):
+            for k, v in enumerate(b, start=i):
+                out[k] += u * v
+    return poly_trim(out, p)
+
+
+def gcd_oracle(a, b, p):
+    """The monic gcd by Euclid on poly_divmod."""
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    if a:
+        inv_lead = pow(a[-1], -1, p)
+        a = tuple(x * inv_lead % p for x in a)
+    return a
+
+
+def scalar_oracle(op, x, y):
+    """x + y or x * y over F_p(t): the full cross products, reduced by one
+    gcd to a monic denominator."""
+    p = x.field.p
+    (n1, d1), (n2, d2) = x.value, y.value
+    num = dot_oracle([n1, n2], [d2, d1], p) if op == "add" else poly_mul_oracle(n1, n2, p)
+    den = poly_mul_oracle(d1, d2, p)
+    if not num:
+        return Scalar(x.field, ((), (1,)))
+    g = gcd_oracle(num, den, p)
+    num, den = poly_divmod(num, g, p)[0], poly_divmod(den, g, p)[0]
+    inv_lead = pow(den[-1], -1, p)
+    return Scalar(x.field, (tuple(c * inv_lead % p for c in num),
+                            tuple(c * inv_lead % p for c in den)))
+
+
+# the last prime needs more than an 8-byte slot, so its long products fall
+# back to the schoolbook loop
+ORACLE_PRIMES = [2, 3, 7, 1000003, 2 ** 61 - 1]
+
+
+@st.composite
+def polys(draw, p, max_len=80, min_len=0):
+    """Trimmed polynomials, heavy in zeros and in the top coefficient p - 1,
+    the one that fills a slot."""
+    coeff = st.one_of(st.integers(0, p - 1), st.sampled_from([0, p - 1]))
+    return poly_trim(draw(st.lists(coeff, min_size=min_len, max_size=max_len)), p)
+
+
+@st.composite
+def poly_pairs(draw, max_len=80):
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    return p, draw(polys(p, max_len)), draw(polys(p, max_len))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(poly_pairs())
+def test_poly_mul_matches_schoolbook(case):
+    p, a, b = case
+    assert poly_mul(a, b, p) == poly_mul_oracle(a, b, p)
+
+
+@pytest.mark.parametrize("p, c, length", [
+    (3, 2, 63), (3, 2, 64), (3, 2, 65),                # 1 | 2 bytes at 4 * 64 = 256
+    (1000003, 31, 64), (1000003, 32, 64),            # 2 | 4 bytes at 2^16
+    (1000003, 8191, 64), (1000003, 8192, 64),        # 4 | 8 bytes at 2^32
+    (2 ** 61 - 1, 2 ** 29 - 1, 64), (2 ** 61 - 1, 2 ** 29, 64),  # 8 bytes | schoolbook
+    (7, 6, 5), (7, 6, 6),                            # below | at the threshold
+])
+def test_poly_mul_on_both_sides_of_every_slot_boundary(p, c, length):
+    """The middle coefficient of (c + ... + c t^(L-1))^2 is L c^2, exactly
+    the slot bound, so a slot one byte too narrow loses its top bits."""
+    a = (c,) * length
+    assert poly_mul(a, a, p) == poly_mul_oracle(a, a, p)
+    assert poly_mul(a, a[:-1] + (1,), p) == poly_mul_oracle(a, a[:-1] + (1,), p)
+
+
+def test_poly_mul_rejects_a_negative_coefficient():
+    with pytest.raises(OverflowError):
+        poly_mul((1,) * 5 + (-1,), (1,) * 6, 3)
+
+
+@st.composite
+def dot_cases(draw):
+    """Up to 6 pairs, all of them past the threshold in about half the cases."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    poly = polys(p, 40, min_len=draw(st.sampled_from([0, _KRONECKER_MIN])))
+    return p, draw(st.lists(st.tuples(poly, poly), max_size=6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dot_cases())
+def test_dot_matches_oracle(case):
+    p, pairs = case
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    assert Field.function_field(p).ring().dot(x, y) == dot_oracle(x, y, p)
+
+
+@pytest.mark.parametrize("c", [31, 32, 8191, 8192])
+def test_dot_slot_holds_the_sum_of_the_pair_bounds(c):
+    """Two products of length-32 constants sum to 64 c^2 in the middle,
+    across 2^16 between c = 31 and 32 and across 2^32 between c = 8191 and
+    8192, where one product alone, 32 c^2, still fits the narrower slot."""
+    p = 1000003
+    x = [(c,) * 32] * 2
+    assert Field.function_field(p).ring().dot(x, x) == dot_oracle(x, x, p)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(ORACLE_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), polys(p, 12), polys(p, 12), polys(p, 6))))
+def test_gcd_matches_oracle(case):
+    """a g and b g share at least the factor g, zeros included."""
+    p, a, b, g = case
+    a, b = poly_mul_oracle(a, g, p), poly_mul_oracle(b, g, p)
+    for x, y in ((a, b), (b, a), (a, ()), ((), b), ((), ())):
+        assert poly_gcd(x, y, p) == gcd_oracle(x, y, p)
+
+
+FPT_FIELDS = [Field.function_field(p) for p in ORACLE_PRIMES]
+PAIR_KINDS = ("product", "sum", "cancel")
+
+
+def shared_factor_pair(field, kind, n1, n2, z, d1, d2, c1, c2):
+    """x = n1 c1 / (d1 c2) and a y sharing factors with it: for "product",
+    y = n2 c2 / (d2 c1), so x y cancels c1 and c2 (g1, g2 != 1); for "sum",
+    y = n2 / (d2 c2), so the denominators share c2 (g != 1); for "cancel",
+    y = z / d2 - x, so x + y cancels part of x's denominator (g2 != 1)."""
+    p = field.p
+    d1, d2, c1, c2 = (d or (1,) for d in (d1, d2, c1, c2))
+    x = field.scalar((poly_mul_oracle(n1, c1, p), poly_mul_oracle(d1, c2, p)))
+    if kind == "product":
+        return x, field.scalar((poly_mul_oracle(n2, c2, p), poly_mul_oracle(d2, c1, p)))
+    if kind == "sum":
+        return x, field.scalar((n2, poly_mul_oracle(d2, c2, p)))
+    return x, scalar_oracle("add", field.scalar((z, d2)), -x)
+
+
+@st.composite
+def fpt_pairs(draw):
+    field = draw(st.sampled_from(FPT_FIELDS))
+    parts = [draw(polys(field.p, 5)) for _ in range(7)]
+    return shared_factor_pair(field, draw(st.sampled_from(PAIR_KINDS)), *parts)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(fpt_pairs())
+def test_scalar_add_and_mul_match_oracle(case):
+    x, y = case
+    for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, x.field.zero())):
+        for op, got in (("add", a + b), ("mul", a * b)):
+            want = scalar_oracle(op, a, b)
+            assert got == want and got.value == want.value
+            num, den = got.value
+            assert den[-1] == 1 and gcd_oracle(num, den, x.field.p) == (1,)
+
+
+def test_shared_factor_pairs_reach_every_cancellation():
+    """Seeded pairs over F_3(t) reach g1 != 1 and g2 != 1 in products, and
+    g = gcd(d1, d2) != 1 in sums both with g2 = gcd(t, g) = 1 and != 1."""
+    rng = random.Random(7)
+    F, p, seen = Field.function_field(3), 3, set()
+    for kind in PAIR_KINDS * 30:
+        parts = [F.sample(rng, 6).value[0] for _ in range(7)]
+        x, y = shared_factor_pair(F, kind, *parts)
+        (n1, d1), (n2, d2) = x.value, y.value
+        if n1 and n2:
+            seen.add(("g1", gcd_oracle(n1, d2, p) != (1,)))
+            seen.add(("g2 of a product", gcd_oracle(n2, d1, p) != (1,)))
+            g = gcd_oracle(d1, d2, p)
+            if g != (1,):
+                s, u = poly_divmod(d1, g, p)[0], poly_divmod(d2, g, p)[0]
+                seen.add(("g2 of a sum", gcd_oracle(dot_oracle([n1, n2], [u, s], p), g, p) != (1,)))
+        assert x + y == scalar_oracle("add", x, y) and x * y == scalar_oracle("mul", x, y)
+    assert seen == {(name, hit) for name in ("g1", "g2 of a product", "g2 of a sum")
+                    for hit in (False, True)}
