@@ -52,7 +52,6 @@ def _fail(report, case, expected, got):
 def suite_pfaffian(field: Field, rng, trials: int = 500, dw_trials: int = 200):
     """Pfaffian identities on random skew matrices, plus the three-term
     minor identity on certified ones."""
-    start = time.monotonic()
     rep = Report(check="pfaffian:identities", field=field.flag(), trials=trials)
     for n in range(1, 21):
         psi = SkewMatrix.from_matrix(symplectic.psi_matrix(field, 2 * n))
@@ -73,9 +72,8 @@ def suite_pfaffian(field: Field, rng, trials: int = 500, dw_trials: int = 200):
         c = field.sample(rng, 6)
         if pf_eliminate(a.scale(c)) != c ** (q // 2) * pf:
             _fail(rep, f"trial {i}: scaling", "equal", "mismatch")
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
 
-    start = time.monotonic()
     dw = Report(check="pfaffian:dress-wenzel", field=field.flag(), trials=dw_trials)
     for i in range(dw_trials):
         n = rng.choice([2, 3])
@@ -85,7 +83,7 @@ def suite_pfaffian(field: Field, rng, trials: int = 500, dw_trials: int = 200):
         triple = sorted(rng.sample(others, 3))
         if not dress_wenzel_holds(a, p, triple):
             _fail(dw, f"trial {i}: n={n} triple={triple}", "identity", "mismatch")
-    dw.elapsed_ms = int((time.monotonic() - start) * 1000)
+    dw.stop()
     # a part asked for zero trials is left out rather than reported as failed
     return [r for r in (rep, dw) if r.trials]
 
@@ -110,7 +108,6 @@ def dress_wenzel_holds(a, p: int, triple) -> bool:
 def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
     """Gram round trips plus stability, face compatibility, and the
     determinant-1 triangular variant."""
-    start = time.monotonic()
     rep = Report(check="sections:roundtrip", field=field.flag(), trials=trials)
     for two_n in (2, 4, 6, 8):
         for q in range(0, two_n + 2):
@@ -119,9 +116,8 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
                 seq = sections.section_V(q, two_n, a)
                 if seq.gram() != a.inner:
                     _fail(rep, f"2n={two_n} q={q} trial {i}", "Gram round trip", "mismatch")
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
 
-    start = time.monotonic()
     stab = Report(check="sections:stability", field=field.flag(), trials=spot)
     for i in range(spot):
         two_n = 2 * rng.randint(1, 3)
@@ -144,9 +140,8 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
         dropped = sections.section_V(q - 1, two_n, a.remove_indices([q]))
         if seq.vectors[:-1] != dropped.vectors:
             _fail(stab, f"spot {i}", "face compatibility", "mismatch")
-    stab.elapsed_ms = int((time.monotonic() - start) * 1000)
+    stab.stop()
 
-    start = time.monotonic()
     det1 = Report(check="sections:det1", field=field.flag(), trials=spot)
     for i in range(spot):
         q = rng.choice([1, 3, 5, 7])
@@ -160,14 +155,13 @@ def suite_sections(field: Field, rng, trials: int = 100, spot: int = 50):
                 _fail(det1, f"spot {i}", f"column {col} in span(e1..e{col})", "violated")
         if seq.gram() != a.inner:
             _fail(det1, f"spot {i}", "Gram round trip", "mismatch")
-    det1.elapsed_ms = int((time.monotonic() - start) * 1000)
+    det1.stop()
     return [rep, stab, det1]
 
 
 def suite_witt(field: Field, rng, trials: int = 100):
     """Random Gram-matching pairs extend to group elements restricting
     exactly to the prescribed map."""
-    start = time.monotonic()
     rep = Report(check="witt:extension", field=field.flag(), trials=trials)
     for i in range(trials):
         two_n = 2 * rng.randint(1, 4)
@@ -190,13 +184,12 @@ def suite_witt(field: Field, rng, trials: int = 100):
             if g.apply(x) != y:
                 _fail(rep, f"trial {i}", "exact restriction", "violated")
                 break
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
     return [rep]
 
 
 def suite_complexes(field: Field, rng, trials: int = 200, cycles: int = 100):
     """d o d = 0 on random generators and both contracting homotopies."""
-    start = time.monotonic()
     rep = Report(check="complexes:dd-zero", field=field.flag(), trials=trials)
     for i in range(trials):
         two_n = rng.choice([2, 4])
@@ -209,9 +202,8 @@ def suite_complexes(field: Field, rng, trials: int = 200, cycles: int = 100):
         sk = random_skew_plus(field, qs, rng)
         if not chains.boundary(chains.boundary(chains.FormalSum.generator(sk))).is_zero():
             _fail(rep, f"skew trial {i}", "d d = 0", "violated")
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
 
-    start = time.monotonic()
     hom = Report(check="complexes:contractions", field=field.flag(), trials=cycles)
     for i in range(cycles):
         # sequence complex: a cycle built as a boundary of a random chain
@@ -236,14 +228,13 @@ def suite_complexes(field: Field, rng, trials: int = 200, cycles: int = 100):
         eta = unimod.contract_cycle_skew(xi, rng)
         if chains.diff_skew(eta) != xi:
             _fail(hom, f"skew cycle {i}", "d(eta) = xi", "violated")
-    hom.elapsed_ms = int((time.monotonic() - start) * 1000)
+    hom.stop()
     return [rep, hom]
 
 
 def suite_appendix(field: Field, rng, trials: int = 100):
     """The three published 20-row tables plus the seven-term certificate."""
     reports = gamma.verify_appendix(["rows", "corner", "woven"], trials, rng, field)
-    start = time.monotonic()
     cert = Report(check="appendix:seven-term-certificate", field=field.flag(),
                   trials=trials)
     for i in range(trials):
@@ -255,14 +246,13 @@ def suite_appendix(field: Field, rng, trials: int = 100):
                 "triple": None,
                 "specialization": {k: v.literal() for k, v in values.items()},
                 "expected": "certificate match", "got": "mismatch"})
-    cert.elapsed_ms = int((time.monotonic() - start) * 1000)
+    cert.stop()
     return reports + [cert]
 
 
 def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
     """Oracle against ratio on every triple of random certified matrices,
     plus independence from the free parameters."""
-    start = time.monotonic()
     rep = Report(check="gamma:oracle-vs-ratio", field=field.flag(),
                  trials=matrices * 20)
     for i in range(matrices):
@@ -282,13 +272,12 @@ def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
             rep.failures.append({
                 "triple": list(triple), "specialization": {"betas": "random"},
                 "expected": "independence", "got": "dependence"})
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
     return [rep]
 
 
 def suite_units(field: Field, rng, searches: int = 10):
     """Unit searches: inverse triples and both w-witness variants."""
-    start = time.monotonic()
     rep = Report(check="units:searches", field=field.flag(), trials=searches)
     for i in range(searches):
         try:
@@ -304,13 +293,12 @@ def suite_units(field: Field, rng, searches: int = 10):
                     _fail(rep, f"{variant} {i}", "constraints", "violated")
         except SkewplusError as exc:
             _fail(rep, f"search {i}", "success", repr(exc))
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
     return [rep]
 
 
 def suite_sm(field: Field, rng, max_m: int = 12):
     """The alternating partial-sum elements for m = 1..max_m."""
-    start = time.monotonic()
     rep = Report(check="sm:construction", field=field.flag(), trials=max_m)
     for m in range(1, max_m + 1):
         try:
@@ -327,7 +315,7 @@ def suite_sm(field: Field, rng, max_m: int = 12):
                     _fail(rep, f"m={m}", "nonzero partial sums", "zero sum")
         if sm.augmentation() != 1:
             _fail(rep, f"m={m}", "augmentation 1", sm.augmentation())
-    rep.elapsed_ms = int((time.monotonic() - start) * 1000)
+    rep.stop()
     return [rep]
 
 
@@ -353,7 +341,10 @@ SUITES = {
 
 def _load_matrix(path: str):
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ParseError(f"unreadable JSON in {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("a matrix file holds one JSON object")
     try:

@@ -103,11 +103,6 @@ def check_certificate(target: FormalSum, certificate, n: int) -> bool:
 # the oracle
 # ---------------------------------------------------------------------------
 
-def swap_adjacent(a: SkewPlusMatrix, k: int) -> SkewPlusMatrix:
-    """Relabel by exchanging indices k and k+1 (rows and columns together)."""
-    return a.permuted(PermutationMap.transposition(a.size, k, k + 1))
-
-
 def reduce_to_canonical(a: SkewPlusMatrix, triple):
     """Relabel the matrix so that the triple becomes (2n, 2n+1, 2n+2) and
     the other indices keep their order: one permutation, the composite of
@@ -551,13 +546,18 @@ def sample_family_values(name: str, field: Field, rng) -> dict:
 
 @dataclass
 class Report:
-    """Outcome of one verification check, JSON-serializable."""
+    """Outcome of one verification check, JSON-serializable.  Its clock
+    starts when it is made; `stop` sets elapsed_ms."""
 
     check: str
     field: str
     trials: int
     failures: list = dc_field(default_factory=list)
     elapsed_ms: int = 0
+    _start: float = dc_field(default_factory=time.monotonic, init=False, repr=False, compare=False)
+
+    def stop(self):
+        self.elapsed_ms = int((time.monotonic() - self._start) * 1000)
 
     @property
     def passed(self) -> bool:
@@ -589,7 +589,6 @@ def verify_appendix(families, trials: int, rng, field: Field | None = None) -> l
     reports = []
     for name in families:
         fam = FAMILIES[name]
-        start = time.monotonic()
         report = Report(check=f"appendix:{name}", field=field.flag(), trials=trials)
         for _ in range(trials):
             values = sample_family_values(name, field, rng)
@@ -627,7 +626,7 @@ def verify_appendix(families, trials: int, rng, field: Field | None = None) -> l
                     report.failures.append({
                         "triple": None, "specialization": spec_lit,
                         "expected": "collected seven-term sum", "got": "mismatch"})
-        report.elapsed_ms = int((time.monotonic() - start) * 1000)
+        report.stop()
         reports.append(report)
     return reports
 

@@ -14,8 +14,8 @@ even-sized principal submatrices are all invertible, or equivalently all
 have nonzero Pfaffian.  These are exactly the Gram matrices of the
 non-degenerate vector sequences the rest of the library works with, and
 the certificate is inherited by principal submatrices.  It keeps its
-witness, the table of all even principal Pfaffians, so later questions
-about principal or bordered Pfaffians are lookups against the table.
+witness, the table of all even principal Pfaffians, in the ring; the
+last-column expansion above builds it and answers every bordered test.
 """
 
 from __future__ import annotations
@@ -288,13 +288,12 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     return result if sign == 1 else -result
 
 
-def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> dict:
+def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> "PfaffianTable":
     """Pfaffians of all even-sized principal submatrices (up to `max_size`,
-    if given), keyed by the sorted index tuple.  One bottom-up sweep over
-    index subsets, each expanded along its last column against the
-    smaller entries of the table, in the ring of `Field.ring()` on the
-    upper triangle cleared by one L: the entry for an index set of size 2k
-    is L^k Pf, one dot product, reduced once to its scalar."""
+    if given).  One bottom-up sweep over index subsets in the ring of
+    `Field.ring()`, on the upper triangle cleared by one L: each set is
+    expanded along its last column against the smaller entries, so the
+    entry for an index set of size 2k is L^k Pf."""
     a = _unwrap(a)
     q = a.size
     top = q if max_size is None else min(q, max_size)
@@ -303,41 +302,51 @@ def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) ->
     # signed[j-1][i-1] is (L a_ij, -L a_ij): the sign follows the position
     signed = [[(x, ring.neg(x)) for x in (upper[i][j - i - 1] for i in range(j))]
               for j in range(q)]
-    table = {(): ring.one}
+    raw = {(): ring.one}
     for size in range(2, top + 1, 2):
         for s in combinations(range(1, q + 1), size):
-            rest, column = s[:-1], signed[s[-1] - 1]
-            table[s] = ring.dot([column[i - 1][pos & 1] for pos, i in enumerate(rest)],
-                                [table[rest[:pos] + rest[pos + 1:]] for pos in range(size - 1)])
-    return {s: ring.to_scalar(x, scale, len(s) // 2) for s, x in table.items()}
+            raw[s] = _expand(ring, signed[s[-1] - 1], s[:-1], raw)
+    return PfaffianTable(ring, scale, raw)
 
 
-def _bordered_pf(table, column, s, zero) -> Scalar:
-    """Pf of the principal submatrix on the odd index tuple s, bordered by
-    a last index whose entry against i is column[i-1]:
-    sum_pos (-1)^pos column[s[pos]] table[s minus s[pos]]."""
-    total = zero
-    for pos, i in enumerate(s):
-        coeff = column[i - 1]
-        if not coeff.is_zero():
-            term = coeff * table[s[:pos] + s[pos + 1:]]
-            total = total + term if pos % 2 == 0 else total - term
-    return total
+def _expand(ring, signed, s, raw):
+    """The Pfaffian on the odd index tuple s plus a last index with column
+    c, signed[i-1] = (c_i, -c_i): sum_pos (-1)^pos c_{s[pos]} raw[s minus
+    s[pos]] in the ring.  The table sweep and every bordered test run it."""
+    return ring.dot([signed[i - 1][pos & 1] for pos, i in enumerate(s)],
+                    [raw[s[:pos] + s[pos + 1:]] for pos in range(len(s))])
 
 
-def bordered_pfaffians_nonzero(table: dict, border, max_size: int) -> bool:
-    """Whether every Pfaffian through the border stays nonzero.
+class PfaffianTable:
+    """Even principal Pfaffians of a skew matrix A as the ring sweep leaves
+    them: raw[s] = L^k Pf(A on s) for a sorted index tuple s of size 2k,
+    L = scale the nonzero ring element that cleared A's upper triangle.
+    Zero tests read raw; only an entry read as a scalar is reduced."""
 
-    `table` holds the even principal Pfaffians of a skew matrix A of size
-    q = len(border) up to size max_size - 1.  Each odd I in 1..q with
-    |I| <= max_size must give A bordered by the last column `border` a
-    nonzero Pfaffian on I plus the border index.
-    """
-    q = len(border)
-    zero = border[0].field.zero() if q else None
-    return all(not _bordered_pf(table, border, s, zero).is_zero()
-               for size in range(1, min(q, max_size) + 1, 2)
-               for s in combinations(range(1, q + 1), size))
+    __slots__ = ("ring", "scale", "raw")
+
+    def __init__(self, ring, scale, raw: dict):
+        self.ring, self.scale, self.raw = ring, scale, raw
+
+    def __getitem__(self, s) -> Scalar:
+        """Pf of the principal submatrix on the sorted index tuple s."""
+        return self.ring.to_scalar(self.raw[s], self.scale, len(s) // 2)
+
+    def all_nonzero(self) -> bool:
+        return all(self.raw.values())
+
+    def bordered_nonzero(self, border, max_size: int) -> bool:
+        """Whether A bordered by the last column `border` (q scalars) has a
+        nonzero Pfaffian on I plus the border index for each odd I in 1..q
+        with |I| <= max_size; the table must reach size max_size - 1.  The
+        border is cleared once, by some L_b: every term on I, |I| = 2k+1,
+        carries the same nonzero L_b L^k, so the ring value vanishes
+        exactly when the Pfaffian does."""
+        ring, q = self.ring, len(border)
+        signed = [(x, ring.neg(x)) for x in ring.clear([border])[1][0]]
+        return all(_expand(ring, signed, s, self.raw)
+                   for size in range(1, min(q, max_size) + 1, 2)
+                   for s in combinations(range(1, q + 1), size))
 
 
 def random_skew(field: Field, q: int, rng, bound: int = 9) -> SkewMatrix:
@@ -371,20 +380,20 @@ def is_skew_plus(a: "SkewMatrix") -> bool:
     Exhaustive over all even index subsets, so exponential in the size;
     fine for the sizes (q <= 12 or so) this library works at.
     """
-    return not any(v.is_zero() for v in even_principal_pfaffians(a).values())
+    return even_principal_pfaffians(a).all_nonzero()
 
 
 class SkewPlusMatrix:
-    """A skew matrix with its certificate: the table of its even principal
-    Pfaffians, all nonzero.  Certification keeps the table it computes;
-    trusted constructions (faces, relabelings) fill it on first use."""
+    """A skew matrix with its certificate: its PfaffianTable of even
+    principal Pfaffians, all nonzero.  Certification keeps the table it
+    computes; trusted constructions (faces, relabelings) fill it on first use."""
 
     __slots__ = ("inner", "_table", "_hash")
 
     def __init__(self, inner: SkewMatrix, _trusted: bool = False, _table=None):
         if not _trusted:
             _table = even_principal_pfaffians(inner)
-            if any(v.is_zero() for v in _table.values()):
+            if not _table.all_nonzero():
                 raise NotSkewPlus("a nonempty even principal submatrix is singular")
         self.inner = inner
         self._table = _table
@@ -395,7 +404,7 @@ class SkewPlusMatrix:
         return cls(inner)
 
     @property
-    def table(self) -> dict:
+    def table(self) -> PfaffianTable:
         """Pf of every even principal submatrix, keyed by sorted index tuple."""
         if self._table is None:
             self._table = even_principal_pfaffians(self.inner)

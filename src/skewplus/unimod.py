@@ -7,8 +7,8 @@ invertible.  Both are read off one table, the even principal Pfaffians
 of the whole sequence's Gram matrix up to size min(q, 2n): an even
 subsequence with invertible Gram is independent, and so is every part of
 it, which leaves only the whole sequence for q odd and below 2n to a rank
-check.  One more vector or border adds bordered Pfaffians, each a signed
-dot product against the same table.
+check.  The table stays in the ring and a checked sequence keeps it; one
+more vector or border adds bordered Pfaffians, by the table's expansion.
 
 A vector x is in good position with respect to a sequence v when (v, x)
 is again non-degenerate unimodular.  Over an infinite field the bad set
@@ -38,9 +38,9 @@ from .fields import Field
 from .fields import sample_until as _sampler_loop  # perfbench's tracer wraps it here
 from .matrices import Matrix
 from .pfaffian import (
+    PfaffianTable,
     SkewMatrix,
     SkewPlusMatrix,
-    bordered_pfaffians_nonzero,
     even_principal_pfaffians,
     pf_eliminate,  # noqa: F401  (perfbench's tracer test patches it here)
 )
@@ -57,12 +57,12 @@ class NonDegSeq:
 
     def __init__(self, space: SymplecticSpace, vectors, _trusted: bool = False):
         vectors = tuple(pad_vector(v, space.dim, space.field) for v in vectors)
-        if not _trusted and not is_nondeg_unimodular(vectors, space):
+        self._gram_table = None if _trusted else _member_table(vectors, space)
+        if not _trusted and self._gram_table is None:
             raise NotNonDegenerate("sequence fails the membership conditions")
         self.space = space
         self.vectors = vectors
         self._hash = None
-        self._gram_table = None
 
     @classmethod
     def empty(cls, space: SymplecticSpace) -> "NonDegSeq":
@@ -97,7 +97,7 @@ class NonDegSeq:
     def gram(self) -> SkewMatrix:
         return gram(self.vectors, self.space.field)
 
-    def gram_table(self) -> dict:
+    def gram_table(self) -> PfaffianTable:
         """Even principal Pfaffians of the Gram matrix up to size
         min(q, 2n), all nonzero by membership; computed once."""
         if self._gram_table is None:
@@ -143,16 +143,21 @@ def is_nondeg_unimodular(vectors, space: SymplecticSpace) -> bool:
     up to size min(q, 2n) is nonzero, and, when q is odd and below 2n,
     the whole sequence has rank q."""
     vectors = [pad_vector(v, space.dim, space.field) for v in vectors]
-    if any(v.is_zero() for v in _gram_table(vectors, space).values()):
-        return False
-    return _full_rank_if_odd(vectors, space)
+    return _member_table(vectors, space) is not None
 
 
-def _gram_table(vectors, space) -> dict:
+def _member_table(vectors, space) -> PfaffianTable | None:
+    """The Gram table of the padded `vectors` if they are members, else None."""
+    table = _gram_table(vectors, space)
+    return table if table.all_nonzero() and _full_rank_if_odd(vectors, space) else None
+
+
+def _gram_table(vectors, space) -> PfaffianTable:
     """Even principal Pfaffians of the Gram matrix up to size min(q, 2n)."""
     bound = min(len(vectors), space.dim)
     if bound < 2:
-        return {(): space.field.one()}
+        ring = space.field.ring()
+        return PfaffianTable(ring, ring.one, {(): ring.one})
     return even_principal_pfaffians(gram(vectors, space.field), bound)
 
 
@@ -175,7 +180,7 @@ def is_good_position(seq: NonDegSeq, x) -> bool:
     x = pad_vector(x, space.dim, space.field)
     max_size = min(seq.length + 1, space.dim) - 1
     border = [pairing(v, x) for v in seq.vectors] if max_size > 0 else []
-    if not bordered_pfaffians_nonzero(seq.gram_table(), border, max_size):
+    if not seq.gram_table().bordered_nonzero(border, max_size):
         return False
     return _full_rank_if_odd(seq.vectors + (x,), space)
 
@@ -235,7 +240,7 @@ def star_is_certified(a: SkewPlusMatrix, v) -> bool:
     v = [a.field.scalar(x) for x in v]
     if len(v) != a.size:
         raise ShapeMismatch("border vector has the wrong length")
-    return bordered_pfaffians_nonzero(a.table, v, a.size)
+    return a.table.bordered_nonzero(v, a.size)
 
 
 def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
@@ -248,12 +253,6 @@ def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
 
     return _sampler_loop(lambda v: star_is_certified(a, v), draw,
                          max_attempts, "certified border vector")
-
-
-def star_extend_certified(a: SkewPlusMatrix, v) -> SkewPlusMatrix:
-    if not star_is_certified(a, v):
-        raise ShapeMismatch("border vector does not certify")
-    return SkewPlusMatrix(a.inner.star_extend(v), _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +371,8 @@ def membership_witnesses(seq: NonDegSeq):
     m = Matrix.from_columns(seq.space.field, seq.vectors)
     rows = [i + 1 for i in m.transpose().pivot_columns()]
     cols = [j + 1 for j in m.pivot_columns()]
-    return list(seq.gram_table().values()) + [m.submatrix(rows, cols).det()]
+    table = seq.gram_table()
+    return [table[s] for s in table.raw] + [m.submatrix(rows, cols).det()]
 
 
 def specialize_seq(seq: NonDegSeq, t0):

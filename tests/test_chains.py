@@ -15,7 +15,7 @@ from skewplus.errors import SamplerExhausted, ShapeMismatch, ZeroUnit
 from skewplus.fields import Field
 from skewplus.pfaffian import SkewMatrix, SkewPlusMatrix, random_skew_plus
 from skewplus.symplectic import SymplecticSpace
-from skewplus.unimod import NonDegSeq, random_nondeg_seq, star_extend_certified
+from skewplus.unimod import NonDegSeq, random_nondeg_seq, star_is_certified
 
 Q = Field.rationals()
 
@@ -103,6 +103,14 @@ def test_six_face_terms():
     # six faces with alternating signs, generically distinct
     total = sum(abs(c) for _, c in d.items())
     assert total == 6
+
+
+def star_extend_certified(a, v):
+    """The extension of the certified matrix `a` by the border v, which
+    must certify."""
+    if not star_is_certified(a, v):
+        raise ShapeMismatch("border vector does not certify")
+    return SkewPlusMatrix(a.inner.star_extend(v), _trusted=True)
 
 
 def test_border_identity_low_degrees():

@@ -185,12 +185,14 @@ def _skew2(field, entries):
     _skew2("q", [["0", "1"], ["-1", "0"]]),
     _skew2({"kind": "rationals"}, [["0", "1 mod 5"], ["-1", "0"]]),
     _skew2({"kind": "rationals"}, [["0", "1/0"], ["-1", "0"]]),
+    b"\xff\xfe{}",
+    "[" * 100000 + "]" * 100000,
 ], ids=["array", "missing-entries", "entries-not-a-grid", "numeric-entries",
         "string-characteristic", "fractional-characteristic", "field-not-an-object",
-        "literal-of-another-field", "zero-denominator"])
+        "literal-of-another-field", "zero-denominator", "not-utf8", "nested-100000-deep"])
 def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     for command in ("pf", "gamma", "section"):
         assert run(["compute", command, "--input", str(path)]) == 2
         err = capsys.readouterr().err

@@ -25,17 +25,21 @@ from skewplus.gamma import (
     seven_term_relation,
     skew3,
     square_bracket,
-    swap_adjacent,
     unit_bracket,
     verify_appendix,
     zlinear_extension,
 )
-from skewplus.matrices import Matrix
+from skewplus.matrices import Matrix, PermutationMap
 from skewplus.pfaffian import pf_eliminate, random_skew_plus
 from skewplus.sections import section_v_det1
 from skewplus.symplectic import gram, pairing, psi_matrix
 
 Q = Field.rationals()
+
+
+def swap_adjacent(a, k):
+    """Relabel by exchanging indices k and k+1 (rows and columns together)."""
+    return a.permuted(PermutationMap.transposition(a.size, k, k + 1))
 
 
 def reduce_oracle(a, triple):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,6 @@ from skewplus.matrices import Matrix, PermutationMap
 from skewplus.pfaffian import (
     SkewMatrix,
     SkewPlusMatrix,
-    _bordered_pf,
     even_principal_pfaffians,
     is_skew_plus,
     pf_eliminate,
@@ -138,6 +138,24 @@ def test_eliminate_property_all_fields(a):
 
 # -- the certificate table against the Scalar sweep it replaced ------------
 
+def _bordered_pf(table, column, s, zero) -> Scalar:
+    """Pf of the principal submatrix on the odd index tuple s, bordered by
+    a last index whose entry against i is column[i-1], in Scalar
+    arithmetic: sum_pos (-1)^pos column[s[pos]] table[s minus s[pos]]."""
+    total = zero
+    for pos, i in enumerate(s):
+        coeff = column[i - 1]
+        if not coeff.is_zero():
+            term = coeff * table[s[:pos] + s[pos + 1:]]
+            total = total + term if pos % 2 == 0 else total - term
+    return total
+
+
+def scalars(table) -> dict:
+    """The Scalar view of a PfaffianTable, keyed by sorted index tuple."""
+    return {s: table[s] for s in table.raw}
+
+
 def table_oracle(a, max_size=None):
     """even_principal_pfaffians in Scalar arithmetic: each even index set
     expanded along its last column against the smaller entries, one
@@ -155,8 +173,10 @@ def table_oracle(a, max_size=None):
 
 def check_table(a, max_size=None):
     table = even_principal_pfaffians(a, max_size)
-    assert table == table_oracle(a, max_size)
-    assert all(type(v) is Scalar and v.field == a.field for v in table.values())
+    oracle = table_oracle(a, max_size)
+    assert scalars(table) == oracle
+    assert all(type(v) is Scalar and v.field == a.field for v in scalars(table).values())
+    assert table.all_nonzero() == all(not v.is_zero() for v in oracle.values())
 
 
 def test_table_matches_oracle(sparse_field):
@@ -182,19 +202,57 @@ def test_faces_and_relabelings_inherit_the_table(a, data):
     """A face's table is the parent's restricted and re-keyed; a
     relabeling's is the parent's times the sign of the sorting permutation."""
     q = a.size
-    table = even_principal_pfaffians(a)
+    table = scalars(even_principal_pfaffians(a))
     mask = data.draw(st.lists(st.booleans(), min_size=q, max_size=q))
     keep = [i for i, kept in enumerate(mask, start=1) if kept]
     face = a.remove_indices([i for i in range(1, q + 1) if i not in keep])
-    assert even_principal_pfaffians(face) == {
+    assert scalars(even_principal_pfaffians(face)) == {
         tuple(keep.index(i) + 1 for i in s): v for s, v in table.items() if set(s) <= set(keep)}
     perm = PermutationMap(data.draw(st.permutations(range(1, q + 1))))
-    relabeled = even_principal_pfaffians(a.permuted(perm))
+    relabeled = scalars(even_principal_pfaffians(a.permuted(perm)))
     for s, v in relabeled.items():
         images = [perm(i) for i in s]
         inversions = sum(x > y for x, y in combinations(images, 2))
         want = table[tuple(sorted(images))]
         assert v == (-want if inversions % 2 else want)
+
+
+BORDER_FIELDS = [Q, Field.prime(5), Field.function_field(3)]
+
+
+@st.composite
+def bordered_skew(draw):
+    """A skew matrix of size 0-7 over Q, F_5 or F_3(t) and a border of its
+    size, entries drawn from one small pool with zeros and shared
+    denominators, so borders can share factors with the table's L."""
+    field = draw(st.sampled_from(BORDER_FIELDS))
+    q = draw(st.integers(0, 7))
+    if field == Q:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6]))
+    elif field.kind == PRIME:
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.tuples(st.lists(st.integers(0, 2), max_size=2).map(tuple),
+                          st.sampled_from([(1,), (1, 1), (2, 1), (1, 0, 1)]))
+    entries = st.lists(entry.map(field.scalar), min_size=q, max_size=q)
+    upper = draw(st.lists(entry, min_size=q * (q - 1) // 2, max_size=q * (q - 1) // 2))
+    return SkewMatrix.from_upper(field, q, [field.scalar(x) for x in upper]), draw(entries)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bordered_skew())
+def test_bordered_ring_test_matches_scalar_oracle(case):
+    """The ring bordered test against `_bordered_pf` on the Scalar table,
+    for every max_size up to the size, on tables built only that far."""
+    a, border = case
+    q, zero = a.size, a.field.zero()
+    for max_size in range(q + 1):
+        table = even_principal_pfaffians(a, max_size - 1)
+        oracle = scalars(table)
+        want = all(not _bordered_pf(oracle, border, s, zero).is_zero()
+                   for size in range(1, max_size + 1, 2)
+                   for s in combinations(range(1, q + 1), size))
+        assert table.bordered_nonzero(border, max_size) == want
 
 
 def test_remove_indices():
@@ -231,7 +289,7 @@ def test_is_skew_plus_matches_exhaustive():
     assert is_skew_plus(fam) == expected
     # the even-subset sweep agrees with per-subset elimination
     a = random_skew(Q, 6, rng)
-    sweep = even_principal_pfaffians(a)
+    sweep = scalars(even_principal_pfaffians(a))
     for s, value in sweep.items():
         assert value == pf_eliminate(a.principal(s))
 

@@ -188,6 +188,26 @@ def test_sampler_exhausts_over_prime_field():
         good_position_sample(seq, random.Random(0), max_attempts=64)
 
 
+def test_checked_sequence_keeps_its_table(monkeypatch):
+    """A checked NonDegSeq hands the table of its membership test on to
+    gram_table, good-position tests and membership witnesses."""
+    import skewplus.unimod as unimod
+    calls = []
+    real = unimod.even_principal_pfaffians
+    monkeypatch.setattr(unimod, "even_principal_pfaffians",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(12)
+    space = SymplecticSpace(Q, 2)
+    vectors = random_nondeg_seq(space, 3, rng).vectors
+    calls.clear()
+    seq = NonDegSeq(space, vectors)
+    assert len(calls) == 1
+    table = seq.gram_table()
+    assert [table[s] for s in table.raw] == membership_witnesses(seq)[:-1]
+    is_good_position(seq, space.random_vector(rng, 5))
+    assert len(calls) == 1
+
+
 def test_specialization_preserves_membership():
     rng = random.Random(10)
     f2t = Field.function_field(2)
