@@ -250,14 +250,14 @@ def suite_appendix(field: Field, rng, trials: int = 100):
     return reports + [cert]
 
 
-def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
-    """Oracle against ratio on every triple of random certified matrices,
-    plus independence from the free parameters."""
-    rep = Report(check="gamma:oracle-vs-ratio", field=field.flag(),
-                 trials=matrices * 20)
-    for i in range(matrices):
-        a = random_skew_plus(field, 6, rng)
-        for triple in combinations(range(1, 7), 3):
+def _oracle_report(check: str, field: Field, rng, size: int, matrices: int):
+    """Oracle against ratio on every triple of random certified matrices
+    of one size, plus independence from the free parameters."""
+    triples = list(combinations(range(1, size + 1), 3))
+    rep = Report(check=check, field=field.flag(), trials=matrices * len(triples))
+    for _ in range(matrices):
+        a = random_skew_plus(field, size, rng)
+        for triple in triples:
             c = gamma.gamma_oracle_c(a, triple)
             r = gamma.pfaffian_ratio(a, triple)
             if c != r:
@@ -265,7 +265,7 @@ def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
                     "triple": list(triple),
                     "specialization": {"matrix": repr(a)},
                     "expected": r.literal(), "got": c.literal()})
-        triple = tuple(sorted(rng.sample(range(1, 7), 3)))
+        triple = tuple(sorted(rng.sample(range(1, size + 1), 3)))
         betas = [field.sample(rng, 6) for _ in range(3)]
         if gamma.gamma_oracle_c(a, triple, betas=betas) != \
                 gamma.gamma_oracle_c(a, triple):
@@ -273,7 +273,30 @@ def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
                 "triple": list(triple), "specialization": {"betas": "random"},
                 "expected": "independence", "got": "dependence"})
     rep.stop()
-    return [rep]
+    return rep
+
+
+def suite_gamma_oracle(field: Field, rng, matrices: int = 50):
+    """Oracle against ratio on every triple of `matrices` random certified
+    6x6 matrices, then of a few 8x8 ones, each with one independence
+    check of the free parameters; then gamma of the boundary of a few
+    certified matrices of sizes 7 and 9, which must vanish."""
+    few = max(matrices // 25, 1)
+    reports = [_oracle_report("gamma:oracle-vs-ratio", field, rng, 6, matrices),
+               _oracle_report("gamma:oracle-vs-ratio-8", field, rng, 8, few)]
+    bd = Report(check="gamma:boundaries", field=field.flag(), trials=2 * few)
+    for size in (7, 9):
+        for _ in range(few):
+            b = random_skew_plus(field, size, rng)
+            faces = chains.boundary(chains.FormalSum.generator(b))
+            if not gamma.check_certificate(chains.FormalSum.zero(),
+                                           [(c, g) for g, c in faces.items()],
+                                           (size - 3) // 2):
+                bd.failures.append({
+                    "triple": None, "specialization": {"matrix": repr(b)},
+                    "expected": "gamma(d b) = 0", "got": "nonzero"})
+    bd.stop()
+    return reports + [bd]
 
 
 def suite_units(field: Field, rng, searches: int = 10):

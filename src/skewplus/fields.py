@@ -196,7 +196,10 @@ def poly_from_str(text, p):
         else:
             k = int(m.group(3))
         coeffs[k] = coeffs.get(k, 0) + c
-    out = [0] * (max(coeffs) + 1)
+    try:
+        out = [0] * (max(coeffs) + 1)
+    except (MemoryError, OverflowError):
+        raise ParseError(f"polynomial degree {max(coeffs)} is too large") from None
     for k, c in coeffs.items():
         out[k] = c
     return poly_trim(out, p)

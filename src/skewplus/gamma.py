@@ -10,14 +10,14 @@ by the certificate.  The output is a formal sum with field coefficients
 over certified generators of size 2n-1.
 
 `gamma_oracle_c` recomputes a single coefficient by an entirely different
-route (only exercised at n = 2, size 6).  Working at the canonical triple
-(4,5,6), it builds three length-5 sequences in R^4 that share the unit
-determinant triangular section of the common 3x3 corner, each realizing
-one face Gram matrix, its last two vectors solved by the sections'
-triangular substitution; the change-of-basis maps between them fix a
-hyperplane pointwise and are therefore elementary matrices e_{3,4}(c),
-c read in closed form, and the alternating sum of the c values is the
-coefficient.
+route, at every size 2n+2 >= 4.  Working at the canonical triple
+(2n, 2n+1, 2n+2), it builds three length-(2n+1) sequences in R^{2n} that
+share the unit determinant triangular section of the common (2n-1)-corner,
+each realizing one face Gram matrix, its last two vectors solved by the
+sections' triangular substitution; the change-of-basis maps between them
+fix a hyperplane pointwise and are therefore elementary matrices
+e_{2n-1,2n}(c), c read in closed form, and the alternating sum of the c
+values is the coefficient.
 Agreement with the Pfaffian ratio is mathematically forced, not built
 in: the oracle never evaluates the ratio.  Non-canonical triples
 are reduced to the canonical one by one relabeling, the composite of
@@ -117,71 +117,69 @@ def reduce_to_canonical(a: SkewPlusMatrix, triple):
 
 
 def gamma_oracle_c(a, triple, betas=None) -> Scalar:
-    """One gamma coefficient recomputed group-theoretically (n = 2 only).
+    """One gamma coefficient of a certified matrix of even size
+    2n+2 >= 4, recomputed group-theoretically at the canonical triple
+    (2n, 2n+1, 2n+2); odd sizes and sizes below 4 raise `BadRange`.
 
     `betas` optionally fixes the three free parameters of the sequence
     constructions; the returned value is provably independent of them,
     which the tests exercise by rerunning with random choices.
     """
     a = _as_certified(a)
-    if a.size != 6:
-        raise BadRange("the oracle is implemented for size 6 (n = 2)")
+    q = a.size
+    if q < 4 or q % 2:
+        raise BadRange(f"the oracle needs even size >= 4, got {q}")
     a = reduce_to_canonical(a, triple)
-    return _oracle_canonical(a, betas)
-
-
-def _oracle_canonical(a: SkewPlusMatrix, betas=None) -> Scalar:
     field = a.field
-    zero = field.zero()
-    idx = (4, 5, 6)
-    if betas is None:
-        betas = {r: zero for r in idx}
-    else:
-        betas = {r: field.scalar(b) for r, b in zip(idx, betas)}
+    idx = (q - 2, q - 1, q)
+    betas = [field.zero()] * 3 if betas is None else [field.scalar(b) for b in betas]
+    betas = dict(zip(idx, betas))
 
     pf = {}
     for u, v in combinations(idx, 2):
         pf[u, v] = pf[v, u] = pf_eliminate(a.remove_indices([u, v]))
 
-    # shared corner: det-1 triangular section of the 3x3 block
-    tri = section_v_det1(a.remove_indices(idx))
-    v1, v2, v3 = tri.vectors          # tuples in R^4, last coordinate 0
+    # shared corner: det-1 triangular section of the (2n-1)-block, in R^{2n}
+    tri = section_v_det1(a.remove_indices(idx)).vectors
+    # Pf of the leading (2n-2)-block, the Gram matrix of the first 2n-2
+    # corner vectors, is their diagonal's product, 1 / last_pivot by det = 1
+    last_pivot = tri[-1][q - 4]
 
-    # for each r, the two remaining vectors of the length-5 sequence with
-    # Gram equal to the r-th face of a: (x, 0, z) has the pairings a_{1..3,col}
-    # against v1, v2, v3, z is Pf(a without the other two), d fills the rest
-    built = {col: _solve_pairings(tri.vectors, [a.entry(i, col) for i in (1, 2, 3)], field)
+    # for each r, the two remaining vectors of the sequence with Gram equal
+    # to the r-th face of a are (x, d, z): (x, 0, z) has the pairings
+    # a_{1..2n-1,col} against the corner, z is Pf(a without the other two)
+    built = {col: _solve_pairings(tri, [a.entry(i, col) for i in range(1, q - 2)], field)
              for col in idx}
-    if any(built[col][3] != pf[tuple(set(idx) - {col})] for col in idx):
+    if any(built[col][-1] != pf[tuple(set(idx) - {col})] for col in idx):
         raise InternalInvariant("last coordinate does not match its Pfaffian")
     u_vecs = {}
     for r in idx:
-        s, t = sorted(set(idx) - {r})
-        z_s, z_t = built[s][3], built[t][3]
+        s, t = (col for col in idx if col != r)
+        z_s, z_t = built[s][-1], built[t][-1]
         d_t = betas[r]
-        d_s = (a.entry(s, t) - pairing(built[s][:2], built[t][:2]) + z_s * d_t) / z_t
-        u_vecs[r] = {col: built[col][:2] + (d, built[col][3])
+        # slot 2n-1 of both is 0, so this pairs the x parts alone
+        d_s = (a.entry(s, t) - pairing(built[s], built[t]) + z_s * d_t) / z_t
+        u_vecs[r] = {col: built[col][:-2] + (d, built[col][-1])
                      for col, d in ((s, d_s), (t, d_t))}
         # the assembled sequence must realize the face Gram matrix exactly
-        seq = [v1, v2, v3, u_vecs[r][s], u_vecs[r][t]]
-        if gram(seq, field) != a.remove_indices([r]).inner:
+        if gram([*tri, u_vecs[r][s], u_vecs[r][t]], field) != a.remove_indices([r]).inner:
             raise InternalInvariant("sequence Gram does not match the face")
-        # determinant identity tying the free parameters to Pfaffians
-        lhs = pf_eliminate(a.remove_indices([3, r]))
-        rhs = a.entry(1, 2) * (d_s * pf[r, s] - d_t * pf[r, t])
-        if lhs != rhs:
+        # determinant identity tying the free parameters to Pfaffians,
+        # Pf(a without 2n-1, r) = Pf(leading) (d_s Pf^{rs} - d_t Pf^{rt}),
+        # checked multiplied by last_pivot
+        lhs = pf_eliminate(a.remove_indices([q - 3, r])) * last_pivot
+        if lhs != d_s * pf[r, s] - d_t * pf[r, t]:
             raise InternalInvariant("determinant identity fails")
 
     def c_of(r, s):
-        """Extract c with basis-change map = e_{3,4}(c) between the r and s
-        sequences restricted away from positions r and s.  v1, v2, v3 span
-        e_1..e_3, so the map fixes them and sends y = u_s[t] to x = u_r[t]:
-        it is e_{3,4}(c) iff x, y agree at 1, 2, 4, and c = (x_3 - y_3) / y_4."""
+        """The c with basis-change map e_{2n-1,2n}(c) between the r and s
+        sequences restricted away from positions r and s.  The corner
+        spans e_1..e_{2n-1}, so the map fixes it and sends y = u_s[t] to
+        x = u_r[t]; both are built[t] outside slot 2n-1, so the map is
+        e_{2n-1,2n}(c) with c = (x_{2n-1} - y_{2n-1}) / y_{2n}."""
         t = (set(idx) - {r, s}).pop()
         x, y = u_vecs[r][t], u_vecs[s][t]
-        if (x[0], x[1], x[3]) != (y[0], y[1], y[3]):
-            raise InternalInvariant("basis change is not elementary")
-        return (x[2] - y[2]) / y[3]
+        return (x[-2] - y[-2]) / y[-1]
 
     i, j, k = idx
     return c_of(i, k) + c_of(k, j) + c_of(j, i)

@@ -62,11 +62,14 @@ def test_c02_corner_and_woven_tables():
 
 def test_c03_oracle_equivalence():
     """50 random certified 6x6 matrices, all 20 triples each: the
-    group-theoretic oracle equals the Pfaffian ratio (1000 equalities)."""
+    group-theoretic oracle equals the Pfaffian ratio (1000 equalities);
+    then 2 8x8 matrices, all 56 triples each, and gamma of the boundary
+    of 2 certified matrices each of sizes 7 and 9 vanishes."""
     start = time.monotonic()
     rng = random.Random(103)
     reports = suite_gamma_oracle(Q, rng, matrices=50)
-    _finish("oracle vs ratio, 50 matrices x 20 triples", 60, start, reports)
+    _finish("oracle vs ratio, 50 matrices x 20 triples, 2 x 56 at size 8; "
+            "gamma of 4 boundaries", 60, start, reports)
 
 
 def test_c04_pfaffian_suite():

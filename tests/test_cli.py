@@ -171,6 +171,9 @@ def test_report_without_trials_fails():
     assert Report(check="one", field="q", trials=1).passed
 
 
+F3T = {"kind": "function_field", "p": 3}
+
+
 def _skew2(field, entries):
     return json.dumps({"field": field, "rows": 2, "cols": 2, "entries": entries, "skew": True})
 
@@ -187,9 +190,14 @@ def _skew2(field, entries):
     _skew2({"kind": "rationals"}, [["0", "1/0"], ["-1", "0"]]),
     b"\xff\xfe{}",
     "[" * 100000 + "]" * 100000,
+    # degrees that fail before anything is allocated; never test one that
+    # could be (about 10^9 to 10^11), it fills memory
+    _skew2(F3T, [["0", "(1+t^4611686018427387904)/(1) over F_3[t]"], ["0", "0"]]),
+    _skew2(F3T, [["0", "(t^99999999999999999999) over F_3[t]"], ["0", "0"]]),
 ], ids=["array", "missing-entries", "entries-not-a-grid", "numeric-entries",
         "string-characteristic", "fractional-characteristic", "field-not-an-object",
-        "literal-of-another-field", "zero-denominator", "not-utf8", "nested-100000-deep"])
+        "literal-of-another-field", "zero-denominator", "not-utf8", "nested-100000-deep",
+        "degree-2^62", "degree-10^20"])
 def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -139,7 +139,9 @@ def test_literal_syntax():
     assert s.field == Field.function_field(2)
     t = s.field.t()
     assert s == (1 + t) / (1 + t + t * t)
-    for bad in ("not a scalar", 1, None):
+    for bad in ("not a scalar", 1, None,
+                "(1+t^4611686018427387904)/(1) over F_3[t]",
+                "(t^99999999999999999999) over F_3[t]"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
 

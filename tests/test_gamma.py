@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewplus.chains import FormalSum
-from skewplus.errors import BadRange, DegenerateBrace, SamplerExhausted, ZeroUnit
+from skewplus.chains import FormalSum, boundary
+from skewplus.errors import BadIndices, BadRange, DegenerateBrace, SamplerExhausted, ZeroUnit
 from skewplus.fields import Field
 from skewplus.gamma import (
     FAMILIES,
@@ -35,6 +36,8 @@ from skewplus.sections import section_v_det1
 from skewplus.symplectic import gram, pairing, psi_matrix
 
 Q = Field.rationals()
+FP = Field.prime(1000003)      # random_skew_plus can exhaust over F_5 from size 7
+F3T = Field.function_field(3)
 
 
 def swap_adjacent(a, k):
@@ -60,13 +63,15 @@ def reduce_oracle(a, triple):
 
 
 def oracle_reference(a, triple, betas=None):
-    """gamma_oracle_c with generic linear algebra: the first two
+    """gamma_oracle_c with generic linear algebra: the first 2n-2
     coordinates of each face vector by a Matrix solve against the corner,
     and each c by inverting one basis matrix and checking that the basis
-    change is e_{3,4}(c)."""
+    change is e_{2n-1,2n}(c)."""
     a = reduce_oracle(a, triple)
     field = a.field
-    idx = (4, 5, 6)
+    q = a.size
+    m = q - 4                      # 2n - 2
+    idx = (q - 2, q - 1, q)
     betas = [field.zero()] * 3 if betas is None else [field.scalar(b) for b in betas]
     betas = dict(zip(idx, betas))
     pf = {(u, v): pf_eliminate(a.remove_indices([u, v])) for u, v in combinations(idx, 2)}
@@ -74,34 +79,38 @@ def oracle_reference(a, triple, betas=None):
     def pf_key(u, v):
         return pf[(u, v)] if u < v else pf[(v, u)]
 
-    v1, v2, v3 = section_v_det1(a.remove_indices(idx)).vectors
-    wt_psi = Matrix.from_columns(field, [v1[:2], v2[:2]]).transpose() * psi_matrix(field, 2)
+    corner = section_v_det1(a.remove_indices(idx)).vectors
+    *lead, last = corner
+    if m:
+        wt_psi = Matrix.from_columns(field, [v[:m] for v in lead]).transpose() * \
+            psi_matrix(field, m)
     u_vecs = {}
     for r in idx:
         s, t = sorted(set(idx) - {r})
         built = {}
         for col in (s, t):
-            x = wt_psi.solve(Matrix.column(field, [a.entry(1, col), a.entry(2, col)])).col(1)
-            z = (a.entry(3, col) - pairing(v3[:2], x)) / v3[2]
+            rhs = [a.entry(i, col) for i in range(1, m + 1)]
+            x = wt_psi.solve(Matrix.column(field, rhs)).col(1) if m else ()
+            z = (a.entry(m + 1, col) - pairing(last, x + (field.zero(),) * 2)) / last[m]
             built[col] = (x, z)
         (x_s, z_s), (x_t, z_t) = built[s], built[t]
         assert (z_s, z_t) == (pf_key(r, t), pf_key(r, s))
         d_t = betas[r]
-        d_s = (a.entry(s, t) - pairing(x_s, x_t) + z_s * d_t) / z_t
+        d_s = (a.entry(s, t) - (pairing(x_s, x_t) if m else 0) + z_s * d_t) / z_t
         u_vecs[r] = {s: x_s + (d_s, z_s), t: x_t + (d_t, z_t)}
-        assert gram([v1, v2, v3, u_vecs[r][s], u_vecs[r][t]], field) == \
+        assert gram([*corner, u_vecs[r][s], u_vecs[r][t]], field) == \
             a.remove_indices([r]).inner
 
     def c_of(r, s):
         t = (set(idx) - {r, s}).pop()
-        m_r = Matrix.from_columns(field, [v1, v2, v3, u_vecs[r][t]])
-        m_s = Matrix.from_columns(field, [v1, v2, v3, u_vecs[s][t]])
+        m_r = Matrix.from_columns(field, [*corner, u_vecs[r][t]])
+        m_s = Matrix.from_columns(field, [*corner, u_vecs[s][t]])
         g = m_r * m_s.inverse()
-        for p in range(1, 5):
-            for q in range(1, 5):
-                if (p, q) != (3, 4):
-                    assert g.entry(p, q) == (field.one() if p == q else field.zero())
-        return g.entry(3, 4)
+        for p in range(1, m + 3):
+            for k in range(1, m + 3):
+                if (p, k) != (m + 1, m + 2):
+                    assert g.entry(p, k) == (field.one() if p == k else field.zero())
+        return g.entry(m + 1, m + 2)
 
     i, j, k = idx
     return c_of(i, k) + c_of(k, j) + c_of(j, i)
@@ -190,12 +199,60 @@ def test_oracle_independent_of_free_parameters():
         assert gamma_oracle_c(a, triple, betas=betas) == base
 
 
-@pytest.mark.parametrize("field", [Q, Field.function_field(3)], ids=["q", "f3t"])
-def test_oracle_against_generic_reference(field):
-    rng = random.Random(f"oracle:{field!r}")
-    a = random_skew_plus(field, 6, rng)
+@pytest.mark.parametrize("field, q", [(Q, 4), (Q, 8), (Q, 10), (FP, 4), (FP, 8),
+                                      (F3T, 4), (F3T, 8)],
+                         ids=["q-4", "q-8", "q-10", "fp-4", "fp-8", "f3t-4", "f3t-8"])
+def test_oracle_equals_ratio_every_size(field, q):
+    a = random_skew_plus(field, q, random.Random(f"every size:{field!r}:{q}"))
+    for triple in combinations(range(1, q + 1), 3):
+        assert gamma_oracle_c(a, triple) == pfaffian_ratio(a, triple)
+
+
+def test_oracle_independent_of_free_parameters_at_size_8():
+    rng = random.Random(16)
+    a = random_skew_plus(Q, 8, rng)
+    for triple in combinations(range(1, 9), 3):
+        betas = [Q.sample(rng, 9) for _ in range(3)]
+        assert gamma_oracle_c(a, triple, betas=betas) == gamma_oracle_c(a, triple)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([Q, FP]), st.sampled_from([4, 6, 8]), st.integers(0, 10 ** 6),
+       st.data())
+def test_oracle_property_sizes_4_to_8(field, q, seed, data):
+    rng = random.Random(seed)
+    a = random_skew_plus(field, q, rng)
+    triple = tuple(sorted(data.draw(st.sets(st.integers(1, q), min_size=3, max_size=3))))
+    betas = [field.sample(rng, 9) for _ in range(3)]
+    assert gamma_oracle_c(a, triple) == pfaffian_ratio(a, triple)
+    assert gamma_oracle_c(a, triple, betas=betas) == pfaffian_ratio(a, triple)
+
+
+def test_oracle_rejects_odd_sizes_small_sizes_and_bad_triples():
+    rng = random.Random(17)
+    for q in (2, 5, 7):
+        with pytest.raises(BadRange):
+            gamma_oracle_c(random_skew_plus(Q, q, rng), (1, 2, 3))
+    a = random_skew_plus(Q, 6, rng)
+    for triple in ((3, 2, 1), (4, 5, 7), (0, 1, 2), (2, 2, 3)):
+        with pytest.raises(BadIndices):
+            gamma_oracle_c(a, triple)
+
+
+# the size-6 cases keep their ids
+@pytest.mark.parametrize("field, q", [(Q, 6), (Q, 4), (Q, 8),
+                                      (F3T, 6), (F3T, 4), (F3T, 8)],
+                         ids=["q", "q-4", "q-8", "f3t", "f3t-4", "f3t-8"])
+def test_oracle_against_generic_reference(field, q):
+    rng = random.Random(f"oracle:{field!r}" + (f":{q}" if q != 6 else ""))
+    a = random_skew_plus(field, q, rng)
     betas = [field.sample(rng, 5) for _ in range(3)]
-    for triple in combinations(range(1, 7), 3):
+    triples = list(combinations(range(1, q + 1), 3))
+    if field is F3T and q == 8:
+        # the reference's inverses take about 0.3 s a triple here: every
+        # seventh triple, counted from the canonical one
+        triples = triples[::-7]
+    for triple in triples:
         assert gamma_oracle_c(a, triple) == oracle_reference(a, triple)
         assert gamma_oracle_c(a, triple, betas) == oracle_reference(a, triple, betas)
 
@@ -237,6 +294,25 @@ def test_check_certificate_trivial():
     assert check_certificate(target, [(1, a)], 2)
     assert check_certificate(FormalSum.zero(), [], 2)
     assert not check_certificate(target, [(2, a)], 2)
+
+
+def gamma_of_boundary_vanishes(b) -> bool:
+    faces = boundary(FormalSum.generator(b))
+    return check_certificate(FormalSum.zero(), [(c, g) for g, c in faces.items()],
+                             (b.size - 3) // 2)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+@pytest.mark.parametrize("size", [5, 7, 9])
+def test_gamma_vanishes_on_boundaries(field, size):
+    b = random_skew_plus(field, size, random.Random(f"boundary:{field!r}:{size}"))
+    assert gamma_of_boundary_vanishes(b)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from([Q, FP]), st.sampled_from([5, 7, 9]), st.integers(0, 10 ** 6))
+def test_gamma_vanishes_on_boundaries_property(field, size, seed):
+    assert gamma_of_boundary_vanishes(random_skew_plus(field, size, random.Random(seed)))
 
 
 def test_seven_term_certificate():
