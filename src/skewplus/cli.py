@@ -527,17 +527,12 @@ def _emit(payload: dict, output):
 
 
 def _run_verify(args) -> int:
-    try:
-        field = Field.from_flag(args.field)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    field = Field.from_flag(args.field)
     if not field.is_infinite:
-        print("error: the verification suites sample from complements of "
-              "finitely many proper subspaces, which requires an infinite "
-              "field (the underlying results assume an infinite residue "
-              "field); use --field q or fpt:P", file=sys.stderr)
-        return 2
+        raise ParseError("the verification suites sample from complements of "
+                         "finitely many proper subspaces, which requires an infinite "
+                         "field (the underlying results assume an infinite residue "
+                         "field); use --field q or fpt:P")
     if args.trials is not None and args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     seed = _resolve_seed(args.seed)

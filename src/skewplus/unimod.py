@@ -20,14 +20,18 @@ obstruction).
 
 The two contracting homotopies witness acyclicity of the sequence and
 skew complexes: each sends a cycle xi to an eta with d(eta) = xi, built
-from one common witness (a good-position vector, respectively a border
-vector) serving every generator of xi at once.
+from one common witness (a good-position vector, respectively the
+all-ones border) serving every generator of xi at once, after one
+surgery round when a generator obstructs the constant border.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 from .chains import FormalSum, boundary
 from .errors import (
+    InternalInvariant,
     NotACycle,
     NotNonDegenerate,
     NotSkewPlus,
@@ -244,15 +248,22 @@ def star_is_certified(a: SkewPlusMatrix, v) -> bool:
 
 
 def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
-    """A border vector v with the extension of `a` by v certified."""
+    """A border vector v with a * v certified and no face (a * v).face(i),
+    i <= q, obstructed: a surgery round's border for an obstructed a."""
     field = a.field
     q = a.size
 
     def draw(bound):
         return tuple(field.sample(rng, bound) for _ in range(q))
 
-    return _sampler_loop(lambda v: star_is_certified(a, v), draw,
-                         max_attempts, "certified border vector")
+    def faces_clear(v):
+        if not star_is_certified(a, v):
+            return False
+        b = SkewPlusMatrix(a.inner.star_extend(v), _trusted=True)
+        return not any(constant_border_obstructed(b.face(i)) for i in range(1, q + 1))
+
+    return _sampler_loop(faces_clear, draw, max_attempts,
+                         "certified border vector with unobstructed faces")
 
 
 # ---------------------------------------------------------------------------
@@ -292,71 +303,65 @@ def constant_border_obstructed(a: SkewPlusMatrix) -> bool:
     return not star_is_certified(a, [a.field.one()] * a.size)
 
 
-def _constant_contraction(xi: FormalSum, q: int, field) -> FormalSum:
-    # the caller has just found no generator obstructed, which is exactly
-    # that the all-ones border certifies every one of them
-    ones = tuple(field.one() for _ in range(q))
-    eta = xi.map_generators(
-        lambda g: SkewPlusMatrix(g.inner.star_extend(ones), _trusted=True))
+def _bordered_sum(xi: FormalSum, q: int, border) -> FormalSum:
+    # (-1)^q sum c [g * border(g)]; every border(g) must certify g * border(g)
+    eta = FormalSum({SkewPlusMatrix(g.inner.star_extend(border(g)), _trusted=True): c
+                     for g, c in xi.items()})
     return eta if q % 2 == 0 else -eta
 
 
 def contract_cycle_skew(xi: FormalSum, rng, max_attempts: int = 16) -> FormalSum:
     """For a cycle of certified skew matrices, an eta with d(eta) = xi.
 
-    Bordering every generator by one common vector v gives
+    Bordering a size-q generator g by w gives
 
-        d(xi * v) = (-1)^q xi + sum of terms [face * (v minus one coordinate)].
+        d[g * w] = (-1)^q [g] + sum_{i<=q} (-1)^{i+1} [g.face(i) * (w minus w_i)].
 
-    The face terms inherit the cancellation of d(xi) = 0 only when the
-    restricted borders do not depend on which coordinate was dropped, so
-    the common witness must be constant; the all-ones vector certifies
-    whenever none of the generators' alternating corner-Pfaffian sums
-    vanishes, and then eta = (-1)^q (xi * v) is an exact preimage.
+    If no generator is obstructed, the all-ones border certifies each, the
+    face terms cancel as in d(xi) = 0, and eta = (-1)^q (xi * 1).
+    Otherwise one surgery round borders each obstructed g by a searched w
+    (`skew_plus_extend`) and every other generator by ones, giving eta0;
+    the remainder xi - d(eta0) is a cycle of bordered faces, contracted by
+    ones.  It has no obstructed generator: a face F = g.face(j) * 1 of an
+    unobstructed g, bordered by ones again, passes on an odd I through F's
+    border index a, since subtracting column a from the new column (a
+    det-1 congruence) leaves +-Pf(F on I minus a) != 0, and every other I
+    is one of g's own tests.
 
-    When a generator is obstructed (some alternating sum is zero, so no
-    constant certifies), a surgery round reduces toward the constant
-    case: border each generator by its own generic certified vector,
-    which peels off (-1)^q xi plus a remainder cycle whose generators
-    are the bordered faces; the remainder is contracted recursively and
-    is generically unobstructed at the first level.  Obstructions buried
-    deep in the face lattice of the input can survive every round, in
-    which case the search exhausts; such cycles are outside the reach of
-    this witness family.
+    Reach: a bordered face restricts to g.face(i), so the search succeeds
+    exactly when g is obstructed on its full index set alone: always for
+    q <= 3 (odd subsets of size 1 never are), never for even q >= 4, where
+    every odd subset misses an index.  max_attempts bounds the rounds; a
+    round repeats only the border searches that exhausted.
     """
-    return _contract_skew(xi, rng, max_attempts, depth=4)
+    return _contract_skew(xi, rng, max_attempts)
 
 
-def _contract_skew(xi, rng, max_attempts, depth):
+def _contract_skew(xi, rng, max_attempts):
     if xi.is_zero():
         return FormalSum.zero()
     if not boundary(xi).is_zero():
         raise NotACycle("input has nonzero boundary")
     gens = xi.generators()
     q = xi.degree()
-    field = gens[0].field
-
-    if not any(constant_border_obstructed(g) for g in gens):
-        return _constant_contraction(xi, q, field)
-    if depth == 0:
-        raise SamplerExhausted("cycle obstructs the constant witness at every depth")
-
+    ones = tuple(gens[0].field.one() for _ in range(q))
+    obstructed = [g for g in gens if constant_border_obstructed(g)]
+    if not obstructed:  # exactly: the all-ones border certifies every generator
+        return _bordered_sum(xi, q, lambda g: ones)
+    borders = {}
     for _ in range(max_attempts):
-        eta0 = FormalSum.zero()
-        for gen, coeff in xi.items():
-            w = skew_plus_extend(gen, rng)  # accepted only if it certifies
-            bordered = SkewPlusMatrix(gen.inner.star_extend(w), _trusted=True)
-            eta0 = eta0 + FormalSum.generator(
-                bordered, coeff if q % 2 == 0 else -coeff)
-        remainder = xi - boundary(eta0)
-        if remainder.is_zero():
-            return eta0
-        try:
-            return eta0 + _contract_skew(remainder, rng, max_attempts, depth - 1)
-        except SamplerExhausted:
-            continue
-    raise SamplerExhausted(
-        f"no unobstructed surgery found in {max_attempts} rounds")
+        for g in obstructed:
+            if g not in borders:
+                with suppress(SamplerExhausted):
+                    borders[g] = skew_plus_extend(g, rng)
+    if len(borders) < len(obstructed):
+        raise SamplerExhausted(
+            f"no border with unobstructed faces found in {max_attempts} rounds")
+    eta0 = _bordered_sum(xi, q, lambda g: borders.get(g, ones))
+    remainder = xi - boundary(eta0)
+    if any(constant_border_obstructed(g) for g in remainder.generators()):
+        raise InternalInvariant("surgery left an obstructed remainder")
+    return eta0 + _bordered_sum(remainder, q, lambda g: ones)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewplus.chains import FormalSum, diff_seq, diff_skew
 from skewplus.errors import NotACycle, NotNonDegenerate, SamplerExhausted
@@ -32,6 +34,8 @@ from skewplus.unimod import (
 )
 
 Q = Field.rationals()
+FP = Field.prime(1000003)
+F3T = Field.function_field(3)
 
 
 def test_membership_basics():
@@ -291,3 +295,88 @@ def test_table_path_matches_per_subset_oracle(field):
             seen["star"].add(got)
     # both outcomes occur, so agreement is not vacuous
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+def test_contract_cycle_skew_one_surgery_round_clears_obstruction():
+    """The cycle of perfbench `cycles-q` seed 14, operation 1421, some of
+    whose size-3 generators obstruct the constant border: one surgery round
+    contracts it whatever the draws, with a single round allowed."""
+    uppers = [["5/6", "-2/5", "2/3", -1, "3/4", -2], [1, 1, "-3/4", -2, -3, "1/6"],
+              ["1/4", 5, 1, -1, "-1/2", "1/2"]]
+    chain = FormalSum.zero()
+    for upper, c in zip(uppers, [1, -3, 3]):
+        chain = chain + FormalSum.generator(
+            SkewPlusMatrix.certify(SkewMatrix.from_upper(Q, 4, upper)), c)
+    xi = diff_skew(chain)
+    assert any(constant_border_obstructed(g) for g in xi.generators())
+    for s in range(100):
+        eta = contract_cycle_skew(xi, random.Random(s), max_attempts=1)
+        assert diff_skew(eta) == xi
+
+
+def _with_obstructed_face(field, rng):
+    """A certified 4x4 matrix whose face on {1, 2, 3} is obstructed:
+    a12 - a13 + a23 = 0, the ones-bordered Pfaffian of that face."""
+    while True:
+        a12, a13 = field.sample_nonzero(rng, 5), field.sample_nonzero(rng, 5)
+        if a12 == a13:
+            continue
+        rest = [field.sample_nonzero(rng, 5) for _ in range(3)]
+        m = SkewMatrix.from_upper(field, 4, [a12, a13, rest[0], a13 - a12, rest[1], rest[2]])
+        if is_skew_plus(m):
+            return SkewPlusMatrix.certify(m)
+
+
+def _check_obstructed_cycle(field, rng):
+    chain = FormalSum.generator(_with_obstructed_face(field, rng), rng.randint(1, 3))
+    for _ in range(rng.randint(0, 2)):
+        chain = chain + FormalSum.generator(random_skew_plus(field, 4, rng),
+                                            rng.randint(-3, 3))
+    xi = diff_skew(chain)
+    assert any(constant_border_obstructed(g) for g in xi.generators())
+    assert diff_skew(contract_cycle_skew(xi, rng)) == xi
+
+
+def _check_faces_of_ones_border_clear(field, rng, q):
+    """The lemma behind one round: every face of an unobstructed g
+    bordered by ones is unobstructed again."""
+    g = random_skew_plus(field, q, rng)
+    if constant_border_obstructed(g):
+        return False
+    b = SkewPlusMatrix(g.inner.star_extend([field.one()] * q), _trusted=True)
+    assert not any(constant_border_obstructed(b.face(i)) for i in range(1, q + 1))
+    return True
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_surgery_contracts_obstructed_cycles(field):
+    rng = random.Random(14)
+    for _ in range(4 if field is F3T else 10):
+        _check_obstructed_cycle(field, rng)
+    checked = sum(_check_faces_of_ones_border_clear(field, rng, q)
+                  for q in range(1, 7) for _ in range(2 if field is F3T else 5))
+    assert checked > 0
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from([Q, FP]), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_surgery_property(field, q, seed):
+    rng = random.Random(seed)
+    _check_obstructed_cycle(field, rng)
+    _check_faces_of_ones_border_clear(field, rng, q)
+
+
+def test_surgery_reach_ends_at_obstructions_off_the_full_index_set():
+    """A 4x4 generator obstructed on {1, 2, 3} alone: every border leaves
+    that obstruction in a face, so the search exhausts, within its bound of
+    max_attempts rounds of 256 draws."""
+    a = SkewPlusMatrix.certify(SkewMatrix.from_upper(Q, 4, [1, 2, 3, 1, 5, 8]))
+    assert pf_eliminate(a) == Q.one()
+    assert constant_border_obstructed(a.principal([1, 2, 3]))
+    assert not constant_border_obstructed(a.principal([1, 2, 4]))
+    b = SkewPlusMatrix.certify(a.inner.star_extend([1, 2, 4, 8]))
+    xi = diff_skew(FormalSum.generator(b))
+    start = time.perf_counter()
+    with pytest.raises(SamplerExhausted):
+        contract_cycle_skew(xi, random.Random(0))
+    assert time.perf_counter() - start < 30
