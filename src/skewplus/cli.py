@@ -564,8 +564,8 @@ def _run_compute(args) -> int:
 
 def _run_bench(args) -> int:
     field = Field.from_flag(args.field)
-    # pf_recursive's time grows about 4.5x per step over F_p(t), where
-    # every scalar operation is a polynomial gcd
+    # pf_recursive's time grows about 3x per step of n on every field,
+    # and an F_p(t) expansion costs about 5x a Q one of the same size
     if args.recursive_max is None:
         args.recursive_max = 7 if field.kind == FUNCTION_FIELD else 13
     # a run that timed no matrix, or compared none, checked nothing

@@ -14,8 +14,12 @@ even-sized principal submatrices are all invertible, or equivalently all
 have nonzero Pfaffian.  These are exactly the Gram matrices of the
 non-degenerate vector sequences the rest of the library works with, and
 the certificate is inherited by principal submatrices.  It keeps its
-witness, the table of all even principal Pfaffians, in the ring; the
-last-column expansion above builds it and answers every bordered test.
+witness, the table of all even principal Pfaffians, in the ring.  One
+coding of the last-column expansion above, `_expand`, works fraction-free
+in the ring of `Field.ring()`: it builds that table, answers every
+bordered test, and runs pf_recursive, the reference Pfaffian, whose
+final value alone is reduced to a scalar.  pf_eliminate, the other
+algorithm, is skew elimination.
 """
 
 from __future__ import annotations
@@ -193,39 +197,48 @@ class SkewMatrix:
 # ---------------------------------------------------------------------------
 
 def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
-    """Pfaffian by last-column expansion.
+    """Pfaffian by last-column expansion, top down in the ring of
+    `Field.ring()` on the upper triangle cleared by one L.
 
-    Shared subproblems are cached, keyed by the set of surviving indices;
-    the reachable index sets grow like a Fibonacci number of the size
-    rather than the double factorial of the naive term expansion, which
-    keeps sizes up to about 30 practical.  Still exponential; use
-    pf_eliminate for anything large.
+    Each reachable index set is expanded by `_expand`, the expansion that
+    builds every PfaffianTable, and cached; it recurses only into the
+    sets whose coefficient is nonzero, and only the final L^(q/2) Pf is
+    reduced.  The reachable sets grow like a Fibonacci number of the size
+    rather than the double factorial of the naive term expansion.  Still
+    exponential; use pf_eliminate for anything large.
     """
     a = _unwrap(a)
-    if a.size % 2 != 0:
-        raise OddSize(f"Pfaffian of odd size {a.size}")
-    one = a.field.one()
-    zero = a.field.zero()
-    memo: dict[tuple, Scalar] = {(): one}
+    q = a.size
+    if q % 2 != 0:
+        raise OddSize(f"Pfaffian of odd size {q}")
+    ring, scale, signed = _cleared_columns(a)
+    # a set skipped for its zero coefficient is read only against that zero
+    memo = _ZeroDefault(ring.zero)
+    memo[()] = ring.one
 
-    def pf(indices: tuple) -> Scalar:
-        cached = memo.get(indices)
-        if cached is not None:
-            return cached
-        last = indices[-1]
-        total = zero
-        sign = 1
-        for pos, i in enumerate(indices[:-1]):
-            coeff = a.entry(i, last)
-            if not coeff.is_zero():
-                rest = indices[:pos] + indices[pos + 1:-1]
-                term = coeff * pf(rest)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[indices] = total
-        return total
+    def pf(s):
+        if s not in memo:
+            column, rest = signed[s[-1] - 1], s[:-1]
+            for pos, i in enumerate(rest):
+                if column[i - 1][0]:
+                    pf(rest[:pos] + rest[pos + 1:])
+            memo[s] = _expand(ring, column, rest, memo)
 
-    return pf(tuple(range(1, a.size + 1)))
+    full = tuple(range(1, q + 1))
+    pf(full)
+    return ring.to_scalar(memo[full], scale, q // 2)
+
+
+class _ZeroDefault(dict):
+    """A dict that reads a missing key as `zero` without storing it."""
+
+    __slots__ = ("zero",)
+
+    def __init__(self, zero):
+        self.zero = zero
+
+    def __missing__(self, key):
+        return self.zero
 
 
 def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
@@ -297,11 +310,7 @@ def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) ->
     a = _unwrap(a)
     q = a.size
     top = q if max_size is None else min(q, max_size)
-    ring = a.field.ring()
-    scale, upper = ring.clear(a.upper)
-    # signed[j-1][i-1] is (L a_ij, -L a_ij): the sign follows the position
-    signed = [[(x, ring.neg(x)) for x in (upper[i][j - i - 1] for i in range(j))]
-              for j in range(q)]
+    ring, scale, signed = _cleared_columns(a)
     raw = {(): ring.one}
     for size in range(2, top + 1, 2):
         for s in combinations(range(1, q + 1), size):
@@ -309,10 +318,22 @@ def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) ->
     return PfaffianTable(ring, scale, raw)
 
 
+def _cleared_columns(a: SkewMatrix):
+    """(R, L, signed): R = a.field.ring(), L the ring element that clears
+    a's upper triangle, and signed[j-1][i-1] = (L a_ij, -L a_ij) for i < j,
+    since the sign of a term follows its position."""
+    ring = a.field.ring()
+    scale, upper = ring.clear(a.upper)
+    return ring, scale, [
+        [(x, ring.neg(x)) for x in (upper[i][j - i - 1] for i in range(j))]
+        for j in range(a.size)]
+
+
 def _expand(ring, signed, s, raw):
     """The Pfaffian on the odd index tuple s plus a last index with column
     c, signed[i-1] = (c_i, -c_i): sum_pos (-1)^pos c_{s[pos]} raw[s minus
-    s[pos]] in the ring.  The table sweep and every bordered test run it."""
+    s[pos]] in the ring.  The table sweep, every bordered test and
+    pf_recursive run it."""
     return ring.dot([signed[i - 1][pos & 1] for pos, i in enumerate(s)],
                     [raw[s[:pos] + s[pos + 1:]] for pos in range(len(s))])
 

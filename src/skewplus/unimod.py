@@ -28,6 +28,7 @@ surgery round when a generator obstructs the constant border.
 from __future__ import annotations
 
 from contextlib import suppress
+from itertools import combinations
 
 from .chains import FormalSum, boundary
 from .errors import (
@@ -331,7 +332,9 @@ def contract_cycle_skew(xi: FormalSum, rng, max_attempts: int = 16) -> FormalSum
     Reach: a bordered face restricts to g.face(i), so the search succeeds
     exactly when g is obstructed on its full index set alone: always for
     q <= 3 (odd subsets of size 1 never are), never for even q >= 4, where
-    every odd subset misses an index.  max_attempts bounds the rounds; a
+    every odd subset misses an index.  A generator obstructed on a proper
+    odd subset is therefore refused before any draw: `SamplerExhausted`
+    names its size and the subset.  max_attempts bounds the rounds; a
     round repeats only the border searches that exhausted.
     """
     return _contract_skew(xi, rng, max_attempts)
@@ -348,6 +351,13 @@ def _contract_skew(xi, rng, max_attempts):
     obstructed = [g for g in gens if constant_border_obstructed(g)]
     if not obstructed:  # exactly: the all-ones border certifies every generator
         return _bordered_sum(xi, q, lambda g: ones)
+    for g in obstructed:
+        # the proper odd subsets are those of g's faces, and (g * w).face(i)
+        # keeps g.face(i)'s tests for every w: no border clears these
+        if not g.table.bordered_nonzero(ones, q - 1):
+            raise SamplerExhausted(
+                f"size-{q} generator obstructed on the proper odd subset "
+                f"{_first_obstruction(g)}: no border clears it")
     borders = {}
     for _ in range(max_attempts):
         for g in obstructed:
@@ -362,6 +372,15 @@ def _contract_skew(xi, rng, max_attempts):
     if any(constant_border_obstructed(g) for g in remainder.generators()):
         raise InternalInvariant("surgery left an obstructed remainder")
     return eta0 + _bordered_sum(remainder, q, lambda g: ones)
+
+
+def _first_obstruction(g: SkewPlusMatrix):
+    """The first odd index set s of g, by size and then in order, with
+    g.principal(s) obstructed; every smaller odd set passes, so the
+    all-ones bordered Pfaffian vanishes on s itself."""
+    return next(s for size in range(1, g.size + 1, 2)
+                for s in combinations(range(1, g.size + 1), size)
+                if constant_border_obstructed(g.principal(s)))
 
 
 # ---------------------------------------------------------------------------

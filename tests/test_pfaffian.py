@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewplus import pfaffian
 from skewplus.errors import NotSkewPlus, OddSize, ShapeMismatch
-from skewplus.fields import PRIME, Field, Scalar
+from skewplus.fields import PRIME, Field, IntegerRing, PolynomialRing, ResidueRing, Scalar
 from skewplus.matrices import Matrix, PermutationMap
 from skewplus.pfaffian import (
     SkewMatrix,
@@ -51,9 +52,9 @@ def test_pf_psi():
     for n in range(1, 21):
         psi = SkewMatrix.from_matrix(psi_matrix(Q, 2 * n))
         assert pf_eliminate(psi) == Q.one()
-    for n in range(1, 7):
+    for n in range(1, 9):
         psi = SkewMatrix.from_matrix(psi_matrix(Q, 2 * n))
-        assert pf_recursive(psi) == Q.one()
+        assert pf_recursive(psi) == Q.one() == pf_recursive_scalar(psi)
 
 
 def test_odd_size_rejected():
@@ -113,8 +114,8 @@ PROPERTY_FIELDS = [Q, Field.prime(5), Field.prime(1000003), Field.function_field
 
 
 @st.composite
-def skew_matrices(draw, sizes=(0, 2, 4, 6, 8)):
-    field = draw(st.sampled_from(PROPERTY_FIELDS))
+def skew_matrices(draw, sizes=(0, 2, 4, 6, 8), fields=PROPERTY_FIELDS):
+    field = draw(st.sampled_from(fields))
     q = draw(st.sampled_from(sizes))
     if field == Q:
         entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -134,6 +135,115 @@ def test_eliminate_property_all_fields(a):
     pf = pf_eliminate(a)
     assert pf * pf == a.full_matrix().det()
     assert pf == pf_recursive(a)
+
+
+# -- pf_recursive against the Scalar expansion it replaced ----------------
+
+def pf_recursive_scalar(a) -> Scalar:
+    """pf_recursive in Scalar arithmetic: the memoised last-column
+    expansion, one Scalar multiply-add per nonzero term, every set keyed
+    by its surviving indices."""
+    if isinstance(a, SkewPlusMatrix):
+        a = a.inner
+    if a.size % 2 != 0:
+        raise OddSize(f"Pfaffian of odd size {a.size}")
+    zero = a.field.zero()
+    memo = {(): a.field.one()}
+
+    def pf(indices):
+        cached = memo.get(indices)
+        if cached is not None:
+            return cached
+        last = indices[-1]
+        total = zero
+        for pos, i in enumerate(indices[:-1]):
+            coeff = a.entry(i, last)
+            if not coeff.is_zero():
+                term = coeff * pf(indices[:pos] + indices[pos + 1:-1])
+                total = total + term if pos % 2 == 0 else total - term
+        memo[indices] = total
+        return total
+
+    return pf(tuple(range(1, a.size + 1)))
+
+
+ORACLE_FIELDS = [Q, Field.prime(2), Field.prime(3), Field.prime(1000003),
+                 Field.function_field(3)]
+
+
+def seeded_skew(field, q, rng, zeros):
+    """A size-q skew matrix whose entries are zero with probability
+    `zeros` and otherwise drawn by `Field.sample` at bound 5."""
+    return SkewMatrix.from_upper(field, q, [
+        field.zero() if rng.random() < zeros else field.sample(rng, 5)
+        for _ in range(q * (q - 1) // 2)])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.flag())
+def test_recursive_matches_scalar_oracle(field):
+    """Exact agreement at every size 0-12, dense and with zero entries;
+    odd sizes raise OddSize on both."""
+    rng = random.Random(f"oracle:{field!r}")
+    for q in range(13):
+        for zeros in (0.0, 0.3, 0.6):
+            a = seeded_skew(field, q, rng, zeros)
+            if q % 2:
+                with pytest.raises(OddSize):
+                    pf_recursive(a)
+                with pytest.raises(OddSize):
+                    pf_recursive_scalar(a)
+            else:
+                pf = pf_recursive(a)
+                assert type(pf) is Scalar and pf.field == field
+                assert pf == pf_recursive_scalar(a)
+    assert pf_recursive(SkewMatrix.zero(field, 8)) == field.zero()
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.flag())
+def test_recursive_on_certified_matrices(field):
+    rng = random.Random(f"oracle+:{field!r}")
+    for q in (0, 2, 4, 6, 8):
+        a = random_skew_plus(field, q, rng)
+        pf = pf_recursive(a)
+        assert pf == pf_recursive(a.inner) == pf_recursive_scalar(a)
+        assert pf == a.table[tuple(range(1, q + 1))]
+        assert not pf.is_zero()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(skew_matrices(sizes=range(0, 11), fields=ORACLE_FIELDS))
+def test_recursive_property_against_scalar_oracle(a):
+    if a.size % 2:
+        with pytest.raises(OddSize):
+            pf_recursive(a)
+    else:
+        assert pf_recursive(a) == pf_recursive_scalar(a)
+
+
+def test_recursive_is_an_expansion(monkeypatch):
+    """pf_recursive stays independent of elimination, so comparing it with
+    pf_eliminate compares two algorithms: it calls no pf_eliminate, no
+    Matrix elimination and no exact division beyond its one ring.clear."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pf_recursive eliminated")
+
+    monkeypatch.setattr(pfaffian, "pf_eliminate", refuse)
+    monkeypatch.setattr(Matrix, "_eliminate", refuse)
+    divisions = []
+    for ring in (IntegerRing, ResidueRing, PolynomialRing):
+        def counted(self, d, real=ring.divide_by):
+            divisions.append(d)
+            return real(self, d)
+        monkeypatch.setattr(ring, "divide_by", counted)
+    rng = random.Random(12)
+    for field in ORACLE_FIELDS:
+        a = seeded_skew(field, 10, rng, 0.2)
+        field.ring().clear(a.upper)
+        by_clear = len(divisions)
+        divisions.clear()
+        assert pf_recursive(a) == pf_recursive_scalar(a)
+        assert len(divisions) == by_clear
+        divisions.clear()
 
 
 # -- the certificate table against the Scalar sweep it replaced ------------

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewplus import unimod
 from skewplus.chains import FormalSum, diff_seq, diff_skew
 from skewplus.errors import NotACycle, NotNonDegenerate, SamplerExhausted
 from skewplus.fields import Field, specialize
@@ -368,8 +369,8 @@ def test_surgery_property(field, q, seed):
 
 def test_surgery_reach_ends_at_obstructions_off_the_full_index_set():
     """A 4x4 generator obstructed on {1, 2, 3} alone: every border leaves
-    that obstruction in a face, so the search exhausts, within its bound of
-    max_attempts rounds of 256 draws."""
+    that obstruction in a face, so the contraction raises, well within
+    the time bound."""
     a = SkewPlusMatrix.certify(SkewMatrix.from_upper(Q, 4, [1, 2, 3, 1, 5, 8]))
     assert pf_eliminate(a) == Q.one()
     assert constant_border_obstructed(a.principal([1, 2, 3]))
@@ -380,3 +381,23 @@ def test_surgery_reach_ends_at_obstructions_off_the_full_index_set():
     with pytest.raises(SamplerExhausted):
         contract_cycle_skew(xi, random.Random(0))
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_surgery_refuses_proper_obstructions_before_any_draw(field, monkeypatch):
+    """A size-4 generator obstructed on {1, 2, 3} is refused at once, with
+    its size and that subset named, and no border search starts."""
+    rng = random.Random(21)
+    a = _with_obstructed_face(field, rng)
+    while True:
+        w = [field.sample(rng, 5) for _ in range(4)]
+        if star_is_certified(a, w):
+            break
+    xi = diff_skew(FormalSum.generator(SkewPlusMatrix.certify(a.inner.star_extend(w))))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("border search started")
+
+    monkeypatch.setattr(unimod, "skew_plus_extend", no_search)
+    with pytest.raises(SamplerExhausted, match=r"size-4 .* subset \(1, 2, 3\)"):
+        contract_cycle_skew(xi, rng)
