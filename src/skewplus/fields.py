@@ -92,18 +92,37 @@ _KRONECKER_MIN = 6
 _SLOTS = tuple((array(c).itemsize, c) for c in "BHIQ") if sys.byteorder == "little" else ()
 
 
-def _kronecker(pairs, p):
-    """sum a*b over pairs of nonzero polynomials, or None if no slot fits."""
-    bound = sum(min(len(a), len(b)) * max(a) * max(b) for a, b in pairs)
+def _slot(bound):
+    """(width, code) of the narrowest slot holding every int up to bound,
+    or None if none does."""
     for width, code in _SLOTS:
         if bound < 1 << 8 * width:
-            break
-    else:
+            return width, code
+    return None
+
+
+def _pack(polys, block, width, code):
+    """The polynomials as one int in slots of type code, polys[k] from
+    slot k * block on."""
+    pad = bytes(block * width)
+    return int.from_bytes(b"".join([array(code, a).tobytes() + pad[len(a) * width:]
+                                    for a in polys]), "little")
+
+
+def _slots(n, count, width, code):
+    """The first count slots of the int n, as a list of ints."""
+    return memoryview(n.to_bytes(count * width, "little")).cast(code).tolist()
+
+
+def _kronecker(pairs, p):
+    """sum a*b over pairs of nonzero polynomials, or None if no slot fits."""
+    slot = _slot(sum(min(len(a), len(b)) * max(a) * max(b) for a, b in pairs))
+    if slot is None:
         return None
-    total = sum(int.from_bytes(array(code, a).tobytes(), "little")
-                * int.from_bytes(array(code, b).tobytes(), "little") for a, b in pairs)
-    n = max(len(a) + len(b) for a, b in pairs) - 1
-    return poly_trim(memoryview(total.to_bytes(n * width, "little")).cast(code), p)
+    width, code = slot
+    total = sum(int.from_bytes(array(code, a), "little") * int.from_bytes(array(code, b), "little")
+                for a, b in pairs)
+    return poly_trim(_slots(total, max(len(a) + len(b) for a, b in pairs) - 1, width, code), p)
 
 
 def _schoolbook(out, a, b):
@@ -587,9 +606,20 @@ class Scalar:
 # A kernel clears the denominators of its entries with one common L (or
 # one per row, vector or column), so it works on L*x in a ring R whose
 # fraction field is the field; it computes with add, sub, mul, neg, dot and
-# exact division only, and turns each result num back into the canonical
-# scalar num / L^e once, at the end.  In every R the zero element is the
-# only falsy one.
+# the Bareiss row step only, and turns each result num back into the
+# canonical scalar num / L^e once, at the end.  In every R the zero element
+# is the only falsy one.
+#
+# The row step is the one division a fraction-free elimination makes.
+# `ring.row_step(prev)` is called once per pivot step, with prev the
+# previous pivot; the function it returns is called once per row as
+# step(row, cols, terms) and sets, for every j in cols,
+#
+#     row[j] = (sum of c * x[j] over the pairs (c, x) in terms) / prev,
+#
+# an exact division in R that is checked: a remainder raises
+# InternalInvariant.  `row` may itself be one of the x: every x[j] is read
+# before row[j] is written.
 
 class IntegerRing:
     """Z, for Q."""
@@ -614,14 +644,29 @@ class IntegerRing:
         return scale, [[x.numerator * (scale // x.denominator) for x in row]
                        for row in rows]
 
-    def divide_by(self, d):
-        """Exact division by d, raising if a remainder is left."""
-        def div(x):
-            quo, rem = divmod(x, d)
-            if rem:
-                raise InternalInvariant(f"{d} does not divide {x}")
-            return quo
-        return div
+    @staticmethod
+    def row_step(prev):
+        """The Bareiss row step dividing by prev, entry by entry, with one
+        loop per number of terms: a zero third term made the 40x40 F_p
+        det about a third slower."""
+        def step(row, cols, terms):
+            if len(terms) == 2:
+                (a, x), (b, y) = terms
+                for j in cols:
+                    num = a * x[j] + b * y[j]
+                    quo, rem = divmod(num, prev)
+                    if rem:
+                        raise InternalInvariant(f"{prev} does not divide {num}")
+                    row[j] = quo
+            else:
+                (a, x), (b, y), (c, z) = terms
+                for j in cols:
+                    num = a * x[j] + b * y[j] + c * z[j]
+                    quo, rem = divmod(num, prev)
+                    if rem:
+                        raise InternalInvariant(f"{prev} does not divide {num}")
+                    row[j] = quo
+        return step
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
         """num / scale^e as a canonical scalar."""
@@ -630,11 +675,11 @@ class IntegerRing:
 
 class ResidueRing(IntegerRing):
     """F_p itself, with the integer operations on plain ints.  Clearing
-    scales by 1.  Only division, dot and to_scalar reduce mod p, and the
-    kernels divide every entry they update (one pivot inverse per step),
-    so the entries they keep stay in (-p, p), where a falsy int is exactly
-    a zero residue.  In a field a division by nonzero d leaves no
-    remainder; d = 0 raises."""
+    scales by 1.  Only the row step, dot and to_scalar reduce mod p, and
+    the row step reduces every entry it updates, so the entries a kernel
+    keeps stay in (-p, p), where a falsy int is exactly a zero residue.  In
+    a field a division by nonzero prev leaves no remainder: the row step
+    folds 1/prev into the coefficients once per row; prev = 0 raises."""
 
     def dot(self, x, y):
         return sum(map(operator.mul, x, y)) % self.field.p
@@ -642,10 +687,22 @@ class ResidueRing(IntegerRing):
     def clear(self, rows):
         return 1, [[x.value for x in row] for row in rows]
 
-    def divide_by(self, d):
+    def row_step(self, prev):
         p = self.field.p
-        inv = pow(d, -1, p)
-        return lambda x: x * inv % p
+        inv = pow(prev, -1, p)
+
+        def step(row, cols, terms):
+            if len(terms) == 2:
+                (a, x), (b, y) = terms
+                a, b = a * inv % p, b * inv % p
+                for j in cols:
+                    row[j] = (a * x[j] + b * y[j]) % p
+            else:
+                (a, x), (b, y), (c, z) = terms
+                a, b, c = a * inv % p, b * inv % p, c * inv % p
+                for j in cols:
+                    row[j] = (a * x[j] + b * y[j] + c * z[j]) % p
+        return step
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
         p = self.field.p
@@ -654,10 +711,60 @@ class ResidueRing(IntegerRing):
         return Scalar(self.field, num % p)
 
 
+def _exact_quotient(x, d, p):
+    """x / d in F_p[t], raising InternalInvariant if d does not divide x."""
+    quo, rem = poly_divmod(x, d, p)
+    if rem:
+        raise InternalInvariant(f"{poly_to_str(d)} does not divide {poly_to_str(x)} over F_{p}")
+    return quo
+
+
+def _series_inverse(f, n, p, g=()):
+    """[g_0, ..., g_{n-1}] with f g = 1 mod t^n, for f[0] != 0, by Newton
+    iteration g <- g + g (1 - f g), which doubles the precision of g; it
+    starts from the inverse g to a lower precision, if one is given."""
+    g = list(g) or [pow(f[0], -1, p)]
+    while len(g) < n:
+        k = len(g)
+        k2 = min(2 * k, n)
+        # f g = 1 + t^k h mod t^k2, and g (1 - f g) = -t^k g h
+        h = poly_mul(f[:k2], g, p)[k:k2]
+        gh = poly_mul(g[:k2 - k], h, p)[:k2 - k]
+        g += [-x % p for x in gh] + [0] * (k2 - k - len(gh))
+    return g
+
+
+def _packed_quotients(nums, prev, inverse, width, code, p):
+    """The quotients nums[k] / prev, as coefficient lists, from their top
+    coefficients only: with m = deg prev, rev(num / prev) is rev(num[m:])
+    times 1 / rev(prev) mod t^(len(num) - m), for every num in one
+    product.  No remainder is checked; a num shorter than prev (not 0)
+    gives garbage."""
+    m = len(prev) - 1
+    block = 2 * len(inverse) - 1
+    slots = _slots(_pack([num[:m - 1:-1] if m else num[::-1] for num in nums], block, width, code)
+                   * int.from_bytes(array(code, inverse), "little"),
+                   len(nums) * block, width, code)
+    quos = []
+    for s, num in zip(range(0, len(slots), block), nums):
+        quos.append([x % p for x in reversed(slots[s:s + len(num) - m])] if num else [])
+    return quos
+
+
 class PolynomialRing:
     """F_p[t], for F_p(t); elements are trimmed coefficient tuples.  Long
     products and dot products go by Kronecker substitution, at least
-    _KRONECKER_MIN = 6 coefficients in every factor."""
+    _KRONECKER_MIN = 6 coefficients in every factor.
+
+    The row step packs a whole row by two-level Kronecker substitution:
+    coefficient slots, the widths _kronecker uses, inside one block per
+    entry.  One big-int product per term gives every numerator of the row,
+    one product with the power-series inverse of rev(prev) (by Newton
+    iteration, once per pivot step) every quotient, and one product of the
+    quotients with prev, compared slot by slot with the numerators, checks
+    every division (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 8-9).  When no slot is wide enough (p near 2^32 or above), it
+    works entry by entry."""
 
     zero, one = (), (1,)
 
@@ -691,28 +798,81 @@ class PolynomialRing:
         dens = {den for row in rows for _, den in row}
         scale = (1,)
         for den in dens:
-            scale = poly_mul(scale, self.divide_by(poly_gcd(scale, den, p))(den), p)
-        cofactor = {den: self.divide_by(den)(scale) for den in dens}
+            scale = poly_mul(scale, _exact_quotient(den, poly_gcd(scale, den, p), p), p)
+        cofactor = {den: _exact_quotient(scale, den, p) for den in dens}
         return scale, [[poly_mul(num, cofactor[den], p) for num, den in row]
                        for row in rows]
 
-    def divide_by(self, d):
+    def row_step(self, prev):
         p = self.field.p
+        sq = (p - 1) ** 2
+        m = len(prev) - 1
+        rev = prev[::-1]
+        inverse = []  # 1 / rev(prev) mod t^len(inverse), grown as rows need
 
-        def div(x):
-            quo, rem = poly_divmod(x, d, p)
-            if rem:
-                raise InternalInvariant(
-                    f"{poly_to_str(d)} does not divide {poly_to_str(x)} over F_{p}")
-            return quo
-        return div
+        def step(row, cols, terms):
+            terms = [(c, [x[j] for j in cols]) for c, x in terms if c]
+            longest = [max(map(len, xs), default=0) for _, xs in terms]
+            block = max([len(c) + n - 1 for (c, _), n in zip(terms, longest) if n], default=0)
+            if not block:
+                for j in cols:
+                    row[j] = ()
+                return
+            slot = _slot(max(sum(min(len(c), n) for (c, _), n in zip(terms, longest)), block) * sq)
+            if slot is None:
+                for k, j in enumerate(cols):
+                    row[j] = _exact_quotient(self.dot([c for c, _ in terms],
+                                                      [xs[k] for _, xs in terms]), prev, p)
+                return
+            width, code = slot
+            slots = [x % p for x in _slots(
+                sum(int.from_bytes(array(code, c), "little") * _pack(xs, block, width, code)
+                    for c, xs in terms), len(cols) * block, width, code)]
+            nums = []
+            for s in range(0, len(slots), block):
+                num = slots[s:s + block]
+                while num and not num[-1]:
+                    num.pop()
+                nums.append(num)
+            longest = max(map(len, nums))
+            if prev != (1,) and longest:
+                if any(0 < len(num) <= m for num in nums):
+                    raise InternalInvariant(f"{poly_to_str(prev)} does not divide a "
+                                            "nonzero numerator of lower degree")
+                if len(inverse) < longest - m:
+                    inverse[:] = _series_inverse(rev, longest - m, p, inverse)
+                quos = _packed_quotients(nums, prev, inverse[:longest - m], width, code, p)
+                slots = _slots(_pack(quos, longest, width, code)
+                               * int.from_bytes(array(code, prev), "little"),
+                               len(cols) * longest, width, code)
+                for s, num in zip(range(0, len(slots), longest), nums):
+                    if [x % p for x in slots[s:s + len(num)]] != num:
+                        raise InternalInvariant(
+                            f"{poly_to_str(prev)} does not divide {poly_to_str(num)} over F_{p}")
+                nums = quos
+            for j, num in zip(cols, nums):
+                row[j] = tuple(num)
+        return step
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
+        """num / scale^e as a canonical scalar.  A factor num shares with
+        scale^e is a factor of scale, so the gcds are taken against scale
+        itself: at most e of them, each cancelling one copy of scale."""
         p = self.field.p
+        if not num:
+            return Scalar(self.field, ((), (1,)))
         den = (1,)
-        for _ in range(e):
-            den = poly_mul(den, scale, p)
-        return Scalar(self.field, _canonical_ratio(num, den, p))
+        for i in range(e):
+            g = poly_gcd(num, scale, p)
+            if g == (1,):
+                for _ in range(e - i):
+                    den = poly_mul(den, scale, p)
+                break
+            num = poly_divmod(num, g, p)[0]
+            den = poly_mul(den, poly_divmod(scale, g, p)[0], p)
+        inv = pow(den[-1], -1, p)
+        return Scalar(self.field, (tuple(x * inv % p for x in num),
+                                   tuple(x * inv % p for x in den)))
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

@@ -181,8 +181,11 @@ class Matrix:
         r, every updated entry becomes (p m_ij - m_ic m_rj) / prev, prev
         the previous pivot (1 at the start): a minor of the scaled matrix,
         so every division is exact in R (Bareiss, Math. Comp. 22, 1968),
-        and each one is checked.  Pivot columns are never read again, so
-        they are not updated.  The forward pass (upward=False) updates the
+        and each one is checked.  Each pivot step makes one
+        `ring.row_step(prev)` and calls it once per updated row, with the
+        terms (p, row i) and (-m_ic, row r); over F_p[t] it packs the row
+        into a few big-int products.  Pivot columns are never read again,
+        so they are not updated.  The forward pass (upward=False) updates the
         rows below r only, and the last pivot of a square matrix of full
         rank is det(L A).  The full pass updates the rows above too
         (Nakos, Turner & Williams, SIGSAM Bull. 31(3), 1997), so the last
@@ -200,7 +203,7 @@ class Matrix:
             row_scale, (cleared,) = ring.clear([row])
             scales.append(row_scale)
             m.append(cleared)
-        mul, sub = ring.mul, ring.sub
+        neg = ring.neg
         width = len(m[0]) if m else 0
         pivots, sign, prev = [], 1, ring.one
         for c in range(self.cols):
@@ -216,12 +219,11 @@ class Matrix:
             pivot, row_r = m[r][c], m[r]
             pivots.append(c)
             live = [j for j in range(width) if j not in pivots]
-            div = ring.divide_by(prev)
+            step = ring.row_step(prev)
             for i in range(0 if upward else r + 1, self.rows):
                 if i != r:
-                    row, f = m[i], m[i][c]
-                    for j in live:
-                        row[j] = div(sub(mul(pivot, row[j]), mul(f, row_r[j])))
+                    row = m[i]
+                    step(row, live, ((pivot, row), (neg(row[c]), row_r)))
             prev = pivot
         return ring, scales, m, pivots, sign
 

@@ -256,7 +256,9 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     by the Pfaffian analogue of Sylvester's identity (the Dress-Wenzel
     identity), each entry is then the Pfaffian of the leading eliminated
     block bordered by i and j, so every division is exact in R, and each
-    one is checked.  The last pivot is Pf(L A), reduced once to
+    one is checked.  Each pivot pair makes one `ring.row_step(prev)`, called
+    once per row i on the entries j > i with the three terms above.  The
+    last pivot is Pf(L A), reduced once to
     Pf(A) = Pf(L A) / L^(q/2).  Pivots take the largest-index nonzero
     entry of row k and are moved into place by a paired row/column swap,
     which flips the sign.
@@ -271,7 +273,7 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     scale, upper = ring.clear(a.upper)
     # m[i][j] holds entry (i, j) for i < j; the rest is padding
     m = [[None] * (i + 1) + row for i, row in enumerate(upper)] + [[None] * q]
-    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
+    neg = ring.neg
     sign = 1
     prev = ring.one
     for k in range(0, q, 2):
@@ -290,12 +292,11 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
                 row_b[x], m[pivot][x] = m[pivot][x], row_b[x]
             sign = -sign
         row_k1, base = m[k + 1], row_k[k + 1]
-        div = ring.divide_by(prev)
+        step = ring.row_step(prev)
         for i in range(k + 2, q - 1):
-            row_i, ki, k1i = m[i], row_k[i], row_k1[i]
-            for j in range(i + 1, q):
-                row_i[j] = div(add(sub(mul(base, row_i[j]), mul(ki, row_k1[j])),
-                                   mul(row_k[j], k1i)))
+            row_i = m[i]
+            step(row_i, range(i + 1, q),
+                 ((base, row_i), (neg(row_k[i]), row_k1), (row_k1[i], row_k)))
         prev = base
     result = ring.to_scalar(prev, scale, q // 2)
     return result if sign == 1 else -result

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import DivisionByZero, FieldMismatch, ParseError, SamplerExhausted
-from skewplus.fields import (_KRONECKER_MIN, PRIME, Field, Scalar, parse_scalar, poly_divmod,
-                             poly_gcd, poly_mul, poly_trim, sample_until, specialize)
+from skewplus.fields import (_KRONECKER_MIN, PRIME, Field, Scalar, _canonical_ratio, parse_scalar,
+                             poly_divmod, poly_gcd, poly_mul, poly_trim, sample_until, specialize)
 
 FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
@@ -404,3 +404,62 @@ def test_shared_factor_pairs_reach_every_cancellation():
         assert x + y == scalar_oracle("add", x, y) and x * y == scalar_oracle("mul", x, y)
     assert seen == {(name, hit) for name in ("g1", "g2 of a product", "g2 of a sum")
                     for hit in (False, True)}
+
+
+# -- to_scalar against the body it replaced --------------------------------
+
+def to_scalar_oracle(field, num, scale, e):
+    """num / scale^e as PolynomialRing.to_scalar made it before: scale^e
+    by repeated products, then one full gcd against it (_canonical_ratio)."""
+    p = field.p
+    den = (1,)
+    for _ in range(e):
+        den = poly_mul_oracle(den, scale, p)
+    return Scalar(field, _canonical_ratio(num, den, p))
+
+
+@st.composite
+def to_scalar_cases(draw):
+    """num = r a^i b^j over scale = c a b, so num shares each of scale's
+    factors a and b at a multiplicity below, at or above e (r zero,
+    constant or of any degree); scale need not be monic."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    a, b, c = (draw(polys(p, 4)) or (1,) for _ in range(3))
+    scale = poly_mul_oracle(poly_mul_oracle(a, b, p), c, p)
+    num = draw(st.one_of(st.just(()), polys(p, 1), polys(p, 5)))
+    for factor in (a, b):
+        for _ in range(draw(st.integers(0, 5))):
+            num = poly_mul_oracle(num, factor, p)
+    return Field.function_field(p), num, scale, draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(to_scalar_cases())
+def test_to_scalar_matches_oracle(case):
+    field, num, scale, e = case
+    got, want = field.ring().to_scalar(num, scale, e), to_scalar_oracle(field, num, scale, e)
+    assert got == want and got.value == want.value
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_to_scalar_zero_constant_and_shared_numerators(p):
+    """Over scale = 2 t (t+1) (2 = 0 for p = 2): zero and constant
+    numerators, and numerators with t or t+1 to every multiplicity 0-4
+    against every power e 0-3."""
+    field = Field.function_field(p)
+    scale = poly_trim((0, 2, 2), p) or (0, 1, 1)
+    t, t1 = (0, 1), (1, 1)
+    nums = [(), (1,), (p - 1,)]
+    for i in range(5):
+        for j in range(5):
+            num = (p - 1,)
+            for factor in [t] * i + [t1] * j:
+                num = poly_mul_oracle(num, factor, p)
+            nums.append(num)
+    cancelled = 0
+    for num in nums:
+        for e in range(4):
+            got = field.ring().to_scalar(num, scale, e)
+            assert got.value == to_scalar_oracle(field, num, scale, e).value
+            cancelled += len(got.value[1]) < 2 * e + 1
+    assert cancelled

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewplus import fields
 from skewplus.errors import InternalInvariant, NotSquare, ShapeMismatch, Singular
 from skewplus.fields import PRIME, Field
 from skewplus.matrices import Matrix, PermutationMap
@@ -180,15 +181,37 @@ def test_det_against_cofactor_oracle_all_fields(sparse_field):
     assert swaps, "no case needed a row swap"
 
 
-def test_ring_exact_division_raises_when_inexact():
-    assert Q.ring().divide_by(3)(12) == 4
+def test_ring_exact_division_raises_when_inexact(monkeypatch):
+    """The row step's exact division by prev: exact quotients come back and
+    a remainder raises, over Z, over F_3(t) with the packed rows and over
+    F_{2^61-1}(t), where no slot is wide enough and it goes entry by entry."""
+    step, row = Q.ring().row_step(3), [None, None]
+    step(row, [0, 1], ((1, [12, 9]), (2, [0, -3])))
+    assert row == [4, 1]
     with pytest.raises(InternalInvariant):
-        Q.ring().divide_by(3)(10)
-    f3t = Field.function_field(3)
+        step(row, [0, 1], ((1, [12, 10]), (2, [0, 0])))
+    with pytest.raises(InternalInvariant):
+        step(row, [1], ((1, [0, 10]), (2, [0, 1]), (-1, [0, 5])))
+    packed = []
+    real = fields._packed_quotients
+    monkeypatch.setattr(fields, "_packed_quotients",
+                        lambda *args: packed.append(1) or real(*args))
     t_plus_1 = (1, 1)
-    assert f3t.ring().divide_by(t_plus_1)((1, 2, 1)) == t_plus_1  # (t+1)^2
-    with pytest.raises(InternalInvariant):
-        f3t.ring().divide_by(t_plus_1)((1, 0, 1))  # t^2 + 1 has no root in F_3
+    for p, runs in ((3, True), (2**61 - 1, False)):
+        step = Field.function_field(p).ring().row_step(t_plus_1)
+        row = [(), (), ()]
+        # the numerators (t+1)^2, 0 and (t+1) t
+        step(row, [0, 1, 2], ((t_plus_1, [t_plus_1, (), (0, 1)]), ((1,), [(), (), ()])))
+        assert row == [t_plus_1, (), (0, 1)]
+        with pytest.raises(InternalInvariant):
+            step(row, [0], (((1,), [(1, 0, 1)]),))  # t^2 + 1 has no root in F_p
+        with pytest.raises(InternalInvariant):
+            step(row, [0, 1], (((1,), [(1, 1), (2,)]),))  # a constant, not 0
+        with pytest.raises(InternalInvariant):
+            step(row, [0], (((1,), [(0, 1)]), ((1,), [(0, 0, 1)]), ((1,), [(1,)])))
+        assert bool(packed) == runs
+        packed.clear()
+    assert fields._slot((2**61 - 2) ** 2) is None
 
 
 def test_det_identity_and_psi():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewplus import pfaffian
+from skewplus import fields, pfaffian
 from skewplus.errors import NotSkewPlus, OddSize, ShapeMismatch
 from skewplus.fields import PRIME, Field, IntegerRing, PolynomialRing, ResidueRing, Scalar
 from skewplus.matrices import Matrix, PermutationMap
@@ -223,18 +223,19 @@ def test_recursive_property_against_scalar_oracle(a):
 def test_recursive_is_an_expansion(monkeypatch):
     """pf_recursive stays independent of elimination, so comparing it with
     pf_eliminate compares two algorithms: it calls no pf_eliminate, no
-    Matrix elimination and no exact division beyond its one ring.clear."""
+    Matrix elimination, no Bareiss row step and no exact division beyond
+    its one ring.clear."""
     def refuse(*args, **kwargs):
         raise AssertionError("pf_recursive eliminated")
 
     monkeypatch.setattr(pfaffian, "pf_eliminate", refuse)
     monkeypatch.setattr(Matrix, "_eliminate", refuse)
-    divisions = []
     for ring in (IntegerRing, ResidueRing, PolynomialRing):
-        def counted(self, d, real=ring.divide_by):
-            divisions.append(d)
-            return real(self, d)
-        monkeypatch.setattr(ring, "divide_by", counted)
+        monkeypatch.setattr(ring, "row_step", refuse)
+    divisions = []
+    real = fields._exact_quotient
+    monkeypatch.setattr(fields, "_exact_quotient",
+                        lambda x, d, p: divisions.append(d) or real(x, d, p))
     rng = random.Random(12)
     for field in ORACLE_FIELDS:
         a = seeded_skew(field, 10, rng, 0.2)
@@ -244,6 +245,8 @@ def test_recursive_is_an_expansion(monkeypatch):
         assert pf_recursive(a) == pf_recursive_scalar(a)
         assert len(divisions) == by_clear
         divisions.clear()
+    with pytest.raises(AssertionError, match="eliminated"):
+        pf_eliminate(seeded_skew(Q, 4, rng, 0))
 
 
 # -- the certificate table against the Scalar sweep it replaced ------------
