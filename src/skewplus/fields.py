@@ -608,7 +608,8 @@ class Scalar:
 # fraction field is the field; it computes with add, sub, mul, neg, dot and
 # the Bareiss row step only, and turns each result num back into the
 # canonical scalar num / L^e once, at the end.  In every R the zero element
-# is the only falsy one.
+# is the only falsy one, and `equal` tests two elements for equality (over
+# F_p, add, sub and mul leave their results unreduced).
 #
 # The row step is the one division a fraction-free elimination makes.
 # `ring.row_step(prev)` is called once per pivot step, with prev the
@@ -626,6 +627,7 @@ class IntegerRing:
 
     zero, one = 0, 1
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    equal = staticmethod(operator.eq)
 
     @staticmethod
     def dot(x, y):
@@ -683,6 +685,11 @@ class ResidueRing(IntegerRing):
 
     def dot(self, x, y):
         return sum(map(operator.mul, x, y)) % self.field.p
+
+    def equal(self, x, y):
+        """Whether x and y are the same residue: add, sub and mul do not
+        reduce."""
+        return (x - y) % self.field.p == 0
 
     def clear(self, rows):
         return 1, [[x.value for x in row] for row in rows]
@@ -767,6 +774,7 @@ class PolynomialRing:
     works entry by entry."""
 
     zero, one = (), (1,)
+    equal = staticmethod(operator.eq)
 
     def __init__(self, field: Field):
         self.field = field

@@ -19,11 +19,13 @@ fix a hyperplane pointwise and are therefore elementary matrices
 e_{2n-1,2n}(c), c read in closed form, and the alternating sum of the c
 values is the coefficient.
 Agreement with the Pfaffian ratio is mathematically forced, not built
-in: the oracle never evaluates the ratio.  Non-canonical triples
-are reduced to the canonical one by one relabeling, the composite of
-adjacent swaps, under which both the oracle value and the ratio are
-invariant.  The face vectors are solved once per column of the triple,
-in the ring, by the sections' substitution.
+in: the oracle never evaluates the ratio, nor reads the certificate's
+table.  Non-canonical triples are reduced to the canonical one by one
+relabeling, the composite of adjacent swaps, under which both the oracle
+value and the ratio are invariant.  The oracle runs in the ring of the
+field from the relabelled matrix, cleared once, to c: its Pfaffians by
+the ring elimination kernel, the face vectors of all three columns by
+one substitution, its checks by cross-multiplication.
 
 The bracket calculus provides the compact generators of size-3 sums:
 square brackets [a b; c] are plain generators, braces x{a b; c} rescale
@@ -49,22 +51,26 @@ from .errors import (
 )
 from .fields import Field, Scalar, sample_until
 from .matrices import PermutationMap
-from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, pf_eliminate
-from .sections import _solve_pairings, section_v_det1
-from .symplectic import gram, pairing
+from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, _pf_ring
+from .sections import _substitute, section_v_det1
 
 
 # ---------------------------------------------------------------------------
 # the differential
 # ---------------------------------------------------------------------------
 
+def _increasing_triple(triple, q: int):
+    """The triple as (i, j, k), which must satisfy 1 <= i < j < k <= q."""
+    if len(triple) != 3 or not 1 <= triple[0] < triple[1] < triple[2] <= q:
+        raise BadIndices(f"triple {triple} is not increasing inside 1..{q}")
+    return tuple(triple)
+
+
 def pfaffian_ratio(a, triple) -> Scalar:
     """Pf(A) / (Pf(A^ij) Pf(A^ik) Pf(A^jk)), without the sign, read from
     the certificate's table."""
     a = _as_certified(a)
-    i, j, k = triple
-    if not 1 <= i < j < k <= a.size:
-        raise BadIndices(f"triple {triple} is not increasing inside 1..{a.size}")
+    i, j, k = _increasing_triple(triple, a.size)
     return a.pf_without() / (a.pf_without(i, j) * a.pf_without(i, k) * a.pf_without(j, k))
 
 
@@ -103,86 +109,152 @@ def check_certificate(target: FormalSum, certificate, n: int) -> bool:
 # the oracle
 # ---------------------------------------------------------------------------
 
+def _canonical_order(q: int, triple):
+    """The labels 1..q with the triple moved to the end, the others in
+    order: the composite of the adjacent swaps that push k, then j, then
+    i to the end."""
+    i, j, k = _increasing_triple(triple, q)
+    return [x for x in range(1, q + 1) if x not in (i, j, k)] + [i, j, k]
+
+
 def reduce_to_canonical(a: SkewPlusMatrix, triple):
     """Relabel the matrix so that the triple becomes (2n, 2n+1, 2n+2) and
-    the other indices keep their order: one permutation, the composite of
-    the adjacent swaps that push k, then j, then i to the end.  Returns
-    the transformed matrix."""
-    q = a.size
-    i, j, k = triple
-    if not 1 <= i < j < k <= q:
-        raise BadIndices(f"triple {triple} is not increasing inside 1..{q}")
-    rest = [x for x in range(1, q + 1) if x not in (i, j, k)]
-    return a.permuted(PermutationMap(rest + [i, j, k]))
+    the other indices keep their order.  Returns the transformed matrix."""
+    return a.permuted(PermutationMap(_canonical_order(a.size, triple)))
 
 
 def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     """One gamma coefficient of a certified matrix of even size
     2n+2 >= 4, recomputed group-theoretically at the canonical triple
-    (2n, 2n+1, 2n+2); odd sizes and sizes below 4 raise `BadRange`.
+    (2n, 2n+1, 2n+2); odd sizes and sizes below 4 raise `BadRange`, as do
+    betas that are not three values, and a triple that is not increasing
+    inside 1..2n+2 raises `BadIndices`.
 
     `betas` optionally fixes the three free parameters of the sequence
     constructions; the returned value is provably independent of them,
     which the tests exercise by rerunning with random choices.
+
+    The whole computation runs in the ring R of `field.ring()`: the
+    relabelled matrix A' is cleared once to B = L A', its Pfaffians come
+    from the ring kernel `_pf_ring` on index subsets of B, the face vectors
+    are one forward substitution against the corner section, and every
+    value is kept as a numerator over a ring denominator.  The checks
+    compare by cross-multiplication, and only c becomes a scalar.
     """
     a = _as_certified(a)
     q = a.size
     if q < 4 or q % 2:
         raise BadRange(f"the oracle needs even size >= 4, got {q}")
-    a = reduce_to_canonical(a, triple)
+    order = _canonical_order(q, triple)
+    if betas is not None and len(betas) != 3:
+        raise BadRange(f"the oracle takes 3 betas, got {len(betas)}")
     field = a.field
-    idx = (q - 2, q - 1, q)
-    betas = [field.zero()] * 3 if betas is None else [field.scalar(b) for b in betas]
-    betas = dict(zip(idx, betas))
+    ring = field.ring()
+    add, sub, mul, neg, dot, equal = ring.add, ring.sub, ring.mul, ring.neg, ring.dot, ring.equal
 
+    # b[x][y] = L A'_{x+1,y+1}, A' the matrix relabelled by `order`
+    scale, upper = ring.clear(a.inner.upper)
+    full = [[ring.zero] * q for _ in range(q)]
+    for x, row in enumerate(upper):
+        for y, value in enumerate(row, start=x + 1):
+            full[x][y], full[y][x] = value, neg(value)
+    b = [[full[x - 1][y - 1] for y in order] for x in order]
+
+    def pf_without(u, v):
+        """L^n Pf(A' with the 0-based indices u and v removed), size 2n."""
+        keep = [x for x in range(q) if x not in (u, v)]
+        p, sign = _pf_ring(ring, [[b[x][y] for y in keep[i + 1:]] for i, x in enumerate(keep[:-1])])
+        return p if sign == 1 else neg(p)
+
+    m = q - 3                                  # the corner is 0..m-1, size 2n-1
+    idx = (m, m + 1, m + 2)                    # the triple, 0-based
     pf = {}
-    for u, v in combinations(idx, 2):
-        pf[u, v] = pf[v, u] = pf_eliminate(a.remove_indices([u, v]))
+    for x, y in combinations(idx, 2):
+        pf[x, y] = pf[y, x] = pf_without(x, y)
+    l_n1 = ring.one                            # L^(n-1)
+    for _ in range(q // 2 - 2):
+        l_n1 = mul(l_n1, scale)
 
-    # shared corner: det-1 triangular section of the (2n-1)-block, in R^{2n}
-    tri = section_v_det1(a.remove_indices(idx)).vectors
-    # Pf of the leading (2n-2)-block, the Gram matrix of the first 2n-2
-    # corner vectors, is their diagonal's product, 1 / last_pivot by det = 1
-    last_pivot = tri[-1][q - 4]
+    # shared corner: det-1 triangular section of the (2n-1)-block, in
+    # R^{2n}, cleared once to cor = l corner; the Pf of the leading
+    # (2n-2)-block is the product of its diagonal, 1 / last_pivot by det = 1
+    corner = section_v_det1(a.principal(order[:m])).vectors
+    ell, cor = ring.clear(corner)
+    last_pivot = cor[m - 1][m - 1]             # l last_pivot
+    # psi v = (v_2, -v_1, v_4, -v_3, ...), so <x, y> = x . psi y
+    psi_cor = [[x for k in range(0, len(v), 2) for x in (v[k + 1], neg(v[k]))] for v in cor]
+    for x in range(m):
+        for y in range(x + 1, m):
+            # <corner_x, corner_y> = A'_xy, the entries all three faces share
+            if not equal(mul(dot(cor[x], psi_cor[y]), scale), mul(b[x][y], mul(ell, ell))):
+                raise InternalInvariant("corner Gram does not match the matrix")
+
+    # for each column col of the triple, u solves <corner_x, w> = A'_{x,col}
+    # with w = (-u_2, u_1, ..., -u_2n, u_2n-1), u_2n = 0, as L u = u[col] / den
+    den, nums = ring.one, [[], [], []]
+    for x in range(m):
+        den = _substitute(ring, den, nums, cor[x][:x + 1], [mul(ell, b[x][col]) for col in idx])
+    u = dict(zip(idx, nums))
+    big_e = mul(den, scale)                    # the true u is u[col] / E
+    z = {col: u[col][-1] for col in idx}       # z_col = u_2n-1 = z[col] / E
+    for col in idx:
+        # the pairings with the corner, <corner_x, w> = cor_x . u / (l E);
+        # the d coordinate of a face vector pairs only with slot 2n, zero in
+        # every corner vector, so these entries are the same in both faces
+        if any(not equal(dot(cor[x], u[col]), mul(b[x][col], mul(ell, den))) for x in range(m)):
+            raise InternalInvariant("face pairing with the corner does not match")
+        # z_col = Pf(A' without the other two), times E L^n
+        if not equal(mul(z[col], l_n1), mul(pf[tuple(c for c in idx if c != col)], den)):
+            raise InternalInvariant("last coordinate does not match its Pfaffian")
+
+    # the free parameters beta_r = beta[r] / l_b
+    if betas is None:
+        l_b, beta = ring.one, dict.fromkeys(idx, ring.zero)
+    else:
+        l_b, (cleared,) = ring.clear([[field.scalar(x) for x in betas]])
+        beta = dict(zip(idx, cleared))
 
     # for each r, the two remaining vectors of the sequence with Gram equal
-    # to the r-th face of a are (x, d, z): (x, 0, z) has the pairings
-    # a_{1..2n-1,col} against the corner, z is Pf(a without the other two)
-    built = {col: _solve_pairings(tri, [a.entry(i, col) for i in range(1, q - 2)], field)
-             for col in idx}
-    if any(built[col][-1] != pf[tuple(set(idx) - {col})] for col in idx):
-        raise InternalInvariant("last coordinate does not match its Pfaffian")
-    u_vecs = {}
+    # to the r-th face of A' are (x, d, z) for its columns s < t: x the
+    # first 2n-2 coordinates of w, d_t = beta_r and d_s = X_r / Y_r
+    x_num = {}
     for r in idx:
         s, t = (col for col in idx if col != r)
-        z_s, z_t = built[s][-1], built[t][-1]
-        d_t = betas[r]
-        # slot 2n-1 of both is 0, so this pairs the x parts alone
-        d_s = (a.entry(s, t) - pairing(built[s], built[t]) + z_s * d_t) / z_t
-        u_vecs[r] = {col: built[col][:-2] + (d, built[col][-1])
-                     for col, d in ((s, d_s), (t, d_t))}
-        # the assembled sequence must realize the face Gram matrix exactly
-        if gram([*tri, u_vecs[r][s], u_vecs[r][t]], field) != a.remove_indices([r]).inner:
+        # <x_s, x_t> = pair / E^2, since <w_s, w_t> = u_s . psi u_t
+        pair = dot(u[s][:m - 1], [y for k in range(0, m - 1, 2)
+                                  for y in (u[t][k + 1], neg(u[t][k]))])
+        # d_s = (A'_st - <x_s, x_t> + z_s d_t) / z_t
+        x_r = add(mul(sub(mul(b[s][t], mul(mul(den, den), scale)), pair), l_b),
+                  mul(mul(z[s], beta[r]), big_e))
+        y_r = mul(mul(big_e, l_b), z[t])
+        # the face Gram entry (s, t): <x_s, x_t> + d_s z_t - z_s d_t = A'_st,
+        # times E^2 l_b L (d_s z_t = X_r / (E^2 l_b))
+        if not equal(mul(sub(add(mul(pair, l_b), x_r), mul(mul(z[s], beta[r]), big_e)), scale),
+                     mul(b[s][t], mul(mul(big_e, big_e), l_b))):
             raise InternalInvariant("sequence Gram does not match the face")
         # determinant identity tying the free parameters to Pfaffians,
-        # Pf(a without 2n-1, r) = Pf(leading) (d_s Pf^{rs} - d_t Pf^{rt}),
-        # checked multiplied by last_pivot
-        lhs = pf_eliminate(a.remove_indices([q - 3, r])) * last_pivot
-        if lhs != d_s * pf[r, s] - d_t * pf[r, t]:
+        # Pf(A' without 2n-1, r) = Pf(leading) (d_s Pf^{rs} - d_t Pf^{rt}),
+        # checked multiplied by last_pivot, l, Y_r, l_b and L^n
+        lhs = mul(mul(pf_without(m - 1, r), last_pivot), mul(y_r, l_b))
+        rhs = mul(sub(mul(mul(x_r, pf[r, s]), l_b), mul(mul(beta[r], pf[r, t]), y_r)), ell)
+        if not equal(lhs, rhs):
             raise InternalInvariant("determinant identity fails")
+        x_num[r] = x_r
 
-    def c_of(r, s):
-        """The c with basis-change map e_{2n-1,2n}(c) between the r and s
-        sequences restricted away from positions r and s.  The corner
-        spans e_1..e_{2n-1}, so the map fixes it and sends y = u_s[t] to
-        x = u_r[t]; both are built[t] outside slot 2n-1, so the map is
-        e_{2n-1,2n}(c) with c = (x_{2n-1} - y_{2n-1}) / y_{2n}."""
-        t = (set(idx) - {r, s}).pop()
-        x, y = u_vecs[r][t], u_vecs[s][t]
-        return (x[-2] - y[-2]) / y[-1]
-
+    # c_of(r, s) = (d^r_t - d^s_t) / z_t for the third index t: the basis
+    # change e_{2n-1,2n}(c) fixes the corner and sends the s sequence's
+    # t-th vector to the r sequence's, which differ only in d.  In face r,
+    # d is X_r / Y_r on its first column and beta_r on its second, so for
+    # (i, j, k), with Y_i = Y_j = E l_b z_k and Y_k = E l_b z_j,
+    #   c_of(i, k) = (X_i - beta_k E z_k) / (l_b z_j z_k),
+    #   c_of(k, j) = (X_k z_k - X_j z_j) / (l_b z_i z_j z_k),
+    #   c_of(j, i) = (beta_j - beta_i) E / (l_b z_k),
+    # and c is their sum over l_b z_i z_j z_k
     i, j, k = idx
-    return c_of(i, k) + c_of(k, j) + c_of(j, i)
+    num = add(add(mul(sub(x_num[i], mul(mul(beta[k], big_e), z[k])), z[i]),
+                  sub(mul(x_num[k], z[k]), mul(x_num[j], z[j]))),
+              mul(mul(sub(beta[j], beta[i]), big_e), mul(z[i], z[j])))
+    return ring.to_scalar(num, mul(mul(l_b, z[i]), mul(z[j], z[k])), 1)
 
 
 # ---------------------------------------------------------------------------

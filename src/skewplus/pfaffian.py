@@ -19,7 +19,8 @@ coding of the last-column expansion above, `_expand`, works fraction-free
 in the ring of `Field.ring()`: it builds that table, answers every
 bordered test, and runs pf_recursive, the reference Pfaffian, whose
 final value alone is reduced to a scalar.  pf_eliminate, the other
-algorithm, is skew elimination.
+algorithm, is skew elimination: one clearing, the ring kernel `_pf_ring`,
+and one reduction; the gamma oracle runs that kernel on ring submatrices.
 """
 
 from __future__ import annotations
@@ -246,8 +247,25 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
 
     The strict upper triangle is scaled by L, the lcm of its denominators,
     into the ring R whose fraction field is the scalar field (Z for Q,
-    F_p[t] for F_p(t), F_p itself for F_p), and only that triangle is
-    updated.  After the pivot pair (k, k+1), entry (i, j) becomes
+    F_p[t] for F_p(t), F_p itself for F_p); `_pf_ring` eliminates it to
+    Pf(L A), which is reduced once to Pf(A) = Pf(L A) / L^(q/2).
+    """
+    a = _unwrap(a)
+    q = a.size
+    if q % 2 != 0:
+        raise OddSize(f"Pfaffian of odd size {q}")
+    ring = a.field.ring()
+    scale, upper = ring.clear(a.upper)
+    pivot, sign = _pf_ring(ring, upper)
+    result = ring.to_scalar(pivot, scale, q // 2)
+    return result if sign == 1 else -result
+
+
+def _pf_ring(ring, upper):
+    """(p, sign) with sign * p the Pfaffian of the even-sized skew matrix
+    over the ring R whose strict upper rows are `upper` (lists of ring
+    elements, overwritten), by skew Bareiss elimination on that triangle.
+    After the pivot pair (k, k+1), entry (i, j) becomes
 
         (m[k][k+1] m[i][j] - m[k][i] m[k+1][j] + m[k][j] m[k+1][i]) / prev,
 
@@ -257,20 +275,12 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     identity), each entry is then the Pfaffian of the leading eliminated
     block bordered by i and j, so every division is exact in R, and each
     one is checked.  Each pivot pair makes one `ring.row_step(prev)`, called
-    once per row i on the entries j > i with the three terms above.  The
-    last pivot is Pf(L A), reduced once to
-    Pf(A) = Pf(L A) / L^(q/2).  Pivots take the largest-index nonzero
-    entry of row k and are moved into place by a paired row/column swap,
-    which flips the sign.
+    once per row i on the entries j > i with the three terms above; p is
+    the last pivot, or zero.  Pivots take the largest-index nonzero entry
+    of row k and are moved into place by a paired row/column swap, which
+    flips the sign.
     """
-    a = _unwrap(a)
-    q = a.size
-    if q % 2 != 0:
-        raise OddSize(f"Pfaffian of odd size {q}")
-    if q == 0:
-        return a.field.one()
-    ring = a.field.ring()
-    scale, upper = ring.clear(a.upper)
+    q = len(upper) + 1 if upper else 0   # the size is even
     # m[i][j] holds entry (i, j) for i < j; the rest is padding
     m = [[None] * (i + 1) + row for i, row in enumerate(upper)] + [[None] * q]
     neg = ring.neg
@@ -280,7 +290,7 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
         row_k = m[k]
         pivot = next((r for r in range(q - 1, k, -1) if row_k[r]), None)
         if pivot is None:
-            return a.field.zero()
+            return ring.zero, 1
         if pivot != k + 1:
             # relabel k+1 <-> pivot on the active indices k..q-1
             b, row_b = k + 1, m[k + 1]
@@ -298,8 +308,7 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
             step(row_i, range(i + 1, q),
                  ((base, row_i), (neg(row_k[i]), row_k1), (row_k1[i], row_k)))
         prev = base
-    result = ring.to_scalar(prev, scale, q // 2)
-    return result if sign == 1 else -result
+    return prev, sign
 
 
 def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> "PfaffianTable":

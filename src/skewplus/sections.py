@@ -16,6 +16,9 @@ adds e_{2r+1} to w so the sequence can keep growing.  The snug variant
 is what a maximal-length section (q = 2n+1) returns; the roomy v_{k-1}
 ends in 1, so at even k the substitution ends in
 v_k = w + (A_{k-1,k} - <v_{k-1}, w>) e_k, w solving against v_1..v_{k-2}.
+All the vectors come from one substitution with every column of A as a
+right-hand side: each v_k is cleared into the ring once, with its
+entries A_{k,k+1..q}, as a row of every later vector's system.
 
 `section_v_det1` post-composes the snug odd section with a determinant
 correction along e_q, producing an upper triangular matrix of columns
@@ -31,41 +34,45 @@ from .symplectic import SymplecticSpace, pad_vector
 from .unimod import NonDegSeq
 
 
-def _solve_pairings(vectors, values, field):
-    """The w with <v_i, w> = values[i] for every i, of even length
-    2 ceil(len(vectors) / 2), for vectors v_i in span(e_1..e_i) with
-    nonzero i-th coordinate (coordinates past the i-th are not read).
-    In the ring of `field.ring()`, each row (v_i[1..i], values[i]) is
-    cleared once to (m_i1..m_ii, b_i), and num_j = u_j D is kept over the
-    product D of the pivots m_ii so far, so each u_j is reduced once."""
-    ring = field.ring()
+def _substitute(ring, den, nums, row, rhs):
+    """One row of a fraction-free forward substitution in the ring R with
+    several right-hand sides: for each column c, nums[c] holds u^c_1..
+    u^c_{i-1} times den, the product of the pivots so far, and the row
+    (m_1..m_i) and rhs[c] = b^c are the ring elements of the equation
+    m_1 u^c_1 + ... + m_i u^c_i = b^c.  Appends u^c_i to each nums[c],
+    rescaling the others by the pivot m_i, and returns the new den."""
     mul = ring.mul
-    den, nums = ring.one, []
-    for i, (v, a) in enumerate(zip(vectors, values)):
-        if v[i].is_zero():
-            raise InternalInvariant(
-                "prefix Gram matrix is singular despite the certificate")
-        _, ((*m, pivot, b),) = ring.clear([(*v[:i + 1], a)])
-        s = ring.sub(mul(den, b), ring.dot(m, nums))
-        nums = [mul(x, pivot) for x in nums] + [s]
-        den = mul(den, pivot)
-    if len(nums) % 2 == 1:
-        nums.append(ring.zero)
-    return tuple(ring.to_scalar(x, den, 1) for k in range(0, len(nums), 2)
-                 for x in (ring.neg(nums[k + 1]), nums[k]))
+    *m, pivot = row
+    if not pivot:
+        raise InternalInvariant("prefix Gram matrix is singular despite the certificate")
+    for col, b in zip(nums, rhs):
+        col[:] = [mul(x, pivot) for x in col] + [ring.sub(mul(den, b), ring.dot(m, col))]
+    return mul(den, pivot)
 
 
 def _section(a, roomy: bool):
-    """Vectors of the section of `a`, each in its minimal coordinates,
-    built in one pass: every odd vector but a snug last one is roomy."""
+    """Vectors of the section of `a`, each in its minimal coordinates, by
+    one forward substitution with every column of `a` as a right-hand
+    side: v_k solves the rows of v_1..v_{k-1}, and its own row, cleared
+    once with the entries a_{k,k+1..q}, then enters the columns after k.
+    Every odd vector but a snug last one is roomy."""
     field = a.field
     q = a.size
+    ring = field.ring()
+    den, nums = ring.one, [[] for _ in range(q)]
     vectors = []
     for k in range(1, q + 1):
-        w = _solve_pairings(vectors, [a.entry(i, k) for i in range(1, k)], field)
+        u = nums[k - 1] + [ring.zero] * ((k - 1) % 2)
+        # w = (-u_2, u_1, -u_4, u_3, ...): psi w = u, so <v_i, w> = v_i . u
+        w = tuple(ring.to_scalar(x, den, 1) for j in range(0, k - 1, 2)
+                  for x in (ring.neg(u[j + 1]), u[j]))
         if k % 2 == 1 and (k < q or roomy):
             w += (field.one(),)
         vectors.append(w)
+        if k < q:
+            # a.upper[k - 1] is (a_{k,k+1}, ..., a_{k,q})
+            _, (row,) = ring.clear([w[:k] + a.upper[k - 1]])
+            den = _substitute(ring, den, nums[k:], row[:k], row[k:])
     return vectors
 
 

@@ -463,3 +463,20 @@ def test_to_scalar_zero_constant_and_shared_numerators(p):
             assert got.value == to_scalar_oracle(field, num, scale, e).value
             cancelled += len(got.value[1]) < 2 * e + 1
     assert cancelled
+
+
+def test_ring_equal_compares_field_elements():
+    """`equal` on unreduced ring values: over F_p, add, sub and mul leave
+    their results unreduced, so equal residues can be different ints."""
+    p = 1000003
+    fp = Field.prime(p).ring()
+    x, y = 123456, 654321
+    assert fp.mul(x, y) != fp.mul(x, y) % p
+    assert fp.equal(fp.mul(x, y), fp.mul(x, y) % p)
+    assert fp.equal(fp.sub(x, x + p), 0)
+    assert not fp.equal(fp.mul(x, y), fp.mul(x, y) + 1)
+    z = Field.rationals().ring()
+    assert z.equal(z.mul(6, 7), 42) and not z.equal(42, 42 + p)
+    f3t = Field.function_field(3).ring()
+    assert f3t.equal(f3t.mul((1, 1), (2, 1)), (2, 0, 1))
+    assert not f3t.equal((1, 1), (1, 2))

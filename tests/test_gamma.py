@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +31,10 @@ from skewplus.gamma import (
     verify_appendix,
     zlinear_extension,
 )
+from skewplus import gamma, pfaffian
+from skewplus.errors import InternalInvariant
 from skewplus.matrices import Matrix, PermutationMap
-from skewplus.pfaffian import pf_eliminate, random_skew_plus
+from skewplus.pfaffian import SkewPlusMatrix, pf_eliminate, random_skew_plus
 from skewplus.sections import section_v_det1
 from skewplus.symplectic import gram, pairing, psi_matrix
 
@@ -60,6 +63,66 @@ def reduce_oracle(a, triple):
         a = swap_adjacent(a, i)
         i += 1
     return a
+
+
+def solve_pairings_scalar(vectors, values, field):
+    """The w with <v_i, w> = values[i] for v_i in span(e_1..e_i), by the
+    forward substitution u_i = (a_i - sum_{j<i} v_i[j] u_j) / v_i[i] in
+    Scalar arithmetic, then w = (-u_2, u_1, -u_4, u_3, ...)."""
+    u = []
+    for i, (v, a) in enumerate(zip(vectors, values)):
+        if v[i].is_zero():
+            raise InternalInvariant("prefix Gram matrix is singular despite the certificate")
+        for x, y in zip(v, u):
+            a = a - x * y
+        u.append(a / v[i])
+    if len(u) % 2 == 1:
+        u.append(field.zero())
+    return tuple(x for k in range(0, len(u), 2) for x in (-u[k + 1], u[k]))
+
+
+def gamma_oracle_c_scalar(a, triple, betas=None):
+    """gamma_oracle_c as it was built in Scalar arithmetic: a relabelled
+    SkewPlusMatrix, every Pfaffian by pf_eliminate on a face matrix, the
+    face vectors solved one column at a time, and the checks by `gram`
+    and `pairing` on Scalar vectors."""
+    q = a.size
+    a = reduce_to_canonical(a, triple)
+    field = a.field
+    idx = (q - 2, q - 1, q)
+    betas = [field.zero()] * 3 if betas is None else [field.scalar(b) for b in betas]
+    betas = dict(zip(idx, betas))
+
+    pf = {}
+    for u, v in combinations(idx, 2):
+        pf[u, v] = pf[v, u] = pf_eliminate(a.remove_indices([u, v]))
+    tri = section_v_det1(a.remove_indices(idx)).vectors
+    last_pivot = tri[-1][q - 4]
+    built = {col: solve_pairings_scalar(tri, [a.entry(i, col) for i in range(1, q - 2)], field)
+             for col in idx}
+    if any(built[col][-1] != pf[tuple(set(idx) - {col})] for col in idx):
+        raise InternalInvariant("last coordinate does not match its Pfaffian")
+    u_vecs = {}
+    for r in idx:
+        s, t = (col for col in idx if col != r)
+        z_s, z_t = built[s][-1], built[t][-1]
+        d_t = betas[r]
+        d_s = (a.entry(s, t) - pairing(built[s], built[t]) + z_s * d_t) / z_t
+        u_vecs[r] = {col: built[col][:-2] + (d, built[col][-1])
+                     for col, d in ((s, d_s), (t, d_t))}
+        if gram([*tri, u_vecs[r][s], u_vecs[r][t]], field) != a.remove_indices([r]).inner:
+            raise InternalInvariant("sequence Gram does not match the face")
+        lhs = pf_eliminate(a.remove_indices([q - 3, r])) * last_pivot
+        if lhs != d_s * pf[r, s] - d_t * pf[r, t]:
+            raise InternalInvariant("determinant identity fails")
+
+    def c_of(r, s):
+        t = (set(idx) - {r, s}).pop()
+        x, y = u_vecs[r][t], u_vecs[s][t]
+        return (x[-2] - y[-2]) / y[-1]
+
+    i, j, k = idx
+    return c_of(i, k) + c_of(k, j) + c_of(j, i)
 
 
 def oracle_reference(a, triple, betas=None):
@@ -217,7 +280,7 @@ def test_oracle_independent_of_free_parameters_at_size_8():
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.sampled_from([Q, FP]), st.sampled_from([4, 6, 8]), st.integers(0, 10 ** 6),
+@given(st.sampled_from([Q, FP, F3T]), st.sampled_from([4, 6, 8]), st.integers(0, 10 ** 6),
        st.data())
 def test_oracle_property_sizes_4_to_8(field, q, seed, data):
     rng = random.Random(seed)
@@ -237,6 +300,107 @@ def test_oracle_rejects_odd_sizes_small_sizes_and_bad_triples():
     for triple in ((3, 2, 1), (4, 5, 7), (0, 1, 2), (2, 2, 3)):
         with pytest.raises(BadIndices):
             gamma_oracle_c(a, triple)
+
+
+def test_oracle_and_ratio_reject_bad_argument_lengths():
+    a = random_skew_plus(Q, 6, random.Random(18))
+    for triple in ((4, 5), (1, 2, 3, 4), ()):
+        with pytest.raises(BadIndices):
+            gamma_oracle_c(a, triple)
+        with pytest.raises(BadIndices):
+            pfaffian_ratio(a, triple)
+        with pytest.raises(BadIndices):
+            reduce_to_canonical(a, triple)
+    for betas in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(BadRange):
+            gamma_oracle_c(a, (1, 2, 3), betas=betas)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+@pytest.mark.parametrize("q", [4, 6, 8])
+def test_oracle_against_scalar_body_reference_and_ratio(field, q):
+    rng = random.Random(f"scalar body:{field!r}:{q}")
+    a = random_skew_plus(field, q, rng)
+    triples = list(combinations(range(1, q + 1), 3))
+    if q == 8:
+        # oracle_reference inverts two basis matrices per term: every
+        # fifth triple, counted from the canonical one
+        triples = triples[::-5]
+    for triple in triples:
+        betas = [field.sample(rng, 9) for _ in range(3)]
+        ratio = pfaffian_ratio(a, triple)
+        assert gamma_oracle_c_scalar(a, triple) == ratio
+        for bs in (None, betas):
+            c = gamma_oracle_c(a, triple, bs)
+            assert c == gamma_oracle_c_scalar(a, triple, bs) == ratio
+            assert c == oracle_reference(a, triple, bs)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_oracle_uses_no_table_ratio_or_expansion(field, monkeypatch):
+    """The oracle stays independent of the certificate's table, of
+    pfaffian_ratio and of the last-column expansion."""
+    a = random_skew_plus(field, 6, random.Random(f"independent:{field!r}"))
+    triples = list(combinations(range(1, 7), 3))
+    want = [pfaffian_ratio(a, triple) for triple in triples]
+    fresh = SkewPlusMatrix(a.inner, _trusted=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached a Pfaffian-table path")
+
+    monkeypatch.setattr(SkewPlusMatrix, "table", property(refuse))
+    monkeypatch.setattr(gamma, "pfaffian_ratio", refuse)
+    monkeypatch.setattr(pfaffian, "_expand", refuse)
+    monkeypatch.setattr(pfaffian, "pf_recursive", refuse)
+    with pytest.raises(AssertionError):
+        pfaffian.even_principal_pfaffians(a)
+    with pytest.raises(AssertionError):
+        fresh.pf_without()
+    for matrix in (a, fresh):
+        assert [gamma_oracle_c(matrix, triple) for triple in triples] == want
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
+    """Each check of the oracle raises, with its own message, when the
+    input it checks is bent: a corner vector doubled, the last unknown of
+    the first column moved by one, a pair Pfaffian doubled, a Pfaffian of
+    the determinant identity doubled."""
+    a = random_skew_plus(field, 6, random.Random(f"bent:{field!r}"))
+    ring = field.ring()
+    real_section, real_substitute, real_pf = (gamma.section_v_det1, gamma._substitute,
+                                              gamma._pf_ring)
+
+    def bent_corner(corner):
+        v = real_section(corner).vectors
+        return SimpleNamespace(vectors=(tuple(x + x for x in v[0]),) + v[1:])
+
+    def bent_last_unknown(ring, den, nums, row, rhs):
+        den = real_substitute(ring, den, nums, row, rhs)
+        if len(nums[0]) == 3:          # the corner of size 6 has 3 rows
+            nums[0][-1] = ring.add(nums[0][-1], den)
+        return den
+
+    def bent_pfaffians(bent_calls):
+        calls = []
+
+        def pf_ring(ring, upper):
+            calls.append(None)
+            p, sign = real_pf(ring, upper)
+            return (ring.add(p, p), sign) if len(calls) in bent_calls else (p, sign)
+        return pf_ring
+
+    # the three pair Pfaffians come first, then the three of the identity
+    for name, bent, message in [
+            ("section_v_det1", bent_corner, "corner Gram"),
+            ("_substitute", bent_last_unknown, "face pairing with the corner"),
+            ("_pf_ring", bent_pfaffians({1, 2, 3}), "last coordinate"),
+            ("_pf_ring", bent_pfaffians({4, 5, 6}), "determinant identity")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(gamma, name, bent)
+            with pytest.raises(InternalInvariant, match=message):
+                gamma_oracle_c(a, (1, 3, 5))
+    assert gamma_oracle_c(a, (1, 3, 5)) == pfaffian_ratio(a, (1, 3, 5))
 
 
 # the size-6 cases keep their ids

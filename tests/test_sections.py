@@ -7,7 +7,7 @@ from skewplus.errors import BadRange, EvenSize, InternalInvariant, Singular
 from skewplus.fields import PRIME, Field
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import SkewMatrix, SkewPlusMatrix, is_skew_plus, random_skew_plus
-from skewplus.sections import _solve_pairings, section_V, section_v_det1
+from skewplus.sections import _section, _substitute, section_V, section_v_det1
 from skewplus.symplectic import SymplecticSpace, pad_vector, pairing, psi_matrix
 from skewplus.unimod import is_nondeg_unimodular
 
@@ -122,6 +122,79 @@ def test_sections_property_against_oracle(case):
     check_against_oracle(*case)
 
 
+# -- the one-pass section against the per-column solves it replaced ------
+
+def _solve_pairings(vectors, values, field):
+    """The w with <v_i, w> = values[i] for every i, of even length
+    2 ceil(len(vectors) / 2), for vectors v_i in span(e_1..e_i) with
+    nonzero i-th coordinate (coordinates past the i-th are not read).
+    In the ring of `field.ring()`, each row (v_i[1..i], values[i]) is
+    cleared once to (m_i1..m_ii, b_i), and num_j = u_j D is kept over the
+    product D of the pivots m_ii so far, so each u_j is reduced once."""
+    ring = field.ring()
+    mul = ring.mul
+    den, nums = ring.one, []
+    for i, (v, a) in enumerate(zip(vectors, values)):
+        if v[i].is_zero():
+            raise InternalInvariant(
+                "prefix Gram matrix is singular despite the certificate")
+        _, ((*m, pivot, b),) = ring.clear([(*v[:i + 1], a)])
+        s = ring.sub(mul(den, b), ring.dot(m, nums))
+        nums = [mul(x, pivot) for x in nums] + [s]
+        den = mul(den, pivot)
+    if len(nums) % 2 == 1:
+        nums.append(ring.zero)
+    return tuple(ring.to_scalar(x, den, 1) for k in range(0, len(nums), 2)
+                 for x in (ring.neg(nums[k + 1]), nums[k]))
+
+
+def section_per_call(a, roomy: bool):
+    """sections._section with one `_solve_pairings` call per vector, which
+    clears every earlier vector again: q(q-1)/2 cleared rows."""
+    field = a.field
+    q = a.size
+    vectors = []
+    for k in range(1, q + 1):
+        w = _solve_pairings(vectors, [a.entry(i, k) for i in range(1, k)], field)
+        if k % 2 == 1 and (k < q or roomy):
+            w += (field.one(),)
+        vectors.append(w)
+    return vectors
+
+
+def solve_by_substitution(vectors, values, field):
+    """_solve_pairings through `_substitute` with one right-hand side."""
+    ring = field.ring()
+    den, nums = ring.one, [[]]
+    for i, (v, a) in enumerate(zip(vectors, values)):
+        _, (row,) = ring.clear([(*v[:i + 1], a)])
+        den = _substitute(ring, den, nums, row[:-1], row[-1:])
+    u = nums[0] + [ring.zero] * (len(nums[0]) % 2)
+    return tuple(ring.to_scalar(x, den, 1) for k in range(0, len(u), 2)
+                 for x in (ring.neg(u[k + 1]), u[k]))
+
+
+ONE_PASS_FIELDS = [Q, Field.prime(1000003), Field.function_field(3)]
+
+
+@pytest.mark.parametrize("field", ONE_PASS_FIELDS, ids=["q", "f1000003", "f3t"])
+def test_one_pass_section_against_per_call(field):
+    rng = random.Random(f"one pass:{field!r}")
+    for q in range(10):
+        for _ in range(2):
+            a = random_skew_plus(field, q, rng).inner
+            for roomy in (False, True):
+                assert _section(a, roomy) == section_per_call(a, roomy)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(ONE_PASS_FIELDS), st.integers(0, 9), st.booleans(),
+       st.integers(0, 10 ** 6))
+def test_one_pass_section_property(field, q, roomy, seed):
+    a = random_skew_plus(field, q, random.Random(seed)).inner
+    assert _section(a, roomy) == section_per_call(a, roomy)
+
+
 # -- the substitution against the Scalar loop it replaced -----------------
 
 def solve_pairings_oracle(vectors, values, field):
@@ -174,12 +247,15 @@ def test_solve_pairings_property_against_oracle(system):
     w = _solve_pairings(vectors, values, field)
     assert w == solve_pairings_oracle(vectors, values, field)
     assert len(w) == len(vectors) + len(vectors) % 2
+    assert solve_by_substitution(vectors, values, field) == w
 
 
 def test_solve_pairings_rejects_a_zero_pivot():
     one, zero = Q.one(), Q.zero()
     with pytest.raises(InternalInvariant):
         _solve_pairings([(one,), (one, zero)], [one, one], Q)
+    with pytest.raises(InternalInvariant):
+        solve_by_substitution([(one,), (one, zero)], [one, one], Q)
 
 
 def upper3(a, b, c):
