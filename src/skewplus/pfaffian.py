@@ -121,12 +121,11 @@ class SkewMatrix:
         return Matrix._of(self.field, rows)
 
     def principal(self, indices) -> "SkewMatrix":
-        """Submatrix on the given sorted 1-based indices (rows and columns)."""
-        idx = sorted(indices)
-        if idx and not (1 <= idx[0] and idx[-1] <= self.size):
-            raise IndexOutOfRange(f"indices {idx} outside 1..{self.size}")
-        if len(set(idx)) != len(idx):
-            raise IndexOutOfRange("repeated index")
+        """Submatrix on the given 1-based indices (rows and columns), sorted."""
+        return self._on(_indices(self.size, indices))
+
+    def _on(self, idx) -> "SkewMatrix":
+        """`principal` on sorted, distinct indices in range."""
         upper = self.upper
         return SkewMatrix._of(self.field, len(idx),
                               [[upper[i - 1][j - i - 1] for j in idx[k + 1:]]
@@ -134,10 +133,7 @@ class SkewMatrix:
 
     def remove_indices(self, indices) -> "SkewMatrix":
         """Drop the given 1-based rows and columns."""
-        drop = set(indices)
-        if any(not 1 <= i <= self.size for i in drop):
-            raise IndexOutOfRange(f"indices {sorted(drop)} outside 1..{self.size}")
-        return self.principal([i for i in range(1, self.size + 1) if i not in drop])
+        return self._on(_kept(self.size, indices))
 
     def star_extend(self, v) -> "SkewMatrix":
         """The (q+1) x (q+1) bordered matrix with last column v."""
@@ -212,7 +208,8 @@ def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     q = a.size
     if q % 2 != 0:
         raise OddSize(f"Pfaffian of odd size {q}")
-    ring, scale, signed = _cleared_columns(a)
+    ring, scale, columns = _cleared_columns(a)
+    signed = [_signed(ring, c) for c in columns]
     # a set skipped for its zero coefficient is read only against that zero
     memo = _ZeroDefault(ring.zero)
     memo[()] = ring.one
@@ -313,14 +310,21 @@ def _pf_ring(ring, upper):
 
 def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> "PfaffianTable":
     """Pfaffians of all even-sized principal submatrices (up to `max_size`,
-    if given).  One bottom-up sweep over index subsets in the ring of
-    `Field.ring()`, on the upper triangle cleared by one L: each set is
-    expanded along its last column against the smaller entries, so the
-    entry for an index set of size 2k is L^k Pf."""
-    a = _unwrap(a)
-    q = a.size
+    if given), swept by `pfaffian_table` from the upper triangle cleared
+    into the ring of `Field.ring()` by one L."""
+    return pfaffian_table(*_cleared_columns(_unwrap(a)), max_size)
+
+
+def pfaffian_table(ring, scale, columns, max_size=None) -> "PfaffianTable":
+    """The PfaffianTable of the skew matrix A given in `ring` by its
+    cleared columns above the diagonal, columns[j-1] = (L a_1j, ...,
+    L a_{j-1,j}) with L = scale, up to size `max_size` if given.  One
+    bottom-up sweep over index subsets: each set is expanded along its
+    last column against the smaller entries, so the entry for an index
+    set of size 2k is L^k Pf."""
+    q = len(columns)
     top = q if max_size is None else min(q, max_size)
-    ring, scale, signed = _cleared_columns(a)
+    signed = [_signed(ring, c) for c in columns]
     raw = {(): ring.one}
     for size in range(2, top + 1, 2):
         for s in combinations(range(1, q + 1), size):
@@ -329,14 +333,17 @@ def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) ->
 
 
 def _cleared_columns(a: SkewMatrix):
-    """(R, L, signed): R = a.field.ring(), L the ring element that clears
-    a's upper triangle, and signed[j-1][i-1] = (L a_ij, -L a_ij) for i < j,
-    since the sign of a term follows its position."""
+    """(R, L, columns): R = a.field.ring(), L the ring element that clears
+    a's upper triangle, and columns[j-1] = (L a_1j, ..., L a_{j-1,j})."""
     ring = a.field.ring()
     scale, upper = ring.clear(a.upper)
-    return ring, scale, [
-        [(x, ring.neg(x)) for x in (upper[i][j - i - 1] for i in range(j))]
-        for j in range(a.size)]
+    return ring, scale, [[upper[i][j - i - 1] for i in range(j)] for j in range(a.size)]
+
+
+def _signed(ring, column):
+    """(c_i, -c_i) for each entry of a column: the sign of a term of the
+    expansion follows its position."""
+    return [(x, ring.neg(x)) for x in column]
 
 
 def _expand(ring, signed, s, raw):
@@ -351,13 +358,26 @@ def _expand(ring, signed, s, raw):
 class PfaffianTable:
     """Even principal Pfaffians of a skew matrix A as the ring sweep leaves
     them: raw[s] = L^k Pf(A on s) for a sorted index tuple s of size 2k,
-    L = scale the nonzero ring element that cleared A's upper triangle.
-    Zero tests read raw; only an entry read as a scalar is reduced."""
+    L = scale a nonzero ring element that clears A's upper triangle (L^2
+    for a Gram matrix of vectors cleared by L).  Zero tests read raw; only
+    an entry read as a scalar is reduced.  A table made by `restrict` holds
+    its source table and indices, and picks its entries out on the first
+    read of raw."""
 
-    __slots__ = ("ring", "scale", "raw")
+    __slots__ = ("ring", "scale", "_raw", "_source")
 
-    def __init__(self, ring, scale, raw: dict):
-        self.ring, self.scale, self.raw = ring, scale, raw
+    def __init__(self, ring, scale, raw: dict | None, _source=None):
+        self.ring, self.scale, self._raw, self._source = ring, scale, raw, _source
+
+    @property
+    def raw(self) -> dict:
+        if self._raw is None:
+            table, keep = self._source
+            label = {i: k for k, i in enumerate(keep, start=1)}
+            self._raw = {tuple(label[i] for i in s): v for s, v in table.raw.items()
+                         if all(i in label for i in s)}
+            self._source = None
+        return self._raw
 
     def __getitem__(self, s) -> Scalar:
         """Pf of the principal submatrix on the sorted index tuple s."""
@@ -370,14 +390,33 @@ class PfaffianTable:
         """Whether A bordered by the last column `border` (q scalars) has a
         nonzero Pfaffian on I plus the border index for each odd I in 1..q
         with |I| <= max_size; the table must reach size max_size - 1.  The
-        border is cleared once, by some L_b: every term on I, |I| = 2k+1,
-        carries the same nonzero L_b L^k, so the ring value vanishes
-        exactly when the Pfaffian does."""
-        ring, q = self.ring, len(border)
-        signed = [(x, ring.neg(x)) for x in ring.clear([border])[1][0]]
-        return all(_expand(ring, signed, s, self.raw)
+        border is cleared once, and the test runs in the ring."""
+        return self.bordered_nonzero_ring(self.ring.clear([border])[1][0], max_size)
+
+    def bordered_nonzero_ring(self, border, max_size: int) -> bool:
+        """`bordered_nonzero` on a border given in the ring as L_b times the
+        scalars, for any nonzero L_b: every term on I, |I| = 2k+1, carries
+        the same nonzero L_b L^k, so the ring value vanishes exactly when
+        the Pfaffian does."""
+        ring, q, raw = self.ring, len(border), self.raw
+        signed = _signed(ring, border)
+        return all(_expand(ring, signed, s, raw)
                    for size in range(1, min(q, max_size) + 1, 2)
                    for s in combinations(range(1, q + 1), size))
+
+    def restrict(self, keep) -> "PfaffianTable":
+        """The table of A's principal submatrix on the sorted indices `keep`,
+        with the same ring and L: the entries on subsets of keep, relabelled
+        to 1..len(keep), picked out on first read with no ring arithmetic.
+        It holds this table (never A), or this table's source while this
+        table is unread, so a face of a face restricts once.  Most faces
+        that `chains.boundary` makes are only hashed, and their table is
+        never read (about nine in ten on `cycles-q`)."""
+        if self._raw is None:
+            table, outer = self._source
+            return PfaffianTable(self.ring, self.scale, None,
+                                 (table, [outer[i - 1] for i in keep]))
+        return PfaffianTable(self.ring, self.scale, None, (self, keep))
 
 
 def random_skew(field: Field, q: int, rng, bound: int = 9) -> SkewMatrix:
@@ -417,7 +456,9 @@ def is_skew_plus(a: "SkewMatrix") -> bool:
 class SkewPlusMatrix:
     """A skew matrix with its certificate: its PfaffianTable of even
     principal Pfaffians, all nonzero.  Certification keeps the table it
-    computes; trusted constructions (faces, relabelings) fill it on first use."""
+    computes.  A face or principal submatrix of a matrix that has a table
+    gets that table's `restrict`, read on first use; other trusted
+    constructions (relabelings, borders) fill it by a sweep on first use."""
 
     __slots__ = ("inner", "_table", "_hash")
 
@@ -448,10 +489,16 @@ class SkewPlusMatrix:
     # faces of a certified matrix stay certified: their even principal
     # submatrices are among the original ones
     def remove_indices(self, indices) -> "SkewPlusMatrix":
-        return SkewPlusMatrix(self.inner.remove_indices(indices), _trusted=True)
+        return self._on(_kept(self.size, indices))
 
     def principal(self, indices) -> "SkewPlusMatrix":
-        return SkewPlusMatrix(self.inner.principal(indices), _trusted=True)
+        return self._on(_indices(self.size, indices))
+
+    def _on(self, keep) -> "SkewPlusMatrix":
+        """`principal` on sorted, distinct indices in range."""
+        table = self._table
+        return SkewPlusMatrix(self.inner._on(keep), _trusted=True,
+                              _table=None if table is None else table.restrict(keep))
 
     def face(self, i: int) -> "SkewPlusMatrix":
         return self.remove_indices([i])
@@ -494,6 +541,24 @@ def _as_certified(a) -> SkewPlusMatrix:
     if isinstance(a, SkewMatrix):
         return SkewPlusMatrix.certify(a)
     raise NotSkewPlus(f"expected a skew matrix, got {type(a).__name__}")
+
+
+def _indices(size: int, indices, error=IndexOutOfRange):
+    """`indices` sorted, checked to be distinct and in 1..size."""
+    idx = sorted(indices)
+    if idx and not 1 <= idx[0] <= idx[-1] <= size:
+        raise error(f"indices {idx} outside 1..{size}")
+    if len(set(idx)) != len(idx):
+        raise error("repeated index")
+    return idx
+
+
+def _kept(size: int, drop, error=IndexOutOfRange):
+    """The indices 1..size not in `drop`, all of which must lie in 1..size."""
+    drop = set(drop)
+    if drop and not 1 <= min(drop) <= max(drop) <= size:
+        raise error(f"indices {sorted(drop)} outside 1..{size}")
+    return [i for i in range(1, size + 1) if i not in drop]
 
 
 def _unwrap(a):

@@ -45,20 +45,20 @@ def psi_matrix(field: Field, dim: int) -> Matrix:
     return Matrix._of(field, rows)
 
 
-# Pairings run in the ring R of `field.ring()`: each vector v is cleared
-# once by its own lcm L, and <x, y> = sum_k x_k (psi y)_k with
-# psi y = (y_2, -y_1, y_4, -y_3, ...) is one dot product in R over L_x L_y,
+# Pairings run in the ring R of `field.ring()`: a sequence of vectors is
+# cleared once by one common L, and <x, y> = sum_k x_k (psi y)_k with
+# psi y = (y_2, -y_1, y_4, -y_3, ...) is one dot product in R over L^2,
 # reduced once.  psi y stops at the last even coordinate, so an odd last
 # coordinate of x pairs with nothing.
 
-def _cleared(field: Field, v):
-    """(L, L v, L psi v) in the ring, for a vector v of `field`."""
+def ring_form(field: Field, vectors):
+    """(L, [L v_i], [L psi v_i]) in the ring of `field`, for one common L
+    that clears every v_i: <v_i, v_j> = dot(L v_i, L psi v_j) / L^2."""
     ring = field.ring()
-    scale, (c,) = ring.clear([as_scalars(field, v)])
-    rotated = []
-    for k in range(0, len(c) - 1, 2):
-        rotated += (c[k + 1], ring.neg(c[k]))
-    return scale, c, rotated
+    scale, rows = ring.clear([as_scalars(field, v) for v in vectors])
+    neg = ring.neg
+    return scale, rows, [[x for k in range(0, len(c) - 1, 2) for x in (c[k + 1], neg(c[k]))]
+                         for c in rows]
 
 
 def pairing(x, y) -> Scalar:
@@ -68,9 +68,9 @@ def pairing(x, y) -> Scalar:
     if not x:
         raise ShapeMismatch("pairing needs at least one coordinate")
     field = x[0].field
+    scale, (cx, _), (_, psi_y) = ring_form(field, [x, y])
     ring = field.ring()
-    (lx, cx, _), (ly, _, psi_y) = _cleared(field, x), _cleared(field, y)
-    return ring.to_scalar(ring.dot(cx, psi_y), ring.mul(lx, ly), 1)
+    return ring.to_scalar(ring.dot(cx, psi_y), scale, 2)
 
 
 def gram(vectors, field: Field | None = None) -> SkewMatrix:
@@ -85,13 +85,17 @@ def gram(vectors, field: Field | None = None) -> SkewMatrix:
         raise ShapeMismatch("pairing of vectors of different lengths")
     if q > 1 and not vectors[0]:
         raise ShapeMismatch("pairing needs at least one coordinate")
+    return form_gram(field, ring_form(field, vectors))
+
+
+def form_gram(field: Field, form) -> SkewMatrix:
+    """The Gram matrix of the vectors whose `ring_form` is `form`."""
+    scale, rows, psi = form
     ring = field.ring()
-    dot, mul, to_scalar = ring.dot, ring.mul, ring.to_scalar
-    cleared = [_cleared(field, v) for v in vectors]
-    return SkewMatrix._of(field, q,
-                          [[to_scalar(dot(ci, psi_j), mul(li, lj), 1)
-                            for lj, _, psi_j in cleared[i + 1:]]
-                           for i, (li, ci, _) in enumerate(cleared[:-1])])
+    dot, to_scalar = ring.dot, ring.to_scalar
+    return SkewMatrix._of(field, len(rows),
+                          [[to_scalar(dot(ci, psi_j), scale, 2) for psi_j in psi[i + 1:]]
+                           for i, ci in enumerate(rows[:-1])])
 
 
 def standard_basis_vector(field: Field, dim: int, i: int):

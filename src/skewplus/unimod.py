@@ -7,8 +7,13 @@ invertible.  Both are read off one table, the even principal Pfaffians
 of the whole sequence's Gram matrix up to size min(q, 2n): an even
 subsequence with invertible Gram is independent, and so is every part of
 it, which leaves only the whole sequence for q odd and below 2n to a rank
-check.  The table stays in the ring and a checked sequence keeps it; one
-more vector or border adds bordered Pfaffians, by the table's expansion.
+check.  The table stays in the ring and a checked sequence keeps it,
+together with its ring form: the vectors cleared once by one common L,
+with their psi-rotations, from whose products the table is swept.  A face
+or subsequence slices the ring form and restricts the table on first use,
+and an isometric image keeps the table; one more vector or border adds
+bordered Pfaffians, by the table's expansion, on a border read off the
+ring form.
 
 A vector x is in good position with respect to a sequence v when (v, x)
 is again non-degenerate unimodular.  Over an infinite field the bad set
@@ -48,26 +53,42 @@ from .pfaffian import (
     SkewPlusMatrix,
     even_principal_pfaffians,
     pf_eliminate,  # noqa: F401  (perfbench's tracer test patches it here)
+    _indices,
+    _kept,
+    pfaffian_table,
 )
-from .symplectic import SymplecticSpace, gram, pad_vector, pairing
+from .symplectic import SymplecticSpace, form_gram, gram, pad_vector, ring_form
 
 
 class NonDegSeq:
     """A certified non-degenerate unimodular sequence in R^{2n}.
 
-    Faces (and more generally subsequences) inherit the certificate.
+    Faces (and more generally subsequences) inherit the certificate, and
+    with it the ring form and the Gram table, if the parent has them.
     """
 
-    __slots__ = ("space", "vectors", "_hash", "_gram_table")
+    __slots__ = ("space", "vectors", "_hash", "_form", "_gram_table")
 
     def __init__(self, space: SymplecticSpace, vectors, _trusted: bool = False):
-        vectors = tuple(pad_vector(v, space.dim, space.field) for v in vectors)
-        self._gram_table = None if _trusted else _member_table(vectors, space)
-        if not _trusted and self._gram_table is None:
-            raise NotNonDegenerate("sequence fails the membership conditions")
+        self._set(space, tuple(pad_vector(v, space.dim, space.field) for v in vectors))
+        if not _trusted:
+            self._gram_table = _member_table(self.vectors, space, self.ring_form())
+            if self._gram_table is None:
+                raise NotNonDegenerate("sequence fails the membership conditions")
+
+    def _set(self, space, vectors, form=None, table=None):
         self.space = space
         self.vectors = vectors
         self._hash = None
+        self._form = form
+        self._gram_table = table
+
+    @classmethod
+    def _of(cls, space, vectors, form=None, table=None) -> "NonDegSeq":
+        """A trusted sequence on padded vectors, with what is known of it."""
+        seq = cls.__new__(cls)
+        seq._set(space, vectors, form, table)
+        return seq
 
     @classmethod
     def empty(cls, space: SymplecticSpace) -> "NonDegSeq":
@@ -80,18 +101,24 @@ class NonDegSeq:
     # FormalSum generators expose their length as `size`
     @property
     def size(self) -> int:
-        return self.length
+        return len(self.vectors)
 
     def face(self, i: int) -> "NonDegSeq":
         """Drop the i-th vector (1-based); certification is inherited."""
-        if not 1 <= i <= self.length:
-            raise ShapeMismatch(f"face index {i} outside 1..{self.length}")
-        return NonDegSeq(self.space,
-                         self.vectors[:i - 1] + self.vectors[i:], _trusted=True)
+        return self._on(_kept(self.length, [i], ShapeMismatch))
 
     def subsequence(self, indices) -> "NonDegSeq":
-        return NonDegSeq(self.space,
-                         tuple(self.vectors[i - 1] for i in indices), _trusted=True)
+        """The vectors at the given distinct 1-based indices, in order."""
+        return self._on(_indices(self.length, indices, ShapeMismatch))
+
+    def _on(self, keep) -> "NonDegSeq":
+        """`subsequence` on sorted, distinct indices in range."""
+        vectors, form, table = self.vectors, self._form, self._gram_table
+        if form is not None:
+            scale, rows, psi = form
+            form = scale, [rows[i - 1] for i in keep], [psi[i - 1] for i in keep]
+        return NonDegSeq._of(self.space, tuple([vectors[i - 1] for i in keep]), form,
+                             None if table is None else table.restrict(keep))
 
     def prepend(self, x, _trusted: bool = False) -> "NonDegSeq":
         return NonDegSeq(self.space, (tuple(x),) + self.vectors, _trusted=_trusted)
@@ -99,14 +126,20 @@ class NonDegSeq:
     def append(self, x, _trusted: bool = False) -> "NonDegSeq":
         return NonDegSeq(self.space, self.vectors + (tuple(x),), _trusted=_trusted)
 
+    def ring_form(self):
+        """`symplectic.ring_form` of the vectors, made once."""
+        if self._form is None:
+            self._form = ring_form(self.space.field, self.vectors)
+        return self._form
+
     def gram(self) -> SkewMatrix:
-        return gram(self.vectors, self.space.field)
+        return form_gram(self.space.field, self.ring_form())
 
     def gram_table(self) -> PfaffianTable:
         """Even principal Pfaffians of the Gram matrix up to size
         min(q, 2n), all nonzero by membership; computed once."""
         if self._gram_table is None:
-            self._gram_table = _gram_table(self.vectors, self.space)
+            self._gram_table = _gram_table(self.space, self.ring_form())
         return self._gram_table
 
     def gram_certified(self) -> SkewPlusMatrix:
@@ -117,9 +150,10 @@ class NonDegSeq:
         return SkewPlusMatrix(self.gram(), _trusted=True, _table=self.gram_table())
 
     def transform(self, g) -> "NonDegSeq":
-        """Apply an isometry; membership is preserved."""
-        return NonDegSeq(self.space,
-                         tuple(g.apply(v) for v in self.vectors), _trusted=True)
+        """Apply an isometry; membership is preserved, and so is every
+        pairing, hence the Gram table."""
+        return NonDegSeq._of(self.space, tuple(g.apply(v) for v in self.vectors),
+                             None, self._gram_table)
 
     def __eq__(self, other):
         return (isinstance(other, NonDegSeq) and self.space == other.space
@@ -148,22 +182,25 @@ def is_nondeg_unimodular(vectors, space: SymplecticSpace) -> bool:
     up to size min(q, 2n) is nonzero, and, when q is odd and below 2n,
     the whole sequence has rank q."""
     vectors = [pad_vector(v, space.dim, space.field) for v in vectors]
-    return _member_table(vectors, space) is not None
+    return _member_table(vectors, space, ring_form(space.field, vectors)) is not None
 
 
-def _member_table(vectors, space) -> PfaffianTable | None:
-    """The Gram table of the padded `vectors` if they are members, else None."""
-    table = _gram_table(vectors, space)
+def _member_table(vectors, space, form) -> PfaffianTable | None:
+    """The Gram table of the padded `vectors`, whose ring form is `form`,
+    if they are members, else None."""
+    table = _gram_table(space, form)
     return table if table.all_nonzero() and _full_rank_if_odd(vectors, space) else None
 
 
-def _gram_table(vectors, space) -> PfaffianTable:
-    """Even principal Pfaffians of the Gram matrix up to size min(q, 2n)."""
-    bound = min(len(vectors), space.dim)
-    if bound < 2:
-        ring = space.field.ring()
-        return PfaffianTable(ring, ring.one, {(): ring.one})
-    return even_principal_pfaffians(gram(vectors, space.field), bound)
+def _gram_table(space, form) -> PfaffianTable:
+    """Even principal Pfaffians of the Gram matrix up to size min(q, 2n),
+    swept from the ring products dot(L v_i, L psi v_j) = L^2 <v_i, v_j>."""
+    scale, rows, psi = form
+    ring = space.field.ring()
+    dot = ring.dot
+    return pfaffian_table(ring, ring.mul(scale, scale),
+                          [[dot(rows[i], psi_j) for i in range(j)] for j, psi_j in enumerate(psi)],
+                          min(len(rows), space.dim))
 
 
 def _full_rank_if_odd(vectors, space) -> bool:
@@ -179,14 +216,19 @@ def is_good_position(seq: NonDegSeq, x) -> bool:
 
     Only the subsets involving x are tested; the rest are covered by the
     certificate of `seq`.  Each even one is a Pfaffian of the Gram matrix
-    of seq bordered by the pairings <v_i, x>.
+    of seq bordered by the pairings <v_i, x>, read in the ring from seq's
+    ring form and x cleared once by its own L_x: the border
+    dot(L v_i, psi(L_x x)) shares the denominator L L_x.
     """
     space = seq.space
     x = pad_vector(x, space.dim, space.field)
     max_size = min(seq.length + 1, space.dim) - 1
-    border = [pairing(v, x) for v in seq.vectors] if max_size > 0 else []
-    if not seq.gram_table().bordered_nonzero(border, max_size):
-        return False
+    if max_size > 0:
+        _, rows, _ = seq.ring_form()
+        _, _, (psi_x,) = ring_form(space.field, [x])
+        dot = space.field.ring().dot
+        if not seq.gram_table().bordered_nonzero_ring([dot(r, psi_x) for r in rows], max_size):
+            return False
     return _full_rank_if_odd(seq.vectors + (x,), space)
 
 

@@ -330,6 +330,65 @@ def test_faces_and_relabelings_inherit_the_table(a, data):
         assert v == (-want if inversions % 2 else want)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(skew_matrices(sizes=range(0, 8)), st.one_of(st.none(), st.integers(0, 8)), st.data())
+def test_restricted_table_equals_a_fresh_one(a, max_size, data):
+    """PfaffianTable.restrict on any index set, of a full or a capped
+    table, and again on the result, read or not, is the table of the
+    principal submatrix at every key, with the parent's ring and L."""
+    q = a.size
+    table = even_principal_pfaffians(a, max_size)
+    keep = sorted(data.draw(st.sets(st.integers(1, q), max_size=q))) if q else []
+    part = table.restrict(keep)
+    inner = sorted(data.draw(st.sets(st.integers(1, len(keep)), max_size=len(keep)))) if keep else []
+    if data.draw(st.booleans()):
+        part.raw  # noqa: B018  (read before restricting again)
+    twice = part.restrict(inner)
+    assert part.scale is table.scale and twice.scale is table.scale
+    sub = a.principal(keep)
+    assert scalars(part) == scalars(even_principal_pfaffians(sub, max_size))
+    assert scalars(twice) == scalars(even_principal_pfaffians(sub.principal(inner), max_size))
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    real = pfaffian.pfaffian_table
+    monkeypatch.setattr(pfaffian, "pfaffian_table",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_faces_of_a_certificate_restrict_its_table(sparse_field, monkeypatch):
+    """Faces, principal submatrices and faces of faces of a certified
+    matrix read its table, restricted on first use; no sweep runs, and
+    each equals a fresh table at every key."""
+    field, _ = sparse_field
+    rng = random.Random(f"face tables:{field!r}")
+    calls = _count_sweeps(monkeypatch)
+    for q in range(1, 7):
+        a = random_skew_plus(field, q, rng)
+        calls.clear()
+        first = [a.face(i) for i in range(1, q + 1)]
+        first += [a.principal(rng.sample(range(1, q + 1), rng.randint(0, q))),
+                  a.remove_indices([q])]
+        second = [part.face(1) for part in first if part.size]
+        third = [part.face(part.size) for part in second if part.size]
+        parts = first + second + third
+        tables = [scalars(part.table) for part in parts]
+        assert calls == []
+        for part, table in zip(parts, tables):
+            assert table == scalars(even_principal_pfaffians(part.inner))
+
+
+def test_face_of_an_untabled_matrix_sweeps_its_own_table(monkeypatch):
+    a = random_skew_plus(Q, 5, random.Random(8))
+    calls = _count_sweeps(monkeypatch)
+    face = SkewPlusMatrix(a.inner, _trusted=True).face(2)
+    table = scalars(face.table)
+    assert len(calls) == 1
+    assert table == scalars(a.table.restrict([1, 3, 4, 5]))
+
+
 BORDER_FIELDS = [Q, Field.prime(5), Field.function_field(3)]
 
 

@@ -7,17 +7,24 @@ from hypothesis import given, settings, strategies as st
 
 from skewplus import unimod
 from skewplus.chains import FormalSum, diff_seq, diff_skew
-from skewplus.errors import NotACycle, NotNonDegenerate, SamplerExhausted
+from skewplus.errors import (
+    IndexOutOfRange,
+    NotACycle,
+    NotNonDegenerate,
+    SamplerExhausted,
+    ShapeMismatch,
+)
 from skewplus.fields import Field, specialize
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import (
     SkewMatrix,
     SkewPlusMatrix,
+    even_principal_pfaffians,
     is_skew_plus,
     pf_eliminate,
     random_skew_plus,
 )
-from skewplus.symplectic import SymplecticSpace, gram, pairing
+from skewplus.symplectic import SymplecticSpace, gram, pad_vector, pairing, random_sp
 from skewplus.unimod import (
     NonDegSeq,
     constant_border_obstructed,
@@ -68,6 +75,22 @@ def test_nondeg_seq_faces_inherit():
     assert is_nondeg_unimodular(face.vectors, space)
     with pytest.raises(NotNonDegenerate):
         NonDegSeq(space, [space.zero_vector()])
+
+
+def test_faces_reject_bad_indices():
+    seq = random_nondeg_seq(SymplecticSpace(Q, 2), 4, random.Random(1))
+    a = random_skew_plus(Q, 4, random.Random(1))
+    for bad in ([0, 2], [2, 5], [3, 3]):
+        with pytest.raises(ShapeMismatch):
+            seq.subsequence(bad)
+        with pytest.raises(IndexOutOfRange):
+            a.principal(bad)
+    for i in (0, 5):
+        with pytest.raises(ShapeMismatch):
+            seq.face(i)
+        with pytest.raises(IndexOutOfRange):
+            a.face(i)
+    assert seq.subsequence([3, 1]).vectors == (seq.vectors[0], seq.vectors[2])
 
 
 def test_good_position_examples():
@@ -195,11 +218,12 @@ def test_sampler_exhausts_over_prime_field():
 
 def test_checked_sequence_keeps_its_table(monkeypatch):
     """A checked NonDegSeq hands the table of its membership test on to
-    gram_table, good-position tests and membership witnesses."""
+    gram_table, good-position tests and membership witnesses.  The Gram
+    table is swept by `pfaffian_table` from the ring form."""
     import skewplus.unimod as unimod
     calls = []
-    real = unimod.even_principal_pfaffians
-    monkeypatch.setattr(unimod, "even_principal_pfaffians",
+    real = unimod.pfaffian_table
+    monkeypatch.setattr(unimod, "pfaffian_table",
                         lambda *args: calls.append(args) or real(*args))
     rng = random.Random(12)
     space = SymplecticSpace(Q, 2)
@@ -211,6 +235,153 @@ def test_checked_sequence_keeps_its_table(monkeypatch):
     assert [table[s] for s in table.raw] == membership_witnesses(seq)[:-1]
     is_good_position(seq, space.random_vector(rng, 5))
     assert len(calls) == 1
+
+
+def _scalars(table):
+    return {s: table[s] for s in table.raw}
+
+
+def _fresh_gram_table(seq):
+    """The Gram table of seq's vectors built from nothing: the Scalar Gram
+    matrix, swept up to size min(q, 2n)."""
+    bound = min(seq.length, seq.space.dim)
+    return _scalars(even_principal_pfaffians(gram(seq.vectors, seq.space.field), bound))
+
+
+def _count_sweeps(monkeypatch):
+    """Count every table sweep, Gram or skew: both go through pfaffian_table."""
+    import skewplus.pfaffian as pfaffian
+    calls = []
+    real = pfaffian.pfaffian_table
+    counted = lambda *args: calls.append(args) or real(*args)  # noqa: E731
+    monkeypatch.setattr(pfaffian, "pfaffian_table", counted)
+    monkeypatch.setattr(unimod, "pfaffian_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_faces_of_a_checked_sequence_restrict_its_table(field, monkeypatch):
+    """A face or subsequence of a checked NonDegSeq, and a face of that,
+    builds no table: it restricts the parent's, and the result equals a
+    fresh table at every key.  Lengths run past 2n, where the table stops
+    at size 2n."""
+    rng = random.Random(f"faces:{field!r}")
+    space = SymplecticSpace(field, 2)
+    calls = _count_sweeps(monkeypatch)
+    lengths = set()
+    for q in range(1, 7):
+        vectors = (random_nondeg_seq(space, min(q, 4), rng).vectors
+                   + tuple(space.random_vector(rng, 5) for _ in range(q - 4)))
+        if not is_nondeg_unimodular(vectors, space):
+            continue
+        lengths.add(q)
+        seq = NonDegSeq(space, vectors)
+        calls.clear()
+        parts = [seq.face(i) for i in range(1, q + 1)]
+        parts += [seq.subsequence(rng.sample(range(1, q + 1), rng.randint(0, q)))]
+        parts += [part.face(1) for part in parts if part.length]
+        tables = [_scalars(part.gram_table()) for part in parts]
+        assert calls == []
+        for part, table in zip(parts, tables):
+            assert table == _fresh_gram_table(part)
+            assert part.gram() == gram(part.vectors, field)
+    assert max(lengths) > 4
+
+
+def test_face_of_an_untabled_sequence_sweeps_its_own_table(monkeypatch):
+    space = SymplecticSpace(Q, 2)
+    seq = NonDegSeq(space, random_nondeg_seq(space, 4, random.Random(3)).vectors, _trusted=True)
+    calls = _count_sweeps(monkeypatch)
+    face = seq.face(2)
+    table = _scalars(face.gram_table())
+    assert len(calls) == 1
+    assert table == _fresh_gram_table(face)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_transform_keeps_the_gram_table(field, monkeypatch):
+    """An isometry preserves every pairing: the image keeps the table of
+    the sequence, or of its face, and it equals a fresh table."""
+    rng = random.Random(f"transform:{field!r}")
+    space = SymplecticSpace(field, 2)
+    calls = _count_sweeps(monkeypatch)
+    for q in range(1, 5):
+        seq = NonDegSeq(space, random_nondeg_seq(space, q, rng).vectors)
+        g = random_sp(space, rng)
+        calls.clear()
+        moved = [seq.transform(g), seq.face(1).transform(g)]
+        tables = [_scalars(m.gram_table()) for m in moved]
+        assert calls == []
+        for m, table in zip(moved, tables):
+            assert table == _fresh_gram_table(m)
+            assert is_nondeg_unimodular(m.vectors, space)
+
+
+def _scalar_pairing(x, y):
+    return sum((x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(0, len(x), 2)),
+               x[0].field.zero())
+
+
+def good_position_oracle(seq, x) -> bool:
+    """is_good_position on Scalar pairings: the border <v_i, x> summed in
+    the field, bordered against the table of the Scalar Gram matrix, and
+    the rank of the Scalar matrix of columns."""
+    space = seq.space
+    x = pad_vector(x, space.dim, space.field)
+    max_size = min(seq.length + 1, space.dim) - 1
+    border = [_scalar_pairing(v, x) for v in seq.vectors] if max_size > 0 else []
+    table = even_principal_pfaffians(gram(seq.vectors, space.field),
+                                     min(seq.length, space.dim))
+    if not table.bordered_nonzero(border, max_size):
+        return False
+    vectors = seq.vectors + (x,)
+    q = len(vectors)
+    return (q % 2 == 0 or q >= space.dim
+            or Matrix.from_columns(space.field, vectors).rank() == q)
+
+
+def _good_position_case(field, rng):
+    """A checked sequence in R^2 or R^4 drawn from vectors that may be
+    shorter than 2n, and an x that is random, short, or built to be in bad
+    position (a multiple of some v_i, or a sum of two of them)."""
+    space = SymplecticSpace(field, rng.choice([1, 2]))
+    while True:
+        vectors = [tuple(field.sample(rng, 3) for _ in range(rng.randint(1, space.dim)))
+                   for _ in range(rng.randint(0, space.dim + 1))]
+        if is_nondeg_unimodular(vectors, space):
+            break
+    seq = NonDegSeq(space, vectors)
+    kind = rng.randrange(4) if seq.length >= 2 else rng.randrange(3)
+    if kind == 0:
+        x = space.random_vector(rng, 3)
+    elif kind == 1:
+        x = tuple(field.sample(rng, 3) for _ in range(rng.randint(1, space.dim)))
+    elif kind == 2 and seq.length:
+        c = field.sample_nonzero(rng, 3)
+        x = tuple(c * y for y in rng.choice(seq.vectors))
+    else:
+        u, w = rng.sample(seq.vectors, 2) if seq.length >= 2 else (space.zero_vector(),) * 2
+        x = tuple(a + b for a, b in zip(u, w))
+    return seq, x
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_good_position_ring_path_matches_scalar_oracle(field):
+    rng = random.Random(f"good:{field!r}")
+    seen = set()
+    for _ in range(60 if field is F3T else 150):
+        seq, x = _good_position_case(field, rng)
+        got = is_good_position(seq, x)
+        assert got == good_position_oracle(seq, x)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([Q, FP, F3T]), st.integers(0, 10 ** 6))
+def test_good_position_property(field, seed):
+    seq, x = _good_position_case(field, random.Random(seed))
+    assert is_good_position(seq, x) == good_position_oracle(seq, x)
 
 
 def test_specialization_preserves_membership():
