@@ -51,6 +51,12 @@ class FormalSum:
     def generator(cls, gen, coeff=1) -> "FormalSum":
         return cls({gen: coeff})
 
+    @classmethod
+    def collect(cls, pairs) -> "FormalSum":
+        """The sum of coeff [gen] over the (gen, coeff) pairs: like terms
+        added in one dict, zero coefficients dropped at the end."""
+        return cls(_accumulate({}, pairs))
+
     def items(self):
         return self.terms.items()
 
@@ -67,13 +73,7 @@ class FormalSum:
         return len(self.terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = dict(self.terms)
-        for gen, coeff in other.terms.items():
-            if gen in out:
-                out[gen] = out[gen] + coeff
-            else:
-                out[gen] = coeff
-        return FormalSum(out)
+        return FormalSum(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "FormalSum":
         return FormalSum({g: -c for g, c in self.terms.items()})
@@ -85,10 +85,7 @@ class FormalSum:
         return FormalSum({g: c * coeff for g, coeff in self.terms.items()})
 
     def map_generators(self, fn) -> "FormalSum":
-        out = FormalSum.zero()
-        for gen, coeff in self.terms.items():
-            out = out + FormalSum({fn(gen): coeff})
-        return out
+        return FormalSum.collect((fn(gen), coeff) for gen, coeff in self.terms.items())
 
     def degree(self) -> int:
         """Common generator length; mixed-degree sums are rejected."""
@@ -105,6 +102,16 @@ class FormalSum:
             return "FormalSum(0)"
         body = " + ".join(f"({c})*{g!r}" for g, c in self.terms.items())
         return f"FormalSum({body})"
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add each coeff of the (gen, coeff) pairs into out[gen]; returns out."""
+    for gen, coeff in pairs:
+        if gen in out:
+            out[gen] = out[gen] + coeff
+        else:
+            out[gen] = coeff
+    return out
 
 
 def _generator_length(gen) -> int:

@@ -210,20 +210,18 @@ def suite_complexes(field: Field, rng, trials: int = 200, cycles: int = 100):
         two_n = 4
         space = symplectic.SymplecticSpace(field, 2)
         q = rng.randint(1, 3)
-        chain = chains.FormalSum.zero()
-        for _ in range(rng.randint(1, 3)):
-            gen = unimod.random_nondeg_seq(space, q + 1, rng)
-            chain = chain + chains.FormalSum.generator(gen, rng.randint(-3, 3))
+        chain = chains.FormalSum.collect(
+            (unimod.random_nondeg_seq(space, q + 1, rng), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3)))
         xi = chains.diff_seq(chain)
         eta = unimod.contract_cycle_seq(xi, rng)
         if chains.diff_seq(eta) != xi:
             _fail(hom, f"seq cycle {i}", "d(eta) = xi", "violated")
         # skew complex
         q = rng.randint(1, 3)
-        chain = chains.FormalSum.zero()
-        for _ in range(rng.randint(1, 3)):
-            gen = random_skew_plus(field, q + 1, rng)
-            chain = chain + chains.FormalSum.generator(gen, rng.randint(-3, 3))
+        chain = chains.FormalSum.collect(
+            (random_skew_plus(field, q + 1, rng), rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3)))
         xi = chains.diff_skew(chain)
         eta = unimod.contract_cycle_skew(xi, rng)
         if chains.diff_skew(eta) != xi:

@@ -231,7 +231,7 @@ def poly_from_str(text, p):
 class Field:
     """Descriptor of a coefficient field: Q, F_p, or F_p(t)."""
 
-    __slots__ = ("kind", "p", "_ring")
+    __slots__ = ("kind", "p", "_ring", "_hash")
 
     def __init__(self, kind, p=0):
         if kind not in (RATIONALS, PRIME, FUNCTION_FIELD):
@@ -240,7 +240,7 @@ class Field:
             raise ParseError(f"{p} is not prime")
         self.kind = kind
         self.p = 0 if kind == RATIONALS else p
-        self._ring = None
+        self._ring = self._hash = None
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -266,7 +266,10 @@ class Field:
         return isinstance(other, Field) and (self.kind, self.p) == (other.kind, other.p)
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        # every hash of a scalar, a vector or a matrix hashes its field
+        if self._hash is None:
+            self._hash = hash((self.kind, self.p))
+        return self._hash
 
     def __repr__(self):
         if self.kind == RATIONALS:

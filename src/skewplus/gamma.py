@@ -25,7 +25,11 @@ relabeling, the composite of adjacent swaps, under which both the oracle
 value and the ratio are invariant.  The oracle runs in the ring of the
 field from the relabelled matrix, cleared once, to c: its Pfaffians by
 the ring elimination kernel, the face vectors of all three columns by
-one substitution, its checks by cross-multiplication.
+one substitution, its checks by cross-multiplication.  The corner's
+section comes unchecked from `sections._det1_vectors`, run on the
+relabelled corner, and is cleared once; the checks the public
+`section_v_det1` makes in Scalars (its Gram matrix, and det = 1 as an
+upper triangular matrix whose diagonal multiplies to 1) run in the ring.
 
 The bracket calculus provides the compact generators of size-3 sums:
 square brackets [a b; c] are plain generators, braces x{a b; c} rescale
@@ -52,7 +56,7 @@ from .errors import (
 from .fields import Field, Scalar, sample_until
 from .matrices import PermutationMap
 from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, _pf_ring
-from .sections import _substitute, section_v_det1
+from .sections import _det1_vectors, _substitute
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +72,22 @@ def _increasing_triple(triple, q: int):
 
 def pfaffian_ratio(a, triple) -> Scalar:
     """Pf(A) / (Pf(A^ij) Pf(A^ik) Pf(A^jk)), without the sign, read from
-    the certificate's table."""
+    the ring entries of the certificate's table: with raw[s] = L^{|s|/2}
+    Pf(A on s), it is raw[1..q] L^(q-3) / (raw^ij raw^ik raw^jk), reduced
+    to a scalar once."""
     a = _as_certified(a)
-    i, j, k = _increasing_triple(triple, a.size)
-    return a.pf_without() / (a.pf_without(i, j) * a.pf_without(i, k) * a.pf_without(j, k))
+    q = a.size
+    i, j, k = _increasing_triple(triple, q)
+    table = a.table
+    ring, raw = table.ring, table.raw
+
+    def without(u, v):
+        return raw[tuple(x for x in range(1, q + 1) if x != u and x != v)]
+
+    num = raw[tuple(range(1, q + 1))]
+    for _ in range(q - 3):
+        num = ring.mul(num, table.scale)
+    return ring.to_scalar(num, ring.mul(ring.mul(without(i, j), without(i, k)), without(j, k)), 1)
 
 
 def gamma_terms(a, n: int):
@@ -90,19 +106,14 @@ def gamma_terms(a, n: int):
 
 def gamma_map(a, n: int) -> FormalSum:
     """The differential on one generator, like terms collected."""
-    out = FormalSum.zero()
-    for _, coeff, gen in gamma_terms(a, n):
-        out = out + FormalSum.generator(gen, coeff)
-    return out
+    return FormalSum.collect((gen, coeff) for _, coeff, gen in gamma_terms(a, n))
 
 
 def check_certificate(target: FormalSum, certificate, n: int) -> bool:
     """Whether target equals the integer combination of gamma images
     described by the certificate, as exact formal sums."""
-    total = FormalSum.zero()
-    for coeff, a in certificate:
-        total = total + gamma_map(a, n).scale(coeff)
-    return total == target
+    return FormalSum.collect((gen, c * coeff) for c, a in certificate
+                             for _, coeff, gen in gamma_terms(a, n)) == target
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +149,13 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     relabelled matrix A' is cleared once to B = L A', its Pfaffians come
     from the ring kernel `_pf_ring` on index subsets of B, the face vectors
     are one forward substitution against the corner section, and every
-    value is kept as a numerator over a ring denominator.  The checks
-    compare by cross-multiplication, and only c becomes a scalar.
+    value is kept as a numerator over a ring denominator.  The corner is
+    `sections._det1_vectors` of A' on its first 2n-1 indices, with no
+    table and no check of its own, cleared once by l; in the ring it is
+    checked to be triangular, to have the corner's Gram entries, and to
+    have det = 1 (its diagonal multiplies to l^(2n-1)).  The checks
+    compare by cross-multiplication, and only c becomes a scalar.  The
+    oracle reads neither the certificate's table nor `pfaffian_ratio`.
     """
     a = _as_certified(a)
     q = a.size
@@ -175,12 +191,13 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     for _ in range(q // 2 - 2):
         l_n1 = mul(l_n1, scale)
 
-    # shared corner: det-1 triangular section of the (2n-1)-block, in
-    # R^{2n}, cleared once to cor = l corner; the Pf of the leading
-    # (2n-2)-block is the product of its diagonal, 1 / last_pivot by det = 1
-    corner = section_v_det1(a.principal(order[:m])).vectors
-    ell, cor = ring.clear(corner)
-    last_pivot = cor[m - 1][m - 1]             # l last_pivot
+    # shared corner: the det-1 triangular section of the (2n-1)-block by
+    # `_det1_vectors`, which checks nothing, cleared once to cor = l corner
+    # and padded into R^{2n}; the checks of `section_v_det1` run here
+    ell, cor = ring.clear(_det1_vectors(a.inner._on(order[:m])))
+    cor = [row + [ring.zero] * (m + 1 - len(row)) for row in cor]
+    if any(any(row[x + 1:]) for x, row in enumerate(cor)):
+        raise InternalInvariant("corner section is not triangular")
     # psi v = (v_2, -v_1, v_4, -v_3, ...), so <x, y> = x . psi y
     psi_cor = [[x for k in range(0, len(v), 2) for x in (v[k + 1], neg(v[k]))] for v in cor]
     for x in range(m):
@@ -188,6 +205,14 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
             # <corner_x, corner_y> = A'_xy, the entries all three faces share
             if not equal(mul(dot(cor[x], psi_cor[y]), scale), mul(b[x][y], mul(ell, ell))):
                 raise InternalInvariant("corner Gram does not match the matrix")
+    # det = 1: the diagonal of l corner multiplies to l^(2n-1); the Pf of
+    # the leading (2n-2)-block, the product of its diagonal, is 1 / last_pivot
+    diagonal, ell_m = ring.one, ring.one
+    for x in range(m):
+        diagonal, ell_m = mul(diagonal, cor[x][x]), mul(ell_m, ell)
+    if not equal(diagonal, ell_m):
+        raise InternalInvariant("corner section has determinant != 1")
+    last_pivot = cor[m - 1][m - 1]             # l last_pivot
 
     # for each column col of the triple, u solves <corner_x, w> = A'_{x,col}
     # with w = (-u_2, u_1, ..., -u_2n, u_2n-1), u_2n = 0, as L u = u[col] / den
@@ -325,11 +350,8 @@ def bracket_to_skew3(b: Bracket3, field: Field):
 
 
 def brackets_to_sum(brackets, field: Field) -> FormalSum:
-    out = FormalSum.zero()
-    for b in brackets:
-        coeff, gen = bracket_to_skew3(b, field)
-        out = out + FormalSum.generator(gen, coeff)
-    return out
+    return FormalSum.collect((gen, coeff) for coeff, gen in
+                             (bracket_to_skew3(b, field) for b in brackets))
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +710,9 @@ def verify_appendix(families, trials: int, rng, field: Field | None = None) -> l
                         "expected": f"{want_coeff.literal()} * {want_gen!r}",
                         "got": f"{got_coeff.literal()} * {got_gen!r}"})
             if fam.collected is not None:
-                want = FormalSum.zero()
-                for gen_letters, coeff in fam.collected(values).items():
-                    gen = skew3(field, *(values[l] for l in gen_letters))
-                    want = want + FormalSum.generator(gen, field.scalar(coeff))
+                want = FormalSum.collect(
+                    (skew3(field, *(values[l] for l in gen_letters)), field.scalar(coeff))
+                    for gen_letters, coeff in fam.collected(values).items())
                 if gamma_map(a, 2) != want:
                     report.failures.append({
                         "triple": None, "specialization": spec_lit,

@@ -20,9 +20,12 @@ All the vectors come from one substitution with every column of A as a
 right-hand side: each v_k is cleared into the ring once, with its
 entries A_{k,k+1..q}, as a row of every later vector's system.
 
-`section_v_det1` post-composes the snug odd section with a determinant
+`_det1_vectors` post-composes the snug odd section with a determinant
 correction along e_q, producing an upper triangular matrix of columns
-with determinant exactly 1 and unchanged Gram matrix.
+with determinant exactly 1 and unchanged Gram matrix; it checks nothing.
+`section_v_det1` is the public, checked wrapper over it: it pads the
+vectors into a `NonDegSeq` and checks its Gram matrix and determinant.
+The gamma oracle calls the helper and runs the same checks in the ring.
 """
 
 from __future__ import annotations
@@ -97,30 +100,36 @@ def section_V(q: int, two_n: int, a) -> NonDegSeq:
     return seq
 
 
-def section_v_det1(a) -> NonDegSeq:
-    """Upper triangular section with determinant 1, for odd-size matrices.
-
-    The columns v_1..v_q satisfy v_i in span(e_1..e_i), det(v_1..v_q) = 1,
-    and Gram = a.  They are returned padded into R^{q+1}, with the last
-    coordinate of every vector zero.
-    """
-    a = _as_certified(a)
-    q = a.size
-    if q % 2 == 0:
-        raise EvenSize(f"this section needs odd size, got {q}")
-    vectors = _section(a.inner, roomy=False)
+def _det1_vectors(a):
+    """The vectors of `section_v_det1` for the odd-size skew matrix `a`,
+    taken as certified and not checked: the snug section, v_k in its first
+    k coordinates, with 1 / (the product of the first q - 1 diagonal
+    entries) added to the zero q-th coordinate of the last vector."""
+    vectors = _section(a, roomy=False)
     field = a.field
     # the first q - 1 vectors are upper triangular: the determinant of
     # their block is the product of the diagonal
     det_block = field.one()
     for i, v in enumerate(vectors[:-1]):
         det_block = det_block * v[i]
-    last = pad_vector(vectors[-1], q, field)
-    last = last[:-1] + (last[-1] + det_block.inv(),)
-    vectors = vectors[:-1] + [last]
+    return vectors[:-1] + [vectors[-1] + (det_block.inv(),)]
+
+
+def section_v_det1(a) -> NonDegSeq:
+    """Upper triangular section with determinant 1, for odd-size matrices.
+
+    The columns v_1..v_q satisfy v_i in span(e_1..e_i), det(v_1..v_q) = 1,
+    and Gram = a.  They are returned padded into R^{q+1}, with the last
+    coordinate of every vector zero.  The vectors come from the unchecked
+    `_det1_vectors`; the Gram matrix and the determinant are checked here.
+    """
+    a = _as_certified(a)
+    q = a.size
+    if q % 2 == 0:
+        raise EvenSize(f"this section needs odd size, got {q}")
+    field = a.field
     space = SymplecticSpace(field, (q + 1) // 2)
-    seq = NonDegSeq(space, [pad_vector(v, q + 1, field) for v in vectors],
-                    _trusted=True)
+    seq = NonDegSeq(space, _det1_vectors(a.inner), _trusted=True)
     if seq.gram() != a.inner:
         raise InternalInvariant("triangular section does not invert the Gram map")
     full = Matrix.from_columns(field, [v[:q] for v in seq.vectors])

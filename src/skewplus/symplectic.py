@@ -116,13 +116,14 @@ def pad_vector(v, dim: int, field: Field):
 class SymplecticSpace:
     """The standard symplectic space R^{2n} over a fixed field."""
 
-    __slots__ = ("field", "half_rank")
+    __slots__ = ("field", "half_rank", "_hash")
 
     def __init__(self, field: Field, half_rank: int):
         if half_rank < 0:
             raise BadIndices("half rank must be nonnegative")
         self.field = field
         self.half_rank = half_rank
+        self._hash = None
 
     @property
     def dim(self) -> int:
@@ -145,7 +146,9 @@ class SymplecticSpace:
                 and self.half_rank == other.half_rank)
 
     def __hash__(self):
-        return hash((self.field, self.half_rank))
+        if self._hash is None:
+            self._hash = hash((self.field, self.half_rank))
+        return self._hash
 
     def __repr__(self):
         return f"SymplecticSpace(2n={self.dim}, {self.field!r})"

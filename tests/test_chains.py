@@ -31,6 +31,29 @@ def test_formal_sum_basics():
     assert s.scale(3).coefficient(g) == 6
 
 
+@pytest.mark.parametrize("coefficients", ["int", "scalar"])
+def test_collect_equals_repeated_addition(coefficients):
+    """FormalSum.collect adds like terms in one dict and drops the ones
+    that cancel, as a chain of + does term by term."""
+    rng = random.Random(f"collect:{coefficients}")
+    gens = [random_skew_plus(Q, 3, rng) for _ in range(4)]
+    raw = [(rng.choice(gens), rng.randint(-2, 2)) for _ in range(40)]
+    # one generator's terms cancel exactly, another's sum to a nonzero
+    raw += [(gens[0], 5), (gens[0], -5), (gens[1], 3)]
+    raw += [(gens[0], -c) for g, c in raw[:40] if g == gens[0]]
+    conv = int if coefficients == "int" else (lambda c: Q.fraction(c, 3))
+    pairs = [(g, conv(c)) for g, c in raw]
+    by_addition = FormalSum.zero()
+    for gen, coeff in pairs:
+        by_addition = by_addition + FormalSum.generator(gen, coeff)
+    totals = {g: sum(c for h, c in raw if h == g) for g in gens}
+    collected = FormalSum.collect(pairs)
+    assert collected == by_addition
+    assert collected.terms == {g: conv(t) for g, t in totals.items() if t}
+    assert gens[0] not in collected.terms and gens[1] in collected.terms
+    assert FormalSum.collect([]) == FormalSum.zero()
+
+
 def test_mixed_degree_rejected():
     rng = random.Random(1)
     a = FormalSum.generator(random_skew_plus(Q, 2, rng))

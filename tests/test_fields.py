@@ -12,6 +12,16 @@ FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
 
 
+def test_equal_fields_hash_equal_before_and_after_caching():
+    for make in (Field.rationals, lambda: Field.prime(5), lambda: Field.function_field(3)):
+        first, second = make(), make()
+        want = hash((first.kind, first.p))
+        assert hash(first) == want == hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+        assert hash(first.scalar(2)) == hash(second.scalar(2))
+    assert hash(Field.prime(5)) != hash(Field.prime(7))
+
+
 def test_fraction_arithmetic():
     Q = Field.rationals()
     assert Q.fraction(1, 2) + Q.fraction(1, 3) == Q.fraction(5, 6)

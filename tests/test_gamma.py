@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +30,13 @@ from skewplus.gamma import (
     verify_appendix,
     zlinear_extension,
 )
-from skewplus import gamma, pfaffian
+from skewplus import gamma, pfaffian, sections
 from skewplus.errors import InternalInvariant
 from skewplus.matrices import Matrix, PermutationMap
 from skewplus.pfaffian import SkewPlusMatrix, pf_eliminate, random_skew_plus
 from skewplus.sections import section_v_det1
-from skewplus.symplectic import gram, pairing, psi_matrix
+from skewplus.symplectic import SymplecticSpace, gram, pairing, psi_matrix
+from skewplus.unimod import NonDegSeq, random_nondeg_seq
 
 Q = Field.rationals()
 FP = Field.prime(1000003)      # random_skew_plus can exhaust over F_5 from size 7
@@ -63,6 +63,37 @@ def reduce_oracle(a, triple):
         a = swap_adjacent(a, i)
         i += 1
     return a
+
+
+def pfaffian_ratio_scalar(a, triple):
+    """pfaffian_ratio as it was computed in Scalar arithmetic: four table
+    entries reduced to scalars, three products and a division."""
+    i, j, k = triple
+    return a.pf_without() / (a.pf_without(i, j) * a.pf_without(i, k) * a.pf_without(j, k))
+
+
+RATIO_KINDS = ("certified", "face", "permuted", "gram")
+
+
+def ratio_input(kind, field, q, rng):
+    """A certified size-q matrix whose table is made one of four ways: by
+    certification, restricted from a parent's (a face), swept on first
+    use (a relabelled matrix, with no table), or the Gram table of a
+    sequence, whose scale is L^2."""
+    if kind == "certified":
+        return random_skew_plus(field, q, rng)
+    if kind == "face":
+        face = random_skew_plus(field, q + 1, rng).face(rng.randint(1, q + 1))
+        assert face._table is not None and face._table._raw is None
+        return face
+    if kind == "permuted":
+        perm = list(range(1, q + 1))
+        rng.shuffle(perm)
+        relabelled = random_skew_plus(field, q, rng).permuted(PermutationMap(perm))
+        assert relabelled._table is None
+        return relabelled
+    seq = random_nondeg_seq(SymplecticSpace(field, (q + 1) // 2), q, rng)
+    return seq.gram_certified()
 
 
 def solve_pairings_scalar(vectors, values, field):
@@ -337,25 +368,59 @@ def test_oracle_against_scalar_body_reference_and_ratio(field, q):
 
 
 @pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
+def test_ratio_from_ring_entries_equals_scalar_oracle(field, q):
+    """pfaffian_ratio, one reduction of the table's ring entries, equals
+    the Scalar quotient of its Pfaffians, on tables of every origin; an
+    odd matrix has no Pfaffian in its table, so both raise."""
+    rng = random.Random(f"ratio:{field!r}:{q}")
+    for kind in RATIO_KINDS:
+        a = ratio_input(kind, field, q, rng)
+        for triple in combinations(range(1, q + 1), 3):
+            if q % 2:
+                with pytest.raises(KeyError):
+                    pfaffian_ratio(a, triple)
+                with pytest.raises(KeyError):
+                    pfaffian_ratio_scalar(a, triple)
+            else:
+                assert pfaffian_ratio(a, triple) == pfaffian_ratio_scalar(a, triple), kind
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([Q, FP, F3T]), st.sampled_from([4, 6, 8]), st.sampled_from(RATIO_KINDS),
+       st.integers(0, 10 ** 6), st.data())
+def test_ratio_from_ring_entries_property(field, q, kind, seed, data):
+    a = ratio_input(kind, field, q, random.Random(seed))
+    triple = tuple(sorted(data.draw(st.sets(st.integers(1, q), min_size=3, max_size=3))))
+    assert pfaffian_ratio(a, triple) == pfaffian_ratio_scalar(a, triple)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
 def test_oracle_uses_no_table_ratio_or_expansion(field, monkeypatch):
     """The oracle stays independent of the certificate's table, of
-    pfaffian_ratio and of the last-column expansion."""
+    pfaffian_ratio and of the last-column expansion, and makes its corner
+    checks itself: no checked section, Scalar determinant or Gram matrix."""
     a = random_skew_plus(field, 6, random.Random(f"independent:{field!r}"))
     triples = list(combinations(range(1, 7), 3))
     want = [pfaffian_ratio(a, triple) for triple in triples]
     fresh = SkewPlusMatrix(a.inner, _trusted=True)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle reached a Pfaffian-table path")
+        raise AssertionError("the oracle reached a Pfaffian-table or Scalar-check path")
 
     monkeypatch.setattr(SkewPlusMatrix, "table", property(refuse))
     monkeypatch.setattr(gamma, "pfaffian_ratio", refuse)
     monkeypatch.setattr(pfaffian, "_expand", refuse)
     monkeypatch.setattr(pfaffian, "pf_recursive", refuse)
+    monkeypatch.setattr(sections, "section_v_det1", refuse)
+    monkeypatch.setattr(Matrix, "det", refuse)
+    monkeypatch.setattr(NonDegSeq, "gram", refuse)
     with pytest.raises(AssertionError):
         pfaffian.even_principal_pfaffians(a)
     with pytest.raises(AssertionError):
         fresh.pf_without()
+    with pytest.raises(AssertionError):
+        section_v_det1(a.principal([1, 2, 3]))
     for matrix in (a, fresh):
         assert [gamma_oracle_c(matrix, triple) for triple in triples] == want
 
@@ -363,17 +428,28 @@ def test_oracle_uses_no_table_ratio_or_expansion(field, monkeypatch):
 @pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
 def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
     """Each check of the oracle raises, with its own message, when the
-    input it checks is bent: a corner vector doubled, the last unknown of
-    the first column moved by one, a pair Pfaffian doubled, a Pfaffian of
-    the determinant identity doubled."""
+    input it checks is bent: a corner vector doubled, a nonzero entry past
+    a corner vector's diagonal, the corner's det-1 correction dropped, the
+    last unknown of the first column moved by one, a pair Pfaffian
+    doubled, a Pfaffian of the determinant identity doubled.  The dropped
+    correction keeps the corner's Gram entries: it sits on e_3, which
+    pairs only with e_4, zero in every corner vector."""
     a = random_skew_plus(field, 6, random.Random(f"bent:{field!r}"))
     ring = field.ring()
-    real_section, real_substitute, real_pf = (gamma.section_v_det1, gamma._substitute,
+    real_section, real_substitute, real_pf = (gamma._det1_vectors, gamma._substitute,
                                               gamma._pf_ring)
 
     def bent_corner(corner):
-        v = real_section(corner).vectors
-        return SimpleNamespace(vectors=(tuple(x + x for x in v[0]),) + v[1:])
+        v = real_section(corner)
+        return [tuple(x + x for x in v[0])] + v[1:]
+
+    def past_diagonal(corner):
+        v = real_section(corner)
+        return [v[0] + (field.one(),)] + v[1:]
+
+    def no_correction(corner):
+        v = real_section(corner)
+        return v[:-1] + [v[-1][:-1]]
 
     def bent_last_unknown(ring, den, nums, row, rhs):
         den = real_substitute(ring, den, nums, row, rhs)
@@ -392,7 +468,9 @@ def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
 
     # the three pair Pfaffians come first, then the three of the identity
     for name, bent, message in [
-            ("section_v_det1", bent_corner, "corner Gram"),
+            ("_det1_vectors", bent_corner, "corner Gram"),
+            ("_det1_vectors", past_diagonal, "not triangular"),
+            ("_det1_vectors", no_correction, "has determinant"),
             ("_substitute", bent_last_unknown, "face pairing with the corner"),
             ("_pf_ring", bent_pfaffians({1, 2, 3}), "last coordinate"),
             ("_pf_ring", bent_pfaffians({4, 5, 6}), "determinant identity")]:

@@ -63,6 +63,14 @@ def sp_member_oracle(m, size):
     return all(m.entry(1, j) == expected[j - 3] for j in range(3, dim + 1))
 
 
+def test_equal_spaces_hash_equal_before_and_after_caching():
+    first, second = SymplecticSpace(Field.rationals(), 2), SymplecticSpace(Field.rationals(), 2)
+    assert hash(first) == hash((Field.rationals(), 2)) == hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert first != SymplecticSpace(Field.rationals(), 1)
+    assert first != SymplecticSpace(Field.prime(5), 2)
+
+
 def test_gram_of_standard_basis():
     space = SymplecticSpace(Q, 3)
     basis = [space.basis_vector(i) for i in range(1, 7)]
