@@ -6,17 +6,19 @@ for an infinite field of positive characteristic: several constructions
 need to pick elements avoiding finitely many bad values, which is
 impossible over F_p itself for large enough instances.
 
-Every value is canonical (fractions fully reduced with positive
-denominator, residues in 0..p-1, function-field elements reduced with
-monic denominator), so equality of scalars is plain structural equality
-and scalars can be used as dictionary keys.
+Every value is canonical, so equality of scalars is plain structural
+equality and scalars can be used as dictionary keys: a rational is the int
+pair (num, den), gcd-reduced with den > 0; a residue is an int in 0..p-1;
+a function-field element is a pair of coefficient tuples, reduced with
+monic denominator.  Hashes and comparisons then run on ints and tuples.
 
-F_p(t) sums and products follow Henrici's rule (J. ACM 3, 1956, as in
-CPython's Fraction): the gcds are taken of the canonical operands' parts, so
-none is taken of the full products.  Gcds run Euclid's remainder sequence
-in place.  Two polynomials of at least 6 coefficients each multiply by
-Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009): each is packed in
-byte slots into one int, and one big-int product gives all coefficients.
+Sums and products over Q and F_p(t) follow Henrici's rule (J. ACM 3, 1956,
+as in CPython's Fraction): the gcds are taken of the canonical operands'
+parts, so none is taken of the full products.  Polynomial gcds run
+Euclid's remainder sequence in place.  Two polynomials of at least 6
+coefficients each multiply by Kronecker substitution (Harvey, J. Symb.
+Comp. 44, 2009): each is packed in byte slots into one int, and one big-int
+product gives all coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import operator
 import re
 import sys
 from array import array
-from fractions import Fraction
+from fractions import Fraction  # only to accept Fraction-like inputs at the edge
 from functools import partial
 
 from .errors import DivisionByZero, FieldMismatch, InternalInvariant, ParseError, SamplerExhausted
@@ -281,13 +283,22 @@ class Field:
     # -- construction of elements ------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, Scalar, or coefficient tuple pair."""
+        """Coerce an int, Scalar, or pair: (num, den) ints over Q,
+        coefficient tuples over F_p(t).  Over Q, anything else that
+        `Fraction` accepts (a Fraction, a decimal string) is converted once
+        here."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
             return value
         if self.kind == RATIONALS:
-            return Scalar(self, Fraction(value))
+            if type(value) is int:
+                return Scalar(self, (value, 1))
+            if type(value) is tuple and len(value) == 2 and all(type(x) is int for x in value):
+                return Scalar(self, _ratio(*value))
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            return Scalar(self, (value.numerator, value.denominator))
         if self.kind == PRIME:
             if not isinstance(value, int):
                 raise ParseError(f"cannot coerce {value!r} into {self!r}")
@@ -311,7 +322,7 @@ class Field:
         return Scalar(self, ((0, 1), (1,)))
 
     def fraction(self, num: int, den: int) -> "Scalar":
-        return self.scalar(Fraction(num, den)) if self.kind == RATIONALS \
+        return Scalar(self, _ratio(num, den)) if self.kind == RATIONALS \
             else self.scalar(num) / self.scalar(den)
 
     # -- sampling ------------------------------------------------------
@@ -321,8 +332,8 @@ class Field:
         if size_bound < 1:
             raise ParseError("size_bound must be >= 1")
         if self.kind == RATIONALS:
-            return Scalar(self, Fraction(rng.randint(-size_bound, size_bound),
-                                         rng.randint(1, size_bound)))
+            return Scalar(self, _ratio(rng.randint(-size_bound, size_bound),
+                                       rng.randint(1, size_bound)))
         if self.kind == PRIME:
             return Scalar(self, rng.randrange(self.p))
         deg_bound = min(size_bound, 1 + size_bound // 4)
@@ -413,6 +424,16 @@ def sample_until(test, draw, max_attempts, what):
                            "(pool too small, or the field is too small)")
 
 
+def _ratio(num: int, den: int):
+    """num / den as a canonical rational: the int pair gcd-reduced, den > 0."""
+    if not den:
+        raise DivisionByZero("zero denominator")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def _canonical_ratio(num, den, p):
     num = poly_trim(num, p)
     den = poly_trim(den, p)
@@ -426,7 +447,10 @@ def _canonical_ratio(num, den, p):
 
 
 class Scalar:
-    """An element of Q, F_p, or F_p(t), always in canonical form.
+    """An element of Q, F_p, or F_p(t), always in canonical form: `value`
+    is a reduced (num, den) int pair with den > 0 over Q, an int in 0..p-1
+    over F_p, and a pair of coefficient tuples with monic denominator over
+    F_p(t).
 
     Arithmetic accepts plain ints on either side, so formulas read
     naturally: 1 / (b * e**2), a - b + c, and so on.
@@ -451,9 +475,9 @@ class Scalar:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        if self.field.kind == FUNCTION_FIELD:
-            return not self.value[0]
-        return self.value == 0
+        if self.field.kind == PRIME:
+            return self.value == 0
+        return not self.value[0]
 
     def __bool__(self):
         return not self.is_zero()
@@ -466,7 +490,15 @@ class Scalar:
             return NotImplemented
         k = self.field.kind
         if k == RATIONALS:
-            return Scalar(self.field, self.value + other.value)
+            # Henrici's rule, as below on polynomials
+            (n1, d1), (n2, d2) = self.value, other.value
+            g = math.gcd(d1, d2)
+            if g == 1:
+                return Scalar(self.field, (n1 * d2 + n2 * d1, d1 * d2))
+            s = d1 // g
+            t = n1 * (d2 // g) + n2 * s
+            g2 = math.gcd(t, g)
+            return Scalar(self.field, (t // g2, s * (d2 // g2)))
         if k == PRIME:
             return Scalar(self.field, (self.value + other.value) % self.field.p)
         # Henrici's rule: with g = gcd(d1, d2), s = d1/g, u = d2/g and
@@ -491,7 +523,7 @@ class Scalar:
     def __neg__(self):
         k = self.field.kind
         if k == RATIONALS:
-            return Scalar(self.field, -self.value)
+            return Scalar(self.field, (-self.value[0], self.value[1]))
         if k == PRIME:
             return Scalar(self.field, (-self.value) % self.field.p)
         return Scalar(self.field, (poly_neg(self.value[0], self.field.p), self.value[1]))
@@ -514,7 +546,10 @@ class Scalar:
             return NotImplemented
         k = self.field.kind
         if k == RATIONALS:
-            return Scalar(self.field, self.value * other.value)
+            # Henrici's rule, as below on polynomials
+            (n1, d1), (n2, d2) = self.value, other.value
+            g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+            return Scalar(self.field, ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
         if k == PRIME:
             return Scalar(self.field, (self.value * other.value) % self.field.p)
         # Henrici's rule: with g1 = gcd(n1, d2) and g2 = gcd(n2, d1), the
@@ -536,7 +571,8 @@ class Scalar:
             raise DivisionByZero("inverse of zero")
         k = self.field.kind
         if k == RATIONALS:
-            return Scalar(self.field, 1 / self.value)
+            num, den = self.value
+            return Scalar(self.field, (den, num) if num > 0 else (-den, -num))
         if k == PRIME:
             return Scalar(self.field, pow(self.value, -1, self.field.p))
         num, den = self.value
@@ -569,13 +605,13 @@ class Scalar:
     # -- comparison and hashing ---------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             try:
                 other = self.field.scalar(other)
             except (ParseError, FieldMismatch):
                 return NotImplemented
-        if not isinstance(other, Scalar):
-            return NotImplemented
         return self.field == other.field and self.value == other.value
 
     def __hash__(self):
@@ -589,7 +625,8 @@ class Scalar:
         """Canonical literal, the syntax used by all file formats."""
         k = self.field.kind
         if k == RATIONALS:
-            return str(self.value)
+            num, den = self.value
+            return str(num) if den == 1 else f"{num}/{den}"
         if k == PRIME:
             return f"{self.value} mod {self.field.p}"
         num, den = self.value
@@ -643,11 +680,10 @@ class IntegerRing:
     def clear(self, rows):
         """(L, the rows of scalars times L as lists of ring elements)."""
         rows = [[x.value for x in row] for row in rows]
-        scale = math.lcm(*[x.denominator for row in rows for x in row])
+        scale = math.lcm(*[den for row in rows for _, den in row])
         if scale == 1:
-            return 1, [[x.numerator for x in row] for row in rows]
-        return scale, [[x.numerator * (scale // x.denominator) for x in row]
-                       for row in rows]
+            return 1, [[num for num, _ in row] for row in rows]
+        return scale, [[num * (scale // den) for num, den in row] for row in rows]
 
     @staticmethod
     def row_step(prev):
@@ -675,7 +711,7 @@ class IntegerRing:
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
         """num / scale^e as a canonical scalar."""
-        return Scalar(self.field, Fraction(num, scale ** e))
+        return Scalar(self.field, _ratio(num, scale ** e))
 
 
 class ResidueRing(IntegerRing):
@@ -921,9 +957,7 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
             if field is not None and field.kind != RATIONALS:
                 # integer literals are allowed in any field
                 return field.scalar(num) / field.scalar(den)
-            if den == 0:
-                raise DivisionByZero("zero denominator")
-            s = Field.rationals().scalar(Fraction(num, den))
+            s = Scalar(Field.rationals(), _ratio(num, den))
     if field is not None and s.field != field:
         raise FieldMismatch(f"literal {text!r} is not in {field!r}")
     return s

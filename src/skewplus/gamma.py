@@ -23,7 +23,7 @@ in: the oracle never evaluates the ratio, nor reads the certificate's
 table.  Non-canonical triples are reduced to the canonical one by one
 relabeling, the composite of adjacent swaps, under which both the oracle
 value and the ratio are invariant.  The oracle runs in the ring of the
-field from the relabelled matrix, cleared once, to c: its Pfaffians by
+field from the matrix's ring form, relabelled, to c: its Pfaffians by
 the ring elimination kernel, the face vectors of all three columns by
 one substitution, its checks by cross-multiplication.  The corner's
 section comes unchecked from `sections._det1_vectors`, run on the
@@ -74,10 +74,12 @@ def pfaffian_ratio(a, triple) -> Scalar:
     """Pf(A) / (Pf(A^ij) Pf(A^ik) Pf(A^jk)), without the sign, read from
     the ring entries of the certificate's table: with raw[s] = L^{|s|/2}
     Pf(A on s), it is raw[1..q] L^(q-3) / (raw^ij raw^ik raw^jk), reduced
-    to a scalar once."""
+    to a scalar once.  An odd size has no Pfaffian and raises `BadRange`."""
     a = _as_certified(a)
     q = a.size
     i, j, k = _increasing_triple(triple, q)
+    if q % 2:
+        raise BadRange(f"the Pfaffian ratio needs an even size, got {q}")
     table = a.table
     ring, raw = table.ring, table.raw
 
@@ -146,9 +148,10 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     which the tests exercise by rerunning with random choices.
 
     The whole computation runs in the ring R of `field.ring()`: the
-    relabelled matrix A' is cleared once to B = L A', its Pfaffians come
-    from the ring kernel `_pf_ring` on index subsets of B, the face vectors
-    are one forward substitution against the corner section, and every
+    relabelled matrix A' is B = L A', read from the matrix's ring form
+    (cleared once per matrix, not per call), its Pfaffians come from the
+    ring kernel `_pf_ring` on index subsets of B, the face vectors are one
+    forward substitution against the corner section, and every
     value is kept as a numerator over a ring denominator.  The corner is
     `sections._det1_vectors` of A' on its first 2n-1 indices, with no
     table and no check of its own, cleared once by l; in the ring it is
@@ -169,7 +172,7 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     add, sub, mul, neg, dot, equal = ring.add, ring.sub, ring.mul, ring.neg, ring.dot, ring.equal
 
     # b[x][y] = L A'_{x+1,y+1}, A' the matrix relabelled by `order`
-    scale, upper = ring.clear(a.inner.upper)
+    scale, upper = a.inner.ring_form()
     full = [[ring.zero] * q for _ in range(q)]
     for x, row in enumerate(upper):
         for y, value in enumerate(row, start=x + 1):

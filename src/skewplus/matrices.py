@@ -36,6 +36,43 @@ def _products(field: Field, rows, cols):
     return out
 
 
+def _bareiss(ring, m, cols: int, upward: bool):
+    """The elimination of `Matrix._eliminate` on the rows m of ring
+    elements, in place, with pivots in the first `cols` columns: (pivot
+    columns 0-based, sign of the row swaps)."""
+    neg = ring.neg
+    width = len(m[0]) if m else 0
+    pivots, sign, prev = [], 1, ring.one
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        found = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            sign = -sign
+        pivot, row_r = m[r][c], m[r]
+        pivots.append(c)
+        live = [j for j in range(width) if j not in pivots]
+        step = ring.row_step(prev)
+        for i in range(0 if upward else r + 1, len(m)):
+            if i != r:
+                row = m[i]
+                step(row, live, ((pivot, row), (neg(row[c]), row_r)))
+        prev = pivot
+    return pivots, sign
+
+
+def ring_rank(ring, rows) -> int:
+    """The rank of the rows of elements of `ring` (a `Field.ring()`),
+    which stay as they are.  Scaling a row by a nonzero element, as
+    clearing does, keeps the rank."""
+    m = [list(row) for row in rows]
+    return len(_bareiss(ring, m, len(m[0]) if m else 0, upward=False)[0])
+
+
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data", "_hash")
 
@@ -203,28 +240,7 @@ class Matrix:
             row_scale, (cleared,) = ring.clear([row])
             scales.append(row_scale)
             m.append(cleared)
-        neg = ring.neg
-        width = len(m[0]) if m else 0
-        pivots, sign, prev = [], 1, ring.one
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == self.rows:
-                break
-            found = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if found is None:
-                continue
-            if found != r:
-                m[r], m[found] = m[found], m[r]
-                sign = -sign
-            pivot, row_r = m[r][c], m[r]
-            pivots.append(c)
-            live = [j for j in range(width) if j not in pivots]
-            step = ring.row_step(prev)
-            for i in range(0 if upward else r + 1, self.rows):
-                if i != r:
-                    row = m[i]
-                    step(row, live, ((pivot, row), (neg(row[c]), row_r)))
-            prev = pivot
+        pivots, sign = _bareiss(ring, m, self.cols, upward)
         return ring, scales, m, pivots, sign
 
     def det(self) -> Scalar:

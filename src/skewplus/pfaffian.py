@@ -19,8 +19,12 @@ coding of the last-column expansion above, `_expand`, works fraction-free
 in the ring of `Field.ring()`: it builds that table, answers every
 bordered test, and runs pf_recursive, the reference Pfaffian, whose
 final value alone is reduced to a scalar.  pf_eliminate, the other
-algorithm, is skew elimination: one clearing, the ring kernel `_pf_ring`,
-and one reduction; the gamma oracle runs that kernel on ring submatrices.
+algorithm, is skew elimination: the ring kernel `_pf_ring` and one
+reduction; the gamma oracle runs that kernel on ring submatrices.  A skew
+matrix clears its upper triangle into the ring once, on first use, and
+keeps it (`SkewMatrix.ring_form`) for the table sweep, pf_eliminate and
+the gamma oracle; pf_recursive clears on its own, so the two Pfaffians
+stay independent.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class SkewMatrix:
     triangle.
     """
 
-    __slots__ = ("field", "size", "upper", "_hash")
+    __slots__ = ("field", "size", "upper", "_hash", "_form")
 
     def __init__(self, field: Field, size: int, upper_rows):
         # upper_rows[i] holds (a_{i+1,i+2}, ..., a_{i+1,q}), 0-based lists
@@ -60,7 +64,7 @@ class SkewMatrix:
     def _set(self, field, size, upper):
         self.field = field
         self.size = size
-        self._hash = None
+        self._hash = self._form = None
         self.upper = upper
 
     @classmethod
@@ -110,6 +114,15 @@ class SkewMatrix:
         if i < j:
             return self.upper[i - 1][j - i - 1]
         return -self.upper[j - 1][i - j - 1]
+
+    def ring_form(self):
+        """(L, rows): the upper triangle cleared into the ring of
+        `Field.ring()` by one L, rows[i] = (L a_{i+1,i+2}, ..., L a_{i+1,q});
+        made once, and tuples, so that no reader can change it."""
+        if self._form is None:
+            scale, rows = self.field.ring().clear(self.upper)
+            self._form = scale, tuple(map(tuple, rows))
+        return self._form
 
     def full_matrix(self) -> Matrix:
         q = self.size
@@ -208,8 +221,9 @@ def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     q = a.size
     if q % 2 != 0:
         raise OddSize(f"Pfaffian of odd size {q}")
-    ring, scale, columns = _cleared_columns(a)
-    signed = [_signed(ring, c) for c in columns]
+    ring = a.field.ring()
+    scale, upper = ring.clear(a.upper)
+    signed = [_signed(ring, c) for c in _columns(upper, q)]
     # a set skipped for its zero coefficient is read only against that zero
     memo = _ZeroDefault(ring.zero)
     memo[()] = ring.one
@@ -224,6 +238,9 @@ def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
 
     full = tuple(range(1, q + 1))
     pf(full)
+    # pf refers to itself: unbinding it frees the memo now, not at the
+    # next cyclic garbage collection
+    del pf
     return ring.to_scalar(memo[full], scale, q // 2)
 
 
@@ -242,17 +259,18 @@ class _ZeroDefault(dict):
 def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     """Pfaffian by fraction-free skew elimination, cubic time.
 
-    The strict upper triangle is scaled by L, the lcm of its denominators,
+    The strict upper triangle scaled by L, the lcm of its denominators,
     into the ring R whose fraction field is the scalar field (Z for Q,
-    F_p[t] for F_p(t), F_p itself for F_p); `_pf_ring` eliminates it to
-    Pf(L A), which is reduced once to Pf(A) = Pf(L A) / L^(q/2).
+    F_p[t] for F_p(t), F_p itself for F_p) is the matrix's ring form;
+    `_pf_ring` eliminates a copy of it to Pf(L A), which is reduced once
+    to Pf(A) = Pf(L A) / L^(q/2).
     """
     a = _unwrap(a)
     q = a.size
     if q % 2 != 0:
         raise OddSize(f"Pfaffian of odd size {q}")
     ring = a.field.ring()
-    scale, upper = ring.clear(a.upper)
+    scale, upper = a.ring_form()
     pivot, sign = _pf_ring(ring, upper)
     result = ring.to_scalar(pivot, scale, q // 2)
     return result if sign == 1 else -result
@@ -260,8 +278,9 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
 
 def _pf_ring(ring, upper):
     """(p, sign) with sign * p the Pfaffian of the even-sized skew matrix
-    over the ring R whose strict upper rows are `upper` (lists of ring
-    elements, overwritten), by skew Bareiss elimination on that triangle.
+    over the ring R whose strict upper rows are `upper` (sequences of ring
+    elements, copied and left as they are), by skew Bareiss elimination on
+    that triangle.
     After the pivot pair (k, k+1), entry (i, j) becomes
 
         (m[k][k+1] m[i][j] - m[k][i] m[k+1][j] + m[k][j] m[k+1][i]) / prev,
@@ -279,7 +298,7 @@ def _pf_ring(ring, upper):
     """
     q = len(upper) + 1 if upper else 0   # the size is even
     # m[i][j] holds entry (i, j) for i < j; the rest is padding
-    m = [[None] * (i + 1) + row for i, row in enumerate(upper)] + [[None] * q]
+    m = [[None] * (i + 1) + list(row) for i, row in enumerate(upper)] + [[None] * q]
     neg = ring.neg
     sign = 1
     prev = ring.one
@@ -310,9 +329,10 @@ def _pf_ring(ring, upper):
 
 def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> "PfaffianTable":
     """Pfaffians of all even-sized principal submatrices (up to `max_size`,
-    if given), swept by `pfaffian_table` from the upper triangle cleared
-    into the ring of `Field.ring()` by one L."""
-    return pfaffian_table(*_cleared_columns(_unwrap(a)), max_size)
+    if given), swept by `pfaffian_table` from the matrix's ring form."""
+    a = _unwrap(a)
+    scale, upper = a.ring_form()
+    return pfaffian_table(a.field.ring(), scale, _columns(upper, a.size), max_size)
 
 
 def pfaffian_table(ring, scale, columns, max_size=None) -> "PfaffianTable":
@@ -332,12 +352,10 @@ def pfaffian_table(ring, scale, columns, max_size=None) -> "PfaffianTable":
     return PfaffianTable(ring, scale, raw)
 
 
-def _cleared_columns(a: SkewMatrix):
-    """(R, L, columns): R = a.field.ring(), L the ring element that clears
-    a's upper triangle, and columns[j-1] = (L a_1j, ..., L a_{j-1,j})."""
-    ring = a.field.ring()
-    scale, upper = ring.clear(a.upper)
-    return ring, scale, [[upper[i][j - i - 1] for i in range(j)] for j in range(a.size)]
+def _columns(upper, q: int):
+    """The columns above the diagonal of the size-q triangle whose rows
+    are `upper`: columns[j-1] = (a_1j, ..., a_{j-1,j})."""
+    return [[upper[i][j - i - 1] for i in range(j)] for j in range(q)]
 
 
 def _signed(ring, column):
@@ -501,7 +519,7 @@ class SkewPlusMatrix:
                               _table=None if table is None else table.restrict(keep))
 
     def face(self, i: int) -> "SkewPlusMatrix":
-        return self.remove_indices([i])
+        return self._on(_face_indices(self.size, i))
 
     def permuted(self, perm) -> "SkewPlusMatrix":
         return SkewPlusMatrix(self.inner.permuted(perm), _trusted=True)
@@ -559,6 +577,13 @@ def _kept(size: int, drop, error=IndexOutOfRange):
     if drop and not 1 <= min(drop) <= max(drop) <= size:
         raise error(f"indices {sorted(drop)} outside 1..{size}")
     return [i for i in range(1, size + 1) if i not in drop]
+
+
+def _face_indices(size: int, i: int, error=IndexOutOfRange):
+    """1..size without i, which must lie in 1..size."""
+    if not 1 <= i <= size:
+        raise error(f"indices [{i}] outside 1..{size}")
+    return [*range(1, i), *range(i + 1, size + 1)]
 
 
 def _unwrap(a):

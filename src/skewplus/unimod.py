@@ -7,7 +7,7 @@ invertible.  Both are read off one table, the even principal Pfaffians
 of the whole sequence's Gram matrix up to size min(q, 2n): an even
 subsequence with invertible Gram is independent, and so is every part of
 it, which leaves only the whole sequence for q odd and below 2n to a rank
-check.  The table stays in the ring and a checked sequence keeps it,
+check, made in the ring on the cleared vectors.  The table stays in the ring and a checked sequence keeps it,
 together with its ring form: the vectors cleared once by one common L,
 with their psi-rotations, from whose products the table is swept.  A face
 or subsequence slices the ring form and restricts the table on first use,
@@ -46,18 +46,17 @@ from .errors import (
 )
 from .fields import Field
 from .fields import sample_until as _sampler_loop  # perfbench's tracer wraps it here
-from .matrices import Matrix
+from .matrices import Matrix, ring_rank
 from .pfaffian import (
     PfaffianTable,
     SkewMatrix,
     SkewPlusMatrix,
-    even_principal_pfaffians,
     pf_eliminate,  # noqa: F401  (perfbench's tracer test patches it here)
+    _face_indices,
     _indices,
-    _kept,
     pfaffian_table,
 )
-from .symplectic import SymplecticSpace, form_gram, gram, pad_vector, ring_form
+from .symplectic import SymplecticSpace, form_gram, pad_vector, ring_form
 
 
 class NonDegSeq:
@@ -72,7 +71,7 @@ class NonDegSeq:
     def __init__(self, space: SymplecticSpace, vectors, _trusted: bool = False):
         self._set(space, tuple(pad_vector(v, space.dim, space.field) for v in vectors))
         if not _trusted:
-            self._gram_table = _member_table(self.vectors, space, self.ring_form())
+            self._gram_table = _member_table(space, self.ring_form())
             if self._gram_table is None:
                 raise NotNonDegenerate("sequence fails the membership conditions")
 
@@ -105,7 +104,7 @@ class NonDegSeq:
 
     def face(self, i: int) -> "NonDegSeq":
         """Drop the i-th vector (1-based); certification is inherited."""
-        return self._on(_kept(self.length, [i], ShapeMismatch))
+        return self._on(_face_indices(self.length, i, ShapeMismatch))
 
     def subsequence(self, indices) -> "NonDegSeq":
         """The vectors at the given distinct 1-based indices, in order."""
@@ -182,14 +181,14 @@ def is_nondeg_unimodular(vectors, space: SymplecticSpace) -> bool:
     up to size min(q, 2n) is nonzero, and, when q is odd and below 2n,
     the whole sequence has rank q."""
     vectors = [pad_vector(v, space.dim, space.field) for v in vectors]
-    return _member_table(vectors, space, ring_form(space.field, vectors)) is not None
+    return _member_table(space, ring_form(space.field, vectors)) is not None
 
 
-def _member_table(vectors, space, form) -> PfaffianTable | None:
-    """The Gram table of the padded `vectors`, whose ring form is `form`,
-    if they are members, else None."""
+def _member_table(space, form) -> PfaffianTable | None:
+    """The Gram table of the padded vectors whose ring form is `form`, if
+    they are members, else None."""
     table = _gram_table(space, form)
-    return table if table.all_nonzero() and _full_rank_if_odd(vectors, space) else None
+    return table if table.all_nonzero() and _full_rank_if_odd(space, form[1]) else None
 
 
 def _gram_table(space, form) -> PfaffianTable:
@@ -203,12 +202,13 @@ def _gram_table(space, form) -> PfaffianTable:
                           min(len(rows), space.dim))
 
 
-def _full_rank_if_odd(vectors, space) -> bool:
-    """The one independence condition an even-subset table leaves open."""
-    q = len(vectors)
+def _full_rank_if_odd(space, rows) -> bool:
+    """The one independence condition an even-subset table leaves open,
+    on the vectors cleared into the ring, one row each."""
+    q = len(rows)
     if q % 2 == 0 or q >= space.dim:
         return True
-    return Matrix.from_columns(space.field, vectors).rank() == q
+    return ring_rank(space.field.ring(), rows) == q
 
 
 def is_good_position(seq: NonDegSeq, x) -> bool:
@@ -221,15 +221,14 @@ def is_good_position(seq: NonDegSeq, x) -> bool:
     dot(L v_i, psi(L_x x)) shares the denominator L L_x.
     """
     space = seq.space
-    x = pad_vector(x, space.dim, space.field)
+    _, (row_x,), (psi_x,) = ring_form(space.field, [pad_vector(x, space.dim, space.field)])
+    _, rows, _ = seq.ring_form()
     max_size = min(seq.length + 1, space.dim) - 1
     if max_size > 0:
-        _, rows, _ = seq.ring_form()
-        _, _, (psi_x,) = ring_form(space.field, [x])
         dot = space.field.ring().dot
         if not seq.gram_table().bordered_nonzero_ring([dot(r, psi_x) for r in rows], max_size):
             return False
-    return _full_rank_if_odd(seq.vectors + (x,), space)
+    return _full_rank_if_odd(space, [*rows, row_x])
 
 
 def good_position_sample(seq: NonDegSeq, rng, max_attempts: int = 256):
@@ -238,29 +237,6 @@ def good_position_sample(seq: NonDegSeq, rng, max_attempts: int = 256):
     return _sampler_loop(lambda x: is_good_position(seq, x),
                          lambda bound: space.random_vector(rng, bound),
                          max_attempts, "good-position vector")
-
-
-def good_position_linear_form(vectors, space: SymplecticSpace):
-    """The vector u with Pf(Gram(v_I, x)) = <u, x> for an odd subsequence.
-
-    Expanding the bordered Gram matrix along its last column gives
-    u = sum_i (-1)^{i+1} Pf(Gram(v_I minus i-th)) v_i; the complement of
-    its orthogonal hyperplane is exactly the good set for the even-Gram
-    condition on I plus the new vector.
-    """
-    vectors = [pad_vector(v, space.dim, space.field) for v in vectors]
-    if len(vectors) % 2 != 1:
-        raise ShapeMismatch("the linear form is attached to odd subsequences")
-    field = space.field
-    table = even_principal_pfaffians(gram(vectors, field))
-    everything = tuple(range(1, len(vectors) + 1))
-    out = tuple(field.zero() for _ in range(space.dim))
-    for i, v in enumerate(vectors):
-        coeff = table[everything[:i] + everything[i + 1:]]
-        if i % 2 == 1:
-            coeff = -coeff
-        out = tuple(o + coeff * c for o, c in zip(out, v))
-    return out
 
 
 def random_nondeg_seq(space: SymplecticSpace, q: int, rng,

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,8 +127,8 @@ def test_sampling_deterministic_and_bounded():
     b = [Q.sample(random.Random(7), 10) for _ in range(20)]
     assert a == b
     for s in a:
-        assert abs(s.value.numerator) <= 10 * 10  # reduced from p<=10, q<=10
-        assert 1 <= s.value.denominator <= 10
+        assert abs(s.value[0]) <= 10 * 10  # reduced from p<=10, q<=10
+        assert 1 <= s.value[1] <= 10
     F5 = Field.prime(5)
     for _ in range(20):
         assert F5.sample(random.Random(_), 100).value in range(5)
@@ -141,8 +143,8 @@ def test_literals_round_trip():
 
 
 def test_literal_syntax():
-    assert parse_scalar("-3/4").value == Fraction(-3, 4)
-    assert parse_scalar("7").value == Fraction(7)
+    assert parse_scalar("-3/4").value == (-3, 4)
+    assert parse_scalar("7").value == (7, 1)
     s = parse_scalar("3 mod 5")
     assert s.field == Field.prime(5) and s.value == 3
     s = parse_scalar("(1+1*t)/(1+1*t+1*t^2) over F_2[t]")
@@ -490,3 +492,143 @@ def test_ring_equal_compares_field_elements():
     f3t = Field.function_field(3).ring()
     assert f3t.equal(f3t.mul((1, 1), (2, 1)), (2, 0, 1))
     assert not f3t.equal((1, 1), (1, 2))
+
+
+# -- Q as int pairs against the Fraction bodies they replaced ---------------
+
+def q_scalar_oracle(value) -> Fraction:
+    """The Q branch of `Field.scalar`, as it was."""
+    return Fraction(value)
+
+
+def q_add_oracle(x: Fraction, y: Fraction) -> Fraction:
+    return x + y
+
+
+def q_mul_oracle(x: Fraction, y: Fraction) -> Fraction:
+    return x * y
+
+
+def q_inv_oracle(x: Fraction) -> Fraction:
+    return 1 / x
+
+
+def q_clear_oracle(rows):
+    """`IntegerRing.clear` on rows of Fractions, as it was."""
+    scale = math.lcm(*[x.denominator for row in rows for x in row])
+    if scale == 1:
+        return 1, [[x.numerator for x in row] for row in rows]
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def q_to_scalar_oracle(num, scale, e) -> Fraction:
+    """`IntegerRing.to_scalar`, as it was."""
+    return Fraction(num, scale ** e)
+
+
+BIG = 2 ** 70
+q_ints = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-BIG, BIG))
+q_values = st.one_of(
+    q_ints,
+    st.builds(Fraction, q_ints, st.integers(1, BIG)),
+    st.tuples(q_ints, q_ints.filter(bool)),
+)
+
+
+def check_q(got: Scalar, want: Fraction):
+    """The same value as the Fraction body's, the same literal, and a
+    parse_scalar round trip."""
+    Q = Field.rationals()
+    assert got.value == (want.numerator, want.denominator)
+    assert type(got.value[0]) is int and type(got.value[1]) is int
+    assert got.literal() == str(want)
+    assert got == want and hash(got) == hash(Q.scalar(want))
+    assert parse_scalar(got.literal(), Q) == got == parse_scalar(got.literal())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(q_values, q_values, st.lists(st.lists(q_values, max_size=4), max_size=3),
+       q_ints, q_ints.filter(bool), st.integers(0, 3))
+def test_q_pairs_match_fraction_oracles(x, y, rows, num, scale, e):
+    Q = Field.rationals()
+    ring = Q.ring()
+
+    def frac(v):
+        return Fraction(*v) if isinstance(v, tuple) else Fraction(v)
+
+    fx, fy = frac(x), frac(y)
+    a, b = Q.scalar(x), Q.scalar(y)
+    check_q(a, fx if isinstance(x, tuple) else q_scalar_oracle(x))
+    check_q(b, fy)
+    check_q(Q.fraction(fx.numerator, -fx.denominator), -fx)
+    check_q(a + b, q_add_oracle(fx, fy))
+    check_q(a - b, q_add_oracle(fx, -fy))
+    check_q(-a, -fx)
+    check_q(a * b, q_mul_oracle(fx, fy))
+    check_q(a * b + a, q_add_oracle(q_mul_oracle(fx, fy), fx))
+    if fy:
+        check_q(b.inv(), q_inv_oracle(fy))
+        check_q(a / b, q_mul_oracle(fx, q_inv_oracle(fy)))
+    else:
+        with pytest.raises(DivisionByZero):
+            b.inv()
+    check_q(ring.to_scalar(num, scale, e), q_to_scalar_oracle(num, scale, e))
+    got_scale, got_rows = ring.clear([[Q.scalar(v) for v in row] for row in rows])
+    assert (got_scale, got_rows) == q_clear_oracle([[frac(v) for v in row] for row in rows])
+
+
+def test_q_pairs_at_the_edges():
+    Q = Field.rationals()
+    assert Q.scalar((6, -4)).value == (-3, 2) == Q.fraction(-6, 4).value
+    assert Q.scalar((0, -7)).value == (0, 1) == Q.scalar(Fraction(0)).value
+    assert Q.scalar("-6/4").value == (-3, 2) and Q.scalar(True).value == (1, 1)
+    assert (Q.fraction(1, 2) + Q.fraction(-1, 2)).value == (0, 1)
+    assert (Q.fraction(1, 6) + Q.fraction(1, 3)).value == (1, 2)
+    for zero_den in (lambda: Q.scalar((1, 0)), lambda: Q.fraction(1, 0),
+                     lambda: Q.ring().to_scalar(1, 0, 1), lambda: parse_scalar("1/0")):
+        with pytest.raises(DivisionByZero):
+            zero_den()
+    for bad in ((1, 2, 3), (1.0, 2), None):
+        with pytest.raises(TypeError):
+            Q.scalar(bad)
+
+
+def test_q_paths_make_no_fraction(monkeypatch):
+    """Over Q on int inputs, certification, sections, Witt extension, the
+    gamma map and its oracle construct no Fraction."""
+    from skewplus import fields
+    from skewplus.errors import NotSkewPlus
+    from skewplus.gamma import gamma_map, gamma_oracle_c, pfaffian_ratio
+    from skewplus.pfaffian import SkewMatrix, SkewPlusMatrix, pf_eliminate, pf_recursive
+    from skewplus.sections import section_V, section_v_det1
+    from skewplus.symplectic import SymplecticSpace, random_sp, witt_extend
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Q path made a Fraction")
+
+    monkeypatch.setattr(fields, "Fraction", refuse)
+    Q = Field.rationals()
+    rng = random.Random(26)
+    while True:
+        try:
+            a = SkewPlusMatrix.certify(SkewMatrix.from_upper(
+                Q, 6, [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(15)]))
+            break
+        except NotSkewPlus:
+            continue
+    assert pf_eliminate(a) == pf_recursive(a) == a.pf_without()
+    seq = section_V(6, 6, a)
+    assert seq.gram() == a.inner
+    corner = a.principal([1, 2, 3, 4, 5])
+    assert section_v_det1(corner).gram() == corner.inner
+    space = SymplecticSpace(Q, 3)
+    v = list(section_V(4, 6, a.principal([1, 2, 3, 4])).vectors)
+    g = random_sp(space, rng)
+    w = [g.apply(x) for x in v]
+    h = witt_extend(space, v, w)
+    assert all(h.apply(x) == y for x, y in zip(v, w))
+    image = gamma_map(a, 2)
+    assert not image.is_zero()
+    for triple in combinations(range(1, 7), 3):
+        assert gamma_oracle_c(a, triple) == pfaffian_ratio(a, triple)
+        assert gamma_oracle_c(a, triple, [1, -2, 3]) == pfaffian_ratio(a, triple)

@@ -572,3 +572,59 @@ def test_trusted_views_match_public_constructors(sparse_field):
         rng.shuffle(images)
         perm = PermutationMap(images)
         assert a.permuted(perm).full_matrix() == full.apply_permutation(perm)
+
+
+# -- the ring form a skew matrix keeps --------------------------------------
+
+RING_FORM_FIELDS = [Q, Field.prime(1000003), Field.function_field(3)]
+
+
+def fresh_form(a):
+    scale, rows = a.field.ring().clear(a.upper)
+    return scale, tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("field", RING_FORM_FIELDS, ids=lambda f: f.flag())
+def test_ring_form_is_one_cached_clear(field):
+    """The kept form equals a fresh ring.clear at every size 0-8, and two
+    pf_eliminate calls agree and leave it as it was."""
+    rng = random.Random(f"ring form:{field!r}")
+    for q in range(9):
+        a = seeded_skew(field, q, rng, 0.2)
+        form = a.ring_form()
+        assert a.ring_form() is form
+        assert form == fresh_form(a)
+        if q % 2 == 0:
+            first = pf_eliminate(a)
+            assert pf_eliminate(a) == first == pf_recursive_scalar(a)
+            assert a.ring_form() is form and form == fresh_form(a)
+        table = even_principal_pfaffians(a)
+        assert a.ring_form() is form and scalars(table) == table_oracle(a)
+
+
+@pytest.mark.parametrize("field", RING_FORM_FIELDS, ids=lambda f: f.flag())
+def test_ring_form_readers_share_it_and_pf_recursive_clears_its_own(field, monkeypatch):
+    """Certification, pf_eliminate and the gamma oracle read the form;
+    pf_recursive does not, so it still runs with the form refused."""
+    from skewplus.gamma import gamma_oracle_c, pfaffian_ratio
+
+    a = random_skew_plus(field, 6, random.Random(f"form readers:{field!r}"))
+    want = pf_eliminate(a)
+    ratio = pfaffian_ratio(a, (1, 3, 5))
+    clears = []
+    real = type(field.ring()).clear
+    monkeypatch.setattr(type(field.ring()), "clear",
+                        lambda ring, rows: clears.append(rows) or real(ring, rows))
+    assert pf_eliminate(a) == want
+    assert even_principal_pfaffians(a).raw == a.table.raw
+    assert gamma_oracle_c(a, (1, 3, 5)) == ratio
+    # the oracle clears its corner section, never the matrix
+    assert clears and not any(rows is a.inner.upper for rows in clears)
+
+    def refuse(self):
+        raise AssertionError("pf_recursive read the kept ring form")
+
+    monkeypatch.setattr(SkewMatrix, "ring_form", refuse)
+    assert pf_recursive(a) == want
+    with pytest.raises(AssertionError, match="kept ring form"):
+        pf_eliminate(a)

@@ -24,13 +24,12 @@ from skewplus.pfaffian import (
     pf_eliminate,
     random_skew_plus,
 )
-from skewplus.symplectic import SymplecticSpace, gram, pad_vector, pairing, random_sp
+from skewplus.symplectic import SymplecticSpace, gram, pad_vector, random_sp, ring_form
 from skewplus.unimod import (
     NonDegSeq,
     constant_border_obstructed,
     contract_cycle_seq,
     contract_cycle_skew,
-    good_position_linear_form,
     good_position_sample,
     is_good_position,
     is_nondeg_unimodular,
@@ -119,24 +118,6 @@ def test_sampler_deterministic():
     a = good_position_sample(seq, random.Random(8))
     b = good_position_sample(seq, random.Random(8))
     assert a == b
-
-
-def test_good_position_linear_form_single():
-    space = SymplecticSpace(Q, 2)
-    w = (Q.scalar(2), Q.scalar(-1), Q.zero(), Q.scalar(3))
-    assert good_position_linear_form([w], space) == w
-
-
-def test_good_position_linear_form_identity():
-    rng = random.Random(4)
-    space = SymplecticSpace(Q, 2)
-    for _ in range(25):
-        r = rng.choice([1, 3])
-        seq = random_nondeg_seq(space, r, rng)
-        u = good_position_linear_form(seq.vectors, space)
-        x = space.random_vector(rng, 6)
-        bordered = gram(list(seq.vectors) + [x], Q)
-        assert pf_eliminate(bordered) == pairing(u, x)
 
 
 def test_gram_certifies_in_range():
@@ -334,10 +315,7 @@ def good_position_oracle(seq, x) -> bool:
                                      min(seq.length, space.dim))
     if not table.bordered_nonzero(border, max_size):
         return False
-    vectors = seq.vectors + (x,)
-    q = len(vectors)
-    return (q % 2 == 0 or q >= space.dim
-            or Matrix.from_columns(space.field, vectors).rank() == q)
+    return full_rank_if_odd_oracle(seq.vectors + (x,), space)
 
 
 def _good_position_case(field, rng):
@@ -572,3 +550,65 @@ def test_surgery_refuses_proper_obstructions_before_any_draw(field, monkeypatch)
     monkeypatch.setattr(unimod, "skew_plus_extend", no_search)
     with pytest.raises(SamplerExhausted, match=r"size-4 .* subset \(1, 2, 3\)"):
         contract_cycle_skew(xi, rng)
+
+
+# -- the odd-length rank check in the ring ----------------------------------
+
+def full_rank_if_odd_oracle(vectors, space) -> bool:
+    """`unimod._full_rank_if_odd` as it was: the rank of the Scalar matrix
+    of columns."""
+    q = len(vectors)
+    if q % 2 == 0 or q >= space.dim:
+        return True
+    return Matrix.from_columns(space.field, vectors).rank() == q
+
+
+def _rank_case(field, rng):
+    """Up to 2n+1 vectors in R^4 or R^6, possibly with a zero vector, a
+    repeated or scaled vector, or a sum of two others."""
+    space = SymplecticSpace(field, rng.choice([2, 3]))
+    vectors = [space.random_vector(rng, 4) for _ in range(rng.randint(0, space.dim + 1))]
+    kind = rng.randrange(4)
+    if vectors and kind == 1:
+        vectors[rng.randrange(len(vectors))] = space.zero_vector()
+    elif len(vectors) >= 2 and kind == 2:
+        c = field.sample_nonzero(rng, 4)
+        vectors[-1] = tuple(c * x for x in rng.choice(vectors[:-1]))
+    elif len(vectors) >= 3 and kind == 3:
+        u, w = rng.sample(vectors[:-1], 2)
+        vectors[-1] = tuple(x + y for x, y in zip(u, w))
+    return space, vectors
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_full_rank_if_odd_in_the_ring_matches_scalar_rank(field):
+    rng = random.Random(f"ring rank:{field!r}")
+    outcomes = set()
+    for _ in range(120):
+        space, vectors = _rank_case(field, rng)
+        got = unimod._full_rank_if_odd(space, ring_form(field, vectors)[1])
+        assert got == full_rank_if_odd_oracle(vectors, space)
+        if len(vectors) % 2 and len(vectors) < space.dim:
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([Q, FP, F3T]), st.integers(0, 10 ** 6))
+def test_full_rank_if_odd_property(field, seed):
+    space, vectors = _rank_case(field, random.Random(seed))
+    form = ring_form(field, vectors)
+    rows = [list(r) for r in form[1]]
+    assert unimod._full_rank_if_odd(space, form[1]) == full_rank_if_odd_oracle(vectors, space)
+    assert form[1] == rows  # the ranked rows are left as they were
+
+
+def test_faces_equal_the_general_removal():
+    rng = random.Random(26)
+    seq = random_nondeg_seq(SymplecticSpace(Q, 2), 5, rng)
+    a = random_skew_plus(Q, 5, rng)
+    for i in range(1, 6):
+        kept = [k for k in range(1, 6) if k != i]
+        assert seq.face(i) == seq.subsequence(kept)
+        assert a.face(i) == a.remove_indices([i]) == a.principal(kept)
+        assert a.face(i).table.raw == a.principal(kept).table.raw
