@@ -20,11 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import ShapeMismatch, ZeroUnit
-from .fields import Field, Scalar, sample_until
-
-
-def _coeff_is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, Scalar) else c == 0
+from .fields import Field, sample_until
 
 
 class FormalSum:
@@ -37,11 +33,8 @@ class FormalSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for gen, coeff in (terms or {}).items():
-            if not _coeff_is_zero(coeff):
-                clean[gen] = coeff
-        self.terms = clean
+        # a scalar is falsy exactly when it is zero
+        self.terms = {gen: coeff for gen, coeff in (terms or {}).items() if coeff}
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -128,10 +121,8 @@ def boundary(xi: FormalSum) -> FormalSum:
         for i in range(1, q + 1):
             face = gen.face(i)
             c = coeff if i % 2 == 1 else -coeff
-            if face in out:
-                out[face] = out[face] + c
-            else:
-                out[face] = c
+            total = out.get(face)
+            out[face] = c if total is None else total + c
     return FormalSum(out)
 
 

@@ -11,6 +11,8 @@ equality and scalars can be used as dictionary keys: a rational is the int
 pair (num, den), gcd-reduced with den > 0; a residue is an int in 0..p-1;
 a function-field element is a pair of coefficient tuples, reduced with
 monic denominator.  Hashes and comparisons then run on ints and tuples.
+Skew matrices and sequences store these values (`Scalar.value`) rather
+than scalars, and the ring views below clear rows of them.
 
 Sums and products over Q and F_p(t) follow Henrici's rule (J. ACM 3, 1956,
 as in CPython's Fraction): the gcds are taken of the canonical operands'
@@ -404,6 +406,11 @@ def as_scalars(field: Field, values):
     return tuple(map(field.scalar, values))
 
 
+def as_values(field: Field, values):
+    """The canonical values (`Scalar.value`) of `as_scalars(field, values)`."""
+    return tuple(x.value for x in as_scalars(field, values))
+
+
 def sample_until(test, draw, max_attempts, what):
     """The first draw(bound) that passes test.  The pool bound starts at 8
     and doubles after every 16 attempts, so over an infinite field a finite
@@ -645,9 +652,11 @@ class Scalar:
 #
 # A kernel clears the denominators of its entries with one common L (or
 # one per row, vector or column), so it works on L*x in a ring R whose
-# fraction field is the field; it computes with add, sub, mul, neg, dot and
-# the Bareiss row step only, and turns each result num back into the
-# canonical scalar num / L^e once, at the end.  In every R the zero element
+# fraction field is the field; `clear` reads rows of canonical values
+# (`Scalar.value`), as containers store them.  The kernel computes with
+# add, sub, mul, neg, dot and the Bareiss row step only, and turns each
+# result num back into the canonical value (`to_value`) or scalar
+# (`to_scalar`) num / L^e once, at the end.  In every R the zero element
 # is the only falsy one, and `equal` tests two elements for equality (over
 # F_p, add, sub and mul leave their results unreduced).
 #
@@ -678,8 +687,8 @@ class IntegerRing:
         self.field = field
 
     def clear(self, rows):
-        """(L, the rows of scalars times L as lists of ring elements)."""
-        rows = [[x.value for x in row] for row in rows]
+        """(L, the rows times L as lists of ring elements), for rows of
+        canonical values (`Scalar.value`) of the field."""
         scale = math.lcm(*[den for row in rows for _, den in row])
         if scale == 1:
             return 1, [[num for num, _ in row] for row in rows]
@@ -709,9 +718,13 @@ class IntegerRing:
                     row[j] = quo
         return step
 
+    def to_value(self, num, scale, e: int):
+        """num / scale^e as a canonical value."""
+        return _ratio(num, scale ** e)
+
     def to_scalar(self, num, scale, e: int) -> Scalar:
         """num / scale^e as a canonical scalar."""
-        return Scalar(self.field, _ratio(num, scale ** e))
+        return Scalar(self.field, self.to_value(num, scale, e))
 
 
 class ResidueRing(IntegerRing):
@@ -731,7 +744,7 @@ class ResidueRing(IntegerRing):
         return (x - y) % self.field.p == 0
 
     def clear(self, rows):
-        return 1, [[x.value for x in row] for row in rows]
+        return 1, [list(row) for row in rows]
 
     def row_step(self, prev):
         p = self.field.p
@@ -750,11 +763,11 @@ class ResidueRing(IntegerRing):
                     row[j] = (a * x[j] + b * y[j] + c * z[j]) % p
         return step
 
-    def to_scalar(self, num, scale, e: int) -> Scalar:
+    def to_value(self, num, scale, e: int):
         p = self.field.p
         if scale != 1:
             num *= pow(scale, -e, p)
-        return Scalar(self.field, num % p)
+        return num % p
 
 
 def _exact_quotient(x, d, p):
@@ -841,7 +854,6 @@ class PolynomialRing:
 
     def clear(self, rows):
         p = self.field.p
-        rows = [[x.value for x in row] for row in rows]
         dens = {den for row in rows for _, den in row}
         scale = (1,)
         for den in dens:
@@ -901,13 +913,15 @@ class PolynomialRing:
                 row[j] = tuple(num)
         return step
 
-    def to_scalar(self, num, scale, e: int) -> Scalar:
-        """num / scale^e as a canonical scalar.  A factor num shares with
+    to_scalar = IntegerRing.to_scalar
+
+    def to_value(self, num, scale, e: int):
+        """num / scale^e as a canonical value.  A factor num shares with
         scale^e is a factor of scale, so the gcds are taken against scale
         itself: at most e of them, each cancelling one copy of scale."""
         p = self.field.p
         if not num:
-            return Scalar(self.field, ((), (1,)))
+            return (), (1,)
         den = (1,)
         for i in range(e):
             g = poly_gcd(num, scale, p)
@@ -918,8 +932,7 @@ class PolynomialRing:
             num = poly_divmod(num, g, p)[0]
             den = poly_mul(den, poly_divmod(scale, g, p)[0], p)
         inv = pow(den[-1], -1, p)
-        return Scalar(self.field, (tuple(x * inv % p for x in num),
-                                   tuple(x * inv % p for x in den)))
+        return tuple(x * inv % p for x in num), tuple(x * inv % p for x in den)
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

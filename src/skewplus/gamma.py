@@ -239,7 +239,7 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     if betas is None:
         l_b, beta = ring.one, dict.fromkeys(idx, ring.zero)
     else:
-        l_b, (cleared,) = ring.clear([[field.scalar(x) for x in betas]])
+        l_b, (cleared,) = ring.clear([[field.scalar(x).value for x in betas]])
         beta = dict(zip(idx, cleared))
 
     # for each r, the two remaining vectors of the sequence with Gram equal

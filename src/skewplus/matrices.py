@@ -27,11 +27,11 @@ def _products(field: Field, rows, cols):
     once by its own lcm L into the ring R of `field.ring()`, so entry
     (i, j) is one dot product in R over L_i L_j, reduced once."""
     ring = field.ring()
-    right = [ring.clear([c]) for c in cols]
+    right = [ring.clear([[x.value for x in c]]) for c in cols]
     dot, mul, to_scalar = ring.dot, ring.mul, ring.to_scalar
     out = []
     for r in rows:
-        lr, (r,) = ring.clear([r])
+        lr, (r,) = ring.clear([[x.value for x in r]])
         out.append([to_scalar(dot(r, c), mul(lr, lc), 1) for lc, (c,) in right])
     return out
 
@@ -237,7 +237,7 @@ class Matrix:
             [a + b for a, b in zip(self.data, augment.data)]
         scales, m = [], []
         for row in rows:
-            row_scale, (cleared,) = ring.clear([row])
+            row_scale, (cleared,) = ring.clear([[x.value for x in row]])
             scales.append(row_scale)
             m.append(cleared)
         pivots, sign = _bareiss(ring, m, self.cols, upward)

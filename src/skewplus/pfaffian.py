@@ -25,11 +25,20 @@ matrix clears its upper triangle into the ring once, on first use, and
 keeps it (`SkewMatrix.ring_form`) for the table sweep, pf_eliminate and
 the gamma oracle; pf_recursive clears on its own, so the two Pfaffians
 stay independent.
+
+A skew matrix stores its upper triangle flat, as the canonical values of
+its entries (`Scalar.value`), which the ring clears directly: hashing and
+equality run in C on ints and tuples, and a face or principal part is one
+cached `operator.itemgetter` pick of the flat tuple.  Scalars are made at
+the edge only, by the constructors and by `upper`, `entry`,
+`full_matrix`, repr and JSON.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import (
     IndexOutOfRange,
@@ -43,37 +52,45 @@ from .matrices import Matrix
 
 
 class SkewMatrix:
-    """Immutable q x q skew-symmetric matrix, upper triangle stored.
+    """Immutable q x q skew-symmetric matrix.
+
+    Only the strict upper triangle is stored: `flat`, row by row, holds the
+    canonical values of its entries (`Scalar.value`: an int over F_p, a
+    reduced (num, den) int pair over Q, a pair of coefficient tuples over
+    F_p(t)), so hashing and equality run in C on ints and tuples, and a
+    face or principal part is one cached `operator.itemgetter` pick of
+    `flat`.  Scalars are made at the edge: the constructors take ints,
+    pairs, Fractions or scalars, and `upper`, `entry`, `full_matrix`, repr
+    and JSON hand out scalars.
 
     The size is explicit because sizes 0 and 1 both have an empty upper
     triangle.
     """
 
-    __slots__ = ("field", "size", "upper", "_hash", "_form")
+    __slots__ = ("field", "size", "flat", "_hash", "_form")
 
     def __init__(self, field: Field, size: int, upper_rows):
         # upper_rows[i] holds (a_{i+1,i+2}, ..., a_{i+1,q}), 0-based lists
-        self._set(field, size,
-                  tuple(tuple(field.scalar(x) for x in row) for row in upper_rows))
-        if len(self.upper) != max(size - 1, 0):
+        rows = [[field.scalar(x).value for x in row] for row in upper_rows]
+        if len(rows) != max(size - 1, 0):
             raise ShapeMismatch(f"size {size} needs {max(size - 1, 0)} upper rows")
-        for i, row in enumerate(self.upper):
-            if len(row) != self.size - 1 - i:
-                raise ShapeMismatch("upper triangle rows have wrong lengths")
+        if any(len(row) != size - 1 - i for i, row in enumerate(rows)):
+            raise ShapeMismatch("upper triangle rows have wrong lengths")
+        self._set(field, size, tuple(x for row in rows for x in row))
 
-    def _set(self, field, size, upper):
+    def _set(self, field, size, flat):
         self.field = field
         self.size = size
+        self.flat = flat
         self._hash = self._form = None
-        self.upper = upper
 
     @classmethod
-    def _of(cls, field: Field, size: int, upper_rows) -> "SkewMatrix":
-        """The size-`size` skew matrix on upper rows of canonical scalars of
-        `field` of the right lengths, taken as they are: no coercion and no
-        shape check."""
+    def _of(cls, field: Field, size: int, flat) -> "SkewMatrix":
+        """The size-`size` skew matrix whose flat upper triangle is the tuple
+        `flat` of canonical values of `field`, taken as it is: no coercion
+        and no shape check."""
         a = cls.__new__(cls)
-        a._set(field, size, tuple(map(tuple, upper_rows)))
+        a._set(field, size, flat)
         return a
 
     @classmethod
@@ -86,11 +103,7 @@ class SkewMatrix:
         entries = list(entries)
         if len(entries) != q * (q - 1) // 2:
             raise ShapeMismatch(f"expected {q*(q-1)//2} upper entries, got {len(entries)}")
-        rows, k = [], 0
-        for i in range(q - 1):
-            rows.append(entries[k:k + q - 1 - i])
-            k += q - 1 - i
-        return cls(field, q, rows)
+        return cls._of(field, q, tuple(field.scalar(x).value for x in entries))
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "SkewMatrix":
@@ -112,26 +125,39 @@ class SkewMatrix:
         if i == j:
             return self.field.zero()
         if i < j:
-            return self.upper[i - 1][j - i - 1]
-        return -self.upper[j - 1][i - j - 1]
+            return Scalar(self.field, self.flat[_start(self.size, i) + j - i - 1])
+        return -Scalar(self.field, self.flat[_start(self.size, j) + i - j - 1])
+
+    def value_rows(self):
+        """The upper rows as tuples of canonical values: rows[i] holds
+        a_{i+1,i+2}, ..., a_{i+1,q}."""
+        return _split(self.flat, self.size)
+
+    @property
+    def upper(self):
+        """The upper rows as tuples of scalars."""
+        field = self.field
+        return tuple(tuple(Scalar(field, x) for x in row) for row in self.value_rows())
 
     def ring_form(self):
         """(L, rows): the upper triangle cleared into the ring of
         `Field.ring()` by one L, rows[i] = (L a_{i+1,i+2}, ..., L a_{i+1,q});
-        made once, and tuples, so that no reader can change it."""
+        made once, from one clear of `flat`, and tuples, so that no reader
+        can change it."""
         if self._form is None:
-            scale, rows = self.field.ring().clear(self.upper)
-            self._form = scale, tuple(map(tuple, rows))
+            scale, (flat,) = self.field.ring().clear([self.flat])
+            self._form = scale, _split(tuple(flat), self.size)
         return self._form
 
     def full_matrix(self) -> Matrix:
-        q = self.size
-        zero = self.field.zero()
+        q, field = self.size, self.field
+        zero = field.zero()
         rows = [[zero] * q for _ in range(q)]
-        for i, row in enumerate(self.upper):
+        for i, row in enumerate(self.value_rows()):
             for j, x in enumerate(row, start=i + 1):
+                x = Scalar(field, x)
                 rows[i][j], rows[j][i] = x, -x
-        return Matrix._of(self.field, rows)
+        return Matrix._of(field, rows)
 
     def principal(self, indices) -> "SkewMatrix":
         """Submatrix on the given 1-based indices (rows and columns), sorted."""
@@ -139,10 +165,8 @@ class SkewMatrix:
 
     def _on(self, idx) -> "SkewMatrix":
         """`principal` on sorted, distinct indices in range."""
-        upper = self.upper
-        return SkewMatrix._of(self.field, len(idx),
-                              [[upper[i - 1][j - i - 1] for j in idx[k + 1:]]
-                               for k, i in enumerate(idx[:-1])])
+        idx = tuple(idx)
+        return SkewMatrix._of(self.field, len(idx), _picker(self.size, idx)(self.flat))
 
     def remove_indices(self, indices) -> "SkewMatrix":
         """Drop the given 1-based rows and columns."""
@@ -150,34 +174,35 @@ class SkewMatrix:
 
     def star_extend(self, v) -> "SkewMatrix":
         """The (q+1) x (q+1) bordered matrix with last column v."""
-        v = [self.field.scalar(x) for x in v]
+        v = tuple(self.field.scalar(x).value for x in v)
         if len(v) != self.size:
             raise ShapeMismatch(f"border vector has length {len(v)}, matrix size {self.size}")
-        rows = [row + (v[i],) for i, row in enumerate(self.upper)]
-        if self.size:
-            rows.append((v[self.size - 1],))
-        return SkewMatrix._of(self.field, self.size + 1, rows)
+        return SkewMatrix._of(self.field, self.size + 1,
+                              tuple(x for row, b in zip(self.value_rows() + ((),), v)
+                                    for x in (*row, b)))
 
     def scale(self, c) -> "SkewMatrix":
-        c = self.field.scalar(c)
-        return SkewMatrix._of(self.field, self.size,
-                              [[c * x for x in row] for row in self.upper])
+        field = self.field
+        c = field.scalar(c)
+        return SkewMatrix._of(field, self.size,
+                              tuple((c * Scalar(field, x)).value for x in self.flat))
 
     def permuted(self, perm) -> "SkewMatrix":
         """Simultaneous row/column relabeling: entry (i, j) of the output
         is entry (perm(i), perm(j)) of self."""
         q = self.size
         return SkewMatrix._of(self.field, q,
-                              [[self.entry(perm(i), perm(j)) for j in range(i + 1, q + 1)]
-                               for i in range(1, q)])
+                              tuple(self.entry(perm(i), perm(j)).value
+                                    for i in range(1, q) for j in range(i + 1, q + 1)))
 
     def __eq__(self, other):
-        return (isinstance(other, SkewMatrix) and self.field == other.field
-                and self.upper == other.upper)
+        return (isinstance(other, SkewMatrix) and self.size == other.size
+                and self.flat == other.flat
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, self.size, self.upper))
+            self._hash = hash((self.size, self.flat))
         return self._hash
 
     def __repr__(self):
@@ -202,6 +227,39 @@ class SkewMatrix:
         return cls(field, q, rows)
 
 
+def _start(size: int, i: int) -> int:
+    """Where row i (1-based) of a size-`size` upper triangle starts in its
+    flat tuple."""
+    return (i - 1) * (2 * size - i) // 2
+
+
+def _split(flat, size: int):
+    """The flat upper triangle of a size-`size` matrix as a tuple of rows."""
+    return tuple(flat[_start(size, i):_start(size, i + 1)] for i in range(1, size))
+
+
+def _getter(positions):
+    """The function taking a tuple to the tuple of its entries at `positions`
+    (itemgetter returns a single entry bare)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda flat: tuple(flat[k] for k in positions)
+
+
+@lru_cache(maxsize=4096)
+def _picker(size: int, keep: tuple):
+    """The pick of the flat upper triangle of the principal part on the
+    sorted index tuple `keep` out of a size-`size` flat triangle."""
+    return _getter([_start(size, i) + j - i - 1
+                    for k, i in enumerate(keep) for j in keep[k + 1:]])
+
+
+@lru_cache(maxsize=4096)
+def _face_keep(size: int, i: int):
+    """1..size without i, as a tuple."""
+    return (*range(1, i), *range(i + 1, size + 1))
+
+
 # ---------------------------------------------------------------------------
 # Pfaffians
 # ---------------------------------------------------------------------------
@@ -222,7 +280,7 @@ def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     if q % 2 != 0:
         raise OddSize(f"Pfaffian of odd size {q}")
     ring = a.field.ring()
-    scale, upper = ring.clear(a.upper)
+    scale, upper = ring.clear(a.value_rows())
     signed = [_signed(ring, c) for c in _columns(upper, q)]
     # a set skipped for its zero coefficient is read only against that zero
     memo = _ZeroDefault(ring.zero)
@@ -409,7 +467,8 @@ class PfaffianTable:
         nonzero Pfaffian on I plus the border index for each odd I in 1..q
         with |I| <= max_size; the table must reach size max_size - 1.  The
         border is cleared once, and the test runs in the ring."""
-        return self.bordered_nonzero_ring(self.ring.clear([border])[1][0], max_size)
+        return self.bordered_nonzero_ring(self.ring.clear([[x.value for x in border]])[1][0],
+                                          max_size)
 
     def bordered_nonzero_ring(self, border, max_size: int) -> bool:
         """`bordered_nonzero` on a border given in the ring as L_b times the
@@ -519,7 +578,10 @@ class SkewPlusMatrix:
                               _table=None if table is None else table.restrict(keep))
 
     def face(self, i: int) -> "SkewPlusMatrix":
-        return self._on(_face_indices(self.size, i))
+        size = self.inner.size
+        if not 0 < i <= size:
+            raise IndexOutOfRange(f"indices [{i}] outside 1..{size}")
+        return self._on(_face_keep(size, i))
 
     def permuted(self, perm) -> "SkewPlusMatrix":
         return SkewPlusMatrix(self.inner.permuted(perm), _trusted=True)
@@ -543,7 +605,7 @@ class SkewPlusMatrix:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(("skew+", self.inner))
+            self._hash = hash(self.inner)
         return self._hash
 
     def __repr__(self):
@@ -577,13 +639,6 @@ def _kept(size: int, drop, error=IndexOutOfRange):
     if drop and not 1 <= min(drop) <= max(drop) <= size:
         raise error(f"indices {sorted(drop)} outside 1..{size}")
     return [i for i in range(1, size + 1) if i not in drop]
-
-
-def _face_indices(size: int, i: int, error=IndexOutOfRange):
-    """1..size without i, which must lie in 1..size."""
-    if not 1 <= i <= size:
-        raise error(f"indices [{i}] outside 1..{size}")
-    return [*range(1, i), *range(i + 1, size + 1)]
 
 
 def _unwrap(a):

@@ -25,15 +25,18 @@ correction along e_q, producing an upper triangular matrix of columns
 with determinant exactly 1 and unchanged Gram matrix; it checks nothing.
 `section_v_det1` is the public, checked wrapper over it: it pads the
 vectors into a `NonDegSeq` and checks its Gram matrix and determinant.
+The coordinates pass from the ring to the sequence, and from a vector to
+the next vector's system, as canonical values (`Scalar.value`).
 The gamma oracle calls the helper and runs the same checks in the ring.
 """
 
 from __future__ import annotations
 
 from .errors import BadRange, EvenSize, InternalInvariant
+from .fields import Scalar
 from .matrices import Matrix
 from .pfaffian import _as_certified
-from .symplectic import SymplecticSpace, pad_vector
+from .symplectic import SymplecticSpace
 from .unimod import NonDegSeq
 
 
@@ -54,27 +57,29 @@ def _substitute(ring, den, nums, row, rhs):
 
 
 def _section(a, roomy: bool):
-    """Vectors of the section of `a`, each in its minimal coordinates, by
-    one forward substitution with every column of `a` as a right-hand
-    side: v_k solves the rows of v_1..v_{k-1}, and its own row, cleared
-    once with the entries a_{k,k+1..q}, then enters the columns after k.
-    Every odd vector but a snug last one is roomy."""
+    """Vectors of the section of `a`, each in its minimal coordinates and
+    given by the canonical values of its coordinates, by one forward
+    substitution with every column of `a` as a right-hand side: v_k
+    solves the rows of v_1..v_{k-1}, and its own row, cleared once with
+    the entries a_{k,k+1..q}, then enters the columns after k.  Every odd
+    vector but a snug last one is roomy."""
     field = a.field
     q = a.size
     ring = field.ring()
+    one, upper = field.one().value, a.value_rows()
     den, nums = ring.one, [[] for _ in range(q)]
     vectors = []
     for k in range(1, q + 1):
         u = nums[k - 1] + [ring.zero] * ((k - 1) % 2)
         # w = (-u_2, u_1, -u_4, u_3, ...): psi w = u, so <v_i, w> = v_i . u
-        w = tuple(ring.to_scalar(x, den, 1) for j in range(0, k - 1, 2)
+        w = tuple(ring.to_value(x, den, 1) for j in range(0, k - 1, 2)
                   for x in (ring.neg(u[j + 1]), u[j]))
         if k % 2 == 1 and (k < q or roomy):
-            w += (field.one(),)
+            w += (one,)
         vectors.append(w)
         if k < q:
-            # a.upper[k - 1] is (a_{k,k+1}, ..., a_{k,q})
-            _, (row,) = ring.clear([w[:k] + a.upper[k - 1]])
+            # upper[k - 1] is (a_{k,k+1}, ..., a_{k,q})
+            _, (row,) = ring.clear([w[:k] + upper[k - 1]])
             den = _substitute(ring, den, nums[k:], row[:k], row[k:])
     return vectors
 
@@ -92,27 +97,26 @@ def section_V(q: int, two_n: int, a) -> NonDegSeq:
     if a.size != q:
         raise BadRange(f"matrix size {a.size} does not match q={q}")
     space = SymplecticSpace(a.field, two_n // 2)
-    vectors = _section(a.inner, roomy=(q % 2 == 1 and q < two_n + 1))
-    seq = NonDegSeq(space, [pad_vector(v, two_n, a.field) for v in vectors],
-                    _trusted=True)
+    seq = NonDegSeq._padded(space, _section(a.inner, roomy=(q % 2 == 1 and q < two_n + 1)))
     if seq.gram() != a.inner:
         raise InternalInvariant("section does not invert the Gram map")
     return seq
 
 
 def _det1_vectors(a):
-    """The vectors of `section_v_det1` for the odd-size skew matrix `a`,
-    taken as certified and not checked: the snug section, v_k in its first
-    k coordinates, with 1 / (the product of the first q - 1 diagonal
-    entries) added to the zero q-th coordinate of the last vector."""
+    """The vectors of `section_v_det1` for the odd-size skew matrix `a`, as
+    tuples of canonical values, taken as certified and not checked: the
+    snug section, v_k in its first k coordinates, with 1 / (the product of
+    the first q - 1 diagonal entries) added to the zero q-th coordinate of
+    the last vector."""
     vectors = _section(a, roomy=False)
     field = a.field
     # the first q - 1 vectors are upper triangular: the determinant of
     # their block is the product of the diagonal
     det_block = field.one()
     for i, v in enumerate(vectors[:-1]):
-        det_block = det_block * v[i]
-    return vectors[:-1] + [vectors[-1] + (det_block.inv(),)]
+        det_block = det_block * Scalar(field, v[i])
+    return vectors[:-1] + [vectors[-1] + (det_block.inv().value,)]
 
 
 def section_v_det1(a) -> NonDegSeq:
@@ -129,7 +133,7 @@ def section_v_det1(a) -> NonDegSeq:
         raise EvenSize(f"this section needs odd size, got {q}")
     field = a.field
     space = SymplecticSpace(field, (q + 1) // 2)
-    seq = NonDegSeq(space, _det1_vectors(a.inner), _trusted=True)
+    seq = NonDegSeq._padded(space, _det1_vectors(a.inner))
     if seq.gram() != a.inner:
         raise InternalInvariant("triangular section does not invert the Gram map")
     full = Matrix.from_columns(field, [v[:q] for v in seq.vectors])

@@ -11,9 +11,10 @@ shape
     [ 0  1      0     ]
     [ 0  u      M     ]        with M in Sp_{2n}, u in R^{2n}, c in R.
 
-Vectors are plain tuples of scalars.  Odd-length tuples are allowed in
-pairings; the missing last coordinate pairs with nothing, which matches
-viewing R^{2n-1} inside R^{2n}.
+Vectors are plain tuples of scalars; `ring_form` takes them as tuples of
+their canonical values (`Scalar.value`), as sequences store them.
+Odd-length tuples are allowed in pairings; the missing last coordinate
+pairs with nothing, which matches viewing R^{2n-1} inside R^{2n}.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     ZeroUnit,
 )
-from .fields import Field, Scalar, as_scalars
+from .fields import Field, Scalar, as_scalars, as_values
 from .matrices import Matrix, _products
 from .pfaffian import SkewMatrix
 
@@ -53,9 +54,10 @@ def psi_matrix(field: Field, dim: int) -> Matrix:
 
 def ring_form(field: Field, vectors):
     """(L, [L v_i], [L psi v_i]) in the ring of `field`, for one common L
-    that clears every v_i: <v_i, v_j> = dot(L v_i, L psi v_j) / L^2."""
+    that clears every v_i, each given by the canonical values of its
+    coordinates: <v_i, v_j> = dot(L v_i, L psi v_j) / L^2."""
     ring = field.ring()
-    scale, rows = ring.clear([as_scalars(field, v) for v in vectors])
+    scale, rows = ring.clear(vectors)
     neg = ring.neg
     return scale, rows, [[x for k in range(0, len(c) - 1, 2) for x in (c[k + 1], neg(c[k]))]
                          for c in rows]
@@ -68,7 +70,7 @@ def pairing(x, y) -> Scalar:
     if not x:
         raise ShapeMismatch("pairing needs at least one coordinate")
     field = x[0].field
-    scale, (cx, _), (_, psi_y) = ring_form(field, [x, y])
+    scale, (cx, _), (_, psi_y) = ring_form(field, [as_values(field, x), as_values(field, y)])
     ring = field.ring()
     return ring.to_scalar(ring.dot(cx, psi_y), scale, 2)
 
@@ -85,17 +87,17 @@ def gram(vectors, field: Field | None = None) -> SkewMatrix:
         raise ShapeMismatch("pairing of vectors of different lengths")
     if q > 1 and not vectors[0]:
         raise ShapeMismatch("pairing needs at least one coordinate")
-    return form_gram(field, ring_form(field, vectors))
+    return form_gram(field, ring_form(field, [as_values(field, v) for v in vectors]))
 
 
 def form_gram(field: Field, form) -> SkewMatrix:
     """The Gram matrix of the vectors whose `ring_form` is `form`."""
     scale, rows, psi = form
     ring = field.ring()
-    dot, to_scalar = ring.dot, ring.to_scalar
+    dot, to_value = ring.dot, ring.to_value
     return SkewMatrix._of(field, len(rows),
-                          [[to_scalar(dot(ci, psi_j), scale, 2) for psi_j in psi[i + 1:]]
-                           for i, ci in enumerate(rows[:-1])])
+                          tuple(to_value(dot(ci, psi_j), scale, 2)
+                                for i, ci in enumerate(rows) for psi_j in psi[i + 1:]))
 
 
 def standard_basis_vector(field: Field, dim: int, i: int):
@@ -177,8 +179,8 @@ def is_sp_member(m: Matrix, size: int) -> bool:
         return True
     field = m.field
     zero, one = field.zero(), field.one()
-    psi = SkewMatrix._of(field, dim, [(one if i % 2 == 0 else zero,) + (zero,) * (dim - 2 - i)
-                                      for i in range(dim - 1)])
+    psi = SkewMatrix._of(field, dim, tuple(one.value if j == i + 1 and i % 2 == 0 else zero.value
+                                           for i in range(dim) for j in range(i + 1, dim)))
     if gram(zip(*m.data), field) != psi:
         return False
     return size % 2 == 0 or m.col(1) == (one,) + (zero,) * (dim - 1)

@@ -7,13 +7,17 @@ invertible.  Both are read off one table, the even principal Pfaffians
 of the whole sequence's Gram matrix up to size min(q, 2n): an even
 subsequence with invertible Gram is independent, and so is every part of
 it, which leaves only the whole sequence for q odd and below 2n to a rank
-check, made in the ring on the cleared vectors.  The table stays in the ring and a checked sequence keeps it,
-together with its ring form: the vectors cleared once by one common L,
-with their psi-rotations, from whose products the table is swept.  A face
-or subsequence slices the ring form and restricts the table on first use,
-and an isometric image keeps the table; one more vector or border adds
-bordered Pfaffians, by the table's expansion, on a border read off the
-ring form.
+check, made in the ring on the cleared vectors.  The table stays in the
+ring and a checked sequence keeps it, together with its ring form: the
+vectors cleared once by one common L, with their psi-rotations, from
+whose products the table is swept.  A sequence stores its vectors as
+tuples of canonical values (`Scalar.value`), which the ring clears
+directly and which hash and compare in C; scalars are made only for the
+`vectors` view, repr and JSON.  A face is a tuple slice of them, and it
+slices the ring form and restricts the table only on the first read of
+either; an isometric image keeps the table; one more vector or border
+adds bordered Pfaffians, by the table's expansion, on a border read off
+the ring form.
 
 A vector x is in good position with respect to a sequence v when (v, x)
 is again non-degenerate unimodular.  Over an infinite field the bad set
@@ -44,7 +48,7 @@ from .errors import (
     SamplerExhausted,
     ShapeMismatch,
 )
-from .fields import Field
+from .fields import Field, Scalar, as_scalars, as_values
 from .fields import sample_until as _sampler_loop  # perfbench's tracer wraps it here
 from .matrices import Matrix, ring_rank
 from .pfaffian import (
@@ -52,7 +56,7 @@ from .pfaffian import (
     SkewMatrix,
     SkewPlusMatrix,
     pf_eliminate,  # noqa: F401  (perfbench's tracer test patches it here)
-    _face_indices,
+    _face_keep,
     _indices,
     pfaffian_table,
 )
@@ -62,73 +66,126 @@ from .symplectic import SymplecticSpace, form_gram, pad_vector, ring_form
 class NonDegSeq:
     """A certified non-degenerate unimodular sequence in R^{2n}.
 
-    Faces (and more generally subsequences) inherit the certificate, and
-    with it the ring form and the Gram table, if the parent has them.
+    The vectors are stored as `values`: per vector, the tuple of the
+    canonical values of its coordinates (`Scalar.value`), padded to
+    length 2n, so hashing and equality run in C on ints and tuples.
+    `vectors` is their view as scalars, kept when the sequence was built
+    from scalars and made on first read otherwise.  Faces (and more
+    generally subsequences) inherit the certificate, and with it the ring
+    form and the Gram table, if the parent has them.  A face is a slice of
+    `values` that holds its parent and its kept indices until the first
+    read of its ring form or table, which slices the one and restricts the
+    other: most faces that `chains.boundary` makes are only hashed.
     """
 
-    __slots__ = ("space", "vectors", "_hash", "_form", "_gram_table")
+    __slots__ = ("space", "values", "_vectors", "_hash", "_form", "_gram_table", "_parent")
 
     def __init__(self, space: SymplecticSpace, vectors, _trusted: bool = False):
-        self._set(space, tuple(pad_vector(v, space.dim, space.field) for v in vectors))
+        field = space.field
+        vectors = tuple(pad_vector(as_scalars(field, v), space.dim, field) for v in vectors)
+        self._set(space, tuple(tuple(x.value for x in v) for v in vectors))
+        self._vectors = vectors
         if not _trusted:
-            self._gram_table = _member_table(space, self.ring_form())
-            if self._gram_table is None:
-                raise NotNonDegenerate("sequence fails the membership conditions")
+            self._certify()
 
-    def _set(self, space, vectors, form=None, table=None):
+    def _set(self, space, values, form=None, table=None, parent=None):
         self.space = space
-        self.vectors = vectors
-        self._hash = None
+        self.values = values
+        self._vectors = self._hash = None
         self._form = form
         self._gram_table = table
+        # (parent, kept indices) until the first read of the form or table
+        self._parent = parent
 
     @classmethod
-    def _of(cls, space, vectors, form=None, table=None) -> "NonDegSeq":
-        """A trusted sequence on padded vectors, with what is known of it."""
+    def _of(cls, space, values, form=None, table=None, parent=None) -> "NonDegSeq":
+        """A trusted sequence on padded vectors of canonical values, with
+        what is known of it."""
         seq = cls.__new__(cls)
-        seq._set(space, vectors, form, table)
+        seq._set(space, values, form, table, parent)
         return seq
+
+    @classmethod
+    def _padded(cls, space, values) -> "NonDegSeq":
+        """A trusted sequence on vectors of canonical values, each padded
+        with zeros to length 2n."""
+        zero, dim = space.field.zero().value, space.dim
+        return cls._of(space, tuple(v + (zero,) * (dim - len(v)) for v in values))
+
+    def _certify(self) -> "NonDegSeq":
+        self._gram_table = _member_table(self.space, self.ring_form())
+        if self._gram_table is None:
+            raise NotNonDegenerate("sequence fails the membership conditions")
+        return self
 
     @classmethod
     def empty(cls, space: SymplecticSpace) -> "NonDegSeq":
         return cls(space, (), _trusted=True)
 
     @property
+    def vectors(self):
+        """The vectors as tuples of scalars."""
+        if self._vectors is None:
+            field = self.space.field
+            self._vectors = tuple(tuple(Scalar(field, x) for x in v) for v in self.values)
+        return self._vectors
+
+    @property
     def length(self) -> int:
-        return len(self.vectors)
+        return len(self.values)
 
     # FormalSum generators expose their length as `size`
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.values)
 
     def face(self, i: int) -> "NonDegSeq":
         """Drop the i-th vector (1-based); certification is inherited."""
-        return self._on(_face_indices(self.length, i, ShapeMismatch))
+        values = self.values
+        if not 0 < i <= len(values):
+            raise ShapeMismatch(f"indices [{i}] outside 1..{len(values)}")
+        return NonDegSeq._of(self.space, values[:i - 1] + values[i:],
+                             parent=(self, _face_keep(len(values), i)))
 
     def subsequence(self, indices) -> "NonDegSeq":
         """The vectors at the given distinct 1-based indices, in order."""
-        return self._on(_indices(self.length, indices, ShapeMismatch))
+        keep = _indices(self.length, indices, ShapeMismatch)
+        return NonDegSeq._of(self.space, tuple([self.values[i - 1] for i in keep]),
+                             parent=(self, keep))
 
-    def _on(self, keep) -> "NonDegSeq":
-        """`subsequence` on sorted, distinct indices in range."""
-        vectors, form, table = self.vectors, self._form, self._gram_table
+    def _inherit(self):
+        """Slice the parent's ring form and restrict its table, as far as
+        the parent has them; called on the first read of either."""
+        (parent, keep), self._parent = self._parent, None
+        if parent._parent is not None:
+            parent._inherit()
+        form, table = parent._form, parent._gram_table
         if form is not None:
             scale, rows, psi = form
-            form = scale, [rows[i - 1] for i in keep], [psi[i - 1] for i in keep]
-        return NonDegSeq._of(self.space, tuple([vectors[i - 1] for i in keep]), form,
-                             None if table is None else table.restrict(keep))
+            self._form = scale, [rows[i - 1] for i in keep], [psi[i - 1] for i in keep]
+        if table is not None:
+            self._gram_table = table.restrict(keep)
 
     def prepend(self, x, _trusted: bool = False) -> "NonDegSeq":
-        return NonDegSeq(self.space, (tuple(x),) + self.vectors, _trusted=_trusted)
+        return self._grown((self._vector_values(x),) + self.values, _trusted)
 
     def append(self, x, _trusted: bool = False) -> "NonDegSeq":
-        return NonDegSeq(self.space, self.vectors + (tuple(x),), _trusted=_trusted)
+        return self._grown(self.values + (self._vector_values(x),), _trusted)
+
+    def _vector_values(self, x):
+        field = self.space.field
+        return as_values(field, pad_vector(x, self.space.dim, field))
+
+    def _grown(self, values, trusted) -> "NonDegSeq":
+        seq = NonDegSeq._of(self.space, values)
+        return seq if trusted else seq._certify()
 
     def ring_form(self):
         """`symplectic.ring_form` of the vectors, made once."""
+        if self._parent is not None:
+            self._inherit()
         if self._form is None:
-            self._form = ring_form(self.space.field, self.vectors)
+            self._form = ring_form(self.space.field, self.values)
         return self._form
 
     def gram(self) -> SkewMatrix:
@@ -137,6 +194,8 @@ class NonDegSeq:
     def gram_table(self) -> PfaffianTable:
         """Even principal Pfaffians of the Gram matrix up to size
         min(q, 2n), all nonzero by membership; computed once."""
+        if self._parent is not None:
+            self._inherit()
         if self._gram_table is None:
             self._gram_table = _gram_table(self.space, self.ring_form())
         return self._gram_table
@@ -151,16 +210,21 @@ class NonDegSeq:
     def transform(self, g) -> "NonDegSeq":
         """Apply an isometry; membership is preserved, and so is every
         pairing, hence the Gram table."""
-        return NonDegSeq._of(self.space, tuple(g.apply(v) for v in self.vectors),
-                             None, self._gram_table)
+        if self._parent is not None:
+            self._inherit()
+        vectors = tuple(g.apply(v) for v in self.vectors)
+        seq = NonDegSeq._of(self.space, tuple(tuple(x.value for x in v) for v in vectors),
+                            None, self._gram_table)
+        seq._vectors = vectors
+        return seq
 
     def __eq__(self, other):
-        return (isinstance(other, NonDegSeq) and self.space == other.space
-                and self.vectors == other.vectors)
+        return (isinstance(other, NonDegSeq) and self.values == other.values
+                and (self.space is other.space or self.space == other.space))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.space, self.vectors))
+            self._hash = hash(self.values)
         return self._hash
 
     def __repr__(self):
@@ -180,8 +244,9 @@ def is_nondeg_unimodular(vectors, space: SymplecticSpace) -> bool:
     """Membership test: every even principal Pfaffian of the Gram matrix
     up to size min(q, 2n) is nonzero, and, when q is odd and below 2n,
     the whole sequence has rank q."""
-    vectors = [pad_vector(v, space.dim, space.field) for v in vectors]
-    return _member_table(space, ring_form(space.field, vectors)) is not None
+    field = space.field
+    rows = [as_values(field, pad_vector(v, space.dim, field)) for v in vectors]
+    return _member_table(space, ring_form(field, rows)) is not None
 
 
 def _member_table(space, form) -> PfaffianTable | None:
@@ -221,7 +286,7 @@ def is_good_position(seq: NonDegSeq, x) -> bool:
     dot(L v_i, psi(L_x x)) shares the denominator L L_x.
     """
     space = seq.space
-    _, (row_x,), (psi_x,) = ring_form(space.field, [pad_vector(x, space.dim, space.field)])
+    _, (row_x,), (psi_x,) = ring_form(space.field, [seq._vector_values(x)])
     _, rows, _ = seq.ring_form()
     max_size = min(seq.length + 1, space.dim) - 1
     if max_size > 0:

@@ -573,7 +573,7 @@ def test_q_pairs_match_fraction_oracles(x, y, rows, num, scale, e):
         with pytest.raises(DivisionByZero):
             b.inv()
     check_q(ring.to_scalar(num, scale, e), q_to_scalar_oracle(num, scale, e))
-    got_scale, got_rows = ring.clear([[Q.scalar(v) for v in row] for row in rows])
+    got_scale, got_rows = ring.clear([[Q.scalar(v).value for v in row] for row in rows])
     assert (got_scale, got_rows) == q_clear_oracle([[frac(v) for v in row] for row in rows])
 
 

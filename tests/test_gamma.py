@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewplus.chains import FormalSum, boundary
 from skewplus.errors import BadIndices, BadRange, DegenerateBrace, SamplerExhausted, ZeroUnit
-from skewplus.fields import Field
+from skewplus.fields import Field, Scalar
 from skewplus.gamma import (
     FAMILIES,
     brace,
@@ -440,13 +440,14 @@ def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
     real_section, real_substitute, real_pf = (gamma._det1_vectors, gamma._substitute,
                                               gamma._pf_ring)
 
+    # the corner vectors are tuples of canonical values
     def bent_corner(corner):
         v = real_section(corner)
-        return [tuple(x + x for x in v[0])] + v[1:]
+        return [tuple((Scalar(field, x) + Scalar(field, x)).value for x in v[0])] + v[1:]
 
     def past_diagonal(corner):
         v = real_section(corner)
-        return [v[0] + (field.one(),)] + v[1:]
+        return [v[0] + (field.one().value,)] + v[1:]
 
     def no_correction(corner):
         v = real_section(corner)

@@ -239,7 +239,7 @@ def test_recursive_is_an_expansion(monkeypatch):
     rng = random.Random(12)
     for field in ORACLE_FIELDS:
         a = seeded_skew(field, 10, rng, 0.2)
-        field.ring().clear(a.upper)
+        field.ring().clear([[x.value for x in row] for row in a.upper])
         by_clear = len(divisions)
         divisions.clear()
         assert pf_recursive(a) == pf_recursive_scalar(a)
@@ -580,7 +580,8 @@ RING_FORM_FIELDS = [Q, Field.prime(1000003), Field.function_field(3)]
 
 
 def fresh_form(a):
-    scale, rows = a.field.ring().clear(a.upper)
+    """A ring.clear of the matrix's entries, read as scalars."""
+    scale, rows = a.field.ring().clear([[x.value for x in row] for row in a.upper])
     return scale, tuple(map(tuple, rows))
 
 
@@ -618,8 +619,14 @@ def test_ring_form_readers_share_it_and_pf_recursive_clears_its_own(field, monke
     assert pf_eliminate(a) == want
     assert even_principal_pfaffians(a).raw == a.table.raw
     assert gamma_oracle_c(a, (1, 3, 5)) == ratio
-    # the oracle clears its corner section, never the matrix
-    assert clears and not any(rows is a.inner.upper for rows in clears)
+    # the oracle clears its corner section, never the matrix, whose form
+    # is the one clear of its stored triangle
+    def cleared_the_matrix():
+        return any(row is a.inner.flat for rows in clears for row in rows)
+
+    assert clears and not cleared_the_matrix()
+    SkewMatrix._of(field, a.size, a.inner.flat).ring_form()
+    assert cleared_the_matrix()
 
     def refuse(self):
         raise AssertionError("pf_recursive read the kept ring form")

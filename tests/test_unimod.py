@@ -14,7 +14,7 @@ from skewplus.errors import (
     SamplerExhausted,
     ShapeMismatch,
 )
-from skewplus.fields import Field, specialize
+from skewplus.fields import Field, as_values as values, specialize
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import (
     SkewMatrix,
@@ -532,6 +532,21 @@ def test_surgery_reach_ends_at_obstructions_off_the_full_index_set():
     assert time.perf_counter() - start < 30
 
 
+def test_f3_degree_3_homology_class_is_never_contracted():
+    """Over F_3 the skew complex has H_3 = 1, computed exactly; this cycle,
+    written by upper entries, represents the class.  It is no boundary,
+    so the contraction must raise rather than return."""
+    f3 = Field.prime(3)
+
+    def gen(upper):
+        return SkewPlusMatrix.certify(SkewMatrix.from_upper(f3, 3, upper))
+
+    xi = FormalSum({gen([1, 1, 1]): -2, gen([1, 1, 2]): 1, gen([1, 2, 1]): 1})
+    assert diff_skew(xi).is_zero()
+    with pytest.raises(SamplerExhausted):
+        contract_cycle_skew(xi, random.Random(0))
+
+
 @pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
 def test_surgery_refuses_proper_obstructions_before_any_draw(field, monkeypatch):
     """A size-4 generator obstructed on {1, 2, 3} is refused at once, with
@@ -586,7 +601,8 @@ def test_full_rank_if_odd_in_the_ring_matches_scalar_rank(field):
     outcomes = set()
     for _ in range(120):
         space, vectors = _rank_case(field, rng)
-        got = unimod._full_rank_if_odd(space, ring_form(field, vectors)[1])
+        form = ring_form(field, [values(field, v) for v in vectors])
+        got = unimod._full_rank_if_odd(space, form[1])
         assert got == full_rank_if_odd_oracle(vectors, space)
         if len(vectors) % 2 and len(vectors) < space.dim:
             outcomes.add(got)
@@ -597,7 +613,7 @@ def test_full_rank_if_odd_in_the_ring_matches_scalar_rank(field):
 @given(st.sampled_from([Q, FP, F3T]), st.integers(0, 10 ** 6))
 def test_full_rank_if_odd_property(field, seed):
     space, vectors = _rank_case(field, random.Random(seed))
-    form = ring_form(field, vectors)
+    form = ring_form(field, [values(field, v) for v in vectors])
     rows = [list(r) for r in form[1]]
     assert unimod._full_rank_if_odd(space, form[1]) == full_rank_if_odd_oracle(vectors, space)
     assert form[1] == rows  # the ranked rows are left as they were
