@@ -23,11 +23,12 @@ in: the oracle never evaluates the ratio, nor reads the certificate's
 table.  Non-canonical triples are reduced to the canonical one by one
 relabeling, the composite of adjacent swaps, under which both the oracle
 value and the ratio are invariant.  The oracle runs in the ring of the
-field from the matrix's ring form, relabelled, to c: its Pfaffians by
-the ring elimination kernel, the face vectors of all three columns by
-one substitution, its checks by cross-multiplication.  The corner's
-section comes unchecked from `sections._det1_vectors`, run on the
-relabelled corner, and is cleared once; the checks the public
+field from the matrix's ring form, relabelled, to c: its six Pfaffians,
+each the leading (2n-2)-block bordered by two of the last four indices,
+by one skew elimination of that block, the face vectors of all three
+columns by one substitution, its checks by cross-multiplication.  The
+corner's section comes unchecked from `sections._det1_vectors`, run on
+the relabelled corner, and is cleared once; the checks the public
 `section_v_det1` makes in Scalars (its Gram matrix, and det = 1 as an
 upper triangular matrix whose diagonal multiplies to 1) run in the ring.
 
@@ -54,8 +55,7 @@ from .errors import (
     ZeroUnit,
 )
 from .fields import Field, Scalar, sample_until
-from .matrices import PermutationMap
-from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, _pf_ring
+from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, _pf_lead
 from .sections import _det1_vectors, _substitute
 
 
@@ -130,12 +130,6 @@ def _canonical_order(q: int, triple):
     return [x for x in range(1, q + 1) if x not in (i, j, k)] + [i, j, k]
 
 
-def reduce_to_canonical(a: SkewPlusMatrix, triple):
-    """Relabel the matrix so that the triple becomes (2n, 2n+1, 2n+2) and
-    the other indices keep their order.  Returns the transformed matrix."""
-    return a.permuted(PermutationMap(_canonical_order(a.size, triple)))
-
-
 def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     """One gamma coefficient of a certified matrix of even size
     2n+2 >= 4, recomputed group-theoretically at the canonical triple
@@ -149,14 +143,18 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
 
     The whole computation runs in the ring R of `field.ring()`: the
     relabelled matrix A' is B = L A', read from the matrix's ring form
-    (cleared once per matrix, not per call), its Pfaffians come from the
-    ring kernel `_pf_ring` on index subsets of B, the face vectors are one
-    forward substitution against the corner section, and every
-    value is kept as a numerator over a ring denominator.  The corner is
-    `sections._det1_vectors` of A' on its first 2n-1 indices, with no
-    table and no check of its own, cleared once by l; in the ring it is
-    checked to be triangular, to have the corner's Gram entries, and to
-    have det = 1 (its diagonal multiplies to l^(2n-1)).  The checks
+    (cleared once per matrix, not per call).  Its six Pfaffians of size 2n
+    are Pf(A' without u, v) for u, v among the last four indices, each the
+    leading (2n-2)-block bordered by the other two; one skew elimination
+    of that block (`_pf_lead`, no pivot search: a certified matrix has
+    every leading Pfaffian nonzero) leaves L^n times all six in the
+    trailing 4x4 block.  The face vectors are one forward substitution
+    against the corner section, and every value is kept as a numerator
+    over a ring denominator.  The corner is `sections._det1_vectors` of
+    A' on its first 2n-1 indices, with no table and no check of its own,
+    cleared once by l; in the ring it is checked to be triangular, to have
+    the corner's Gram entries, and to have det = 1 (its diagonal
+    multiplies to l^(2n-1)).  The checks
     compare by cross-multiplication, and only c becomes a scalar.  The
     oracle reads neither the certificate's table nor `pfaffian_ratio`.
     """
@@ -179,17 +177,13 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
             full[x][y], full[y][x] = value, neg(value)
     b = [[full[x - 1][y - 1] for y in order] for x in order]
 
-    def pf_without(u, v):
-        """L^n Pf(A' with the 0-based indices u and v removed), size 2n."""
-        keep = [x for x in range(q) if x not in (u, v)]
-        p, sign = _pf_ring(ring, [[b[x][y] for y in keep[i + 1:]] for i, x in enumerate(keep[:-1])])
-        return p if sign == 1 else neg(p)
-
     m = q - 3                                  # the corner is 0..m-1, size 2n-1
     idx = (m, m + 1, m + 2)                    # the triple, 0-based
-    pf = {}
-    for x, y in combinations(idx, 2):
-        pf[x, y] = pf[y, x] = pf_without(x, y)
+    # lead[x][y] = L^n Pf(A' on 0..m-2, x, y) for m-1 <= x < y: for the
+    # triple (r, s, t), pf[r] is L^n Pf(A' without s, t), and lead[s][t]
+    # is L^n Pf(A' without m-1, r)
+    lead = _pf_lead(ring, [row[x + 1:] for x, row in enumerate(b[:-1])], m - 1)
+    pf = lead[m - 1]
     l_n1 = ring.one                            # L^(n-1)
     for _ in range(q // 2 - 2):
         l_n1 = mul(l_n1, scale)
@@ -232,7 +226,7 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
         if any(not equal(dot(cor[x], u[col]), mul(b[x][col], mul(ell, den))) for x in range(m)):
             raise InternalInvariant("face pairing with the corner does not match")
         # z_col = Pf(A' without the other two), times E L^n
-        if not equal(mul(z[col], l_n1), mul(pf[tuple(c for c in idx if c != col)], den)):
+        if not equal(mul(z[col], l_n1), mul(pf[col], den)):
             raise InternalInvariant("last coordinate does not match its Pfaffian")
 
     # the free parameters beta_r = beta[r] / l_b
@@ -262,9 +256,10 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
             raise InternalInvariant("sequence Gram does not match the face")
         # determinant identity tying the free parameters to Pfaffians,
         # Pf(A' without 2n-1, r) = Pf(leading) (d_s Pf^{rs} - d_t Pf^{rt}),
-        # checked multiplied by last_pivot, l, Y_r, l_b and L^n
-        lhs = mul(mul(pf_without(m - 1, r), last_pivot), mul(y_r, l_b))
-        rhs = mul(sub(mul(mul(x_r, pf[r, s]), l_b), mul(mul(beta[r], pf[r, t]), y_r)), ell)
+        # Pf^{rs} = pf[t] and Pf^{rt} = pf[s], checked multiplied by
+        # last_pivot, l, Y_r, l_b and L^n
+        lhs = mul(mul(lead[s][t], last_pivot), mul(y_r, l_b))
+        rhs = mul(sub(mul(mul(x_r, pf[t]), l_b), mul(mul(beta[r], pf[s]), y_r)), ell)
         if not equal(lhs, rhs):
             raise InternalInvariant("determinant identity fails")
         x_num[r] = x_r
@@ -312,14 +307,6 @@ class Bracket3:
     kind: str
     entries: tuple
     coefficient: object = 1
-
-
-def square_bracket(a, b, c) -> Bracket3:
-    return Bracket3("square", (a, b, c))
-
-
-def unit_bracket(a) -> Bracket3:
-    return Bracket3("unit", (a,))
 
 
 def brace(x, a, b, c) -> Bracket3:
@@ -433,30 +420,6 @@ def find_w_units(b, variant: str, field: Field, rng, max_attempts: int = 256):
 
     return sample_until(lambda found: found is not None, draw, max_attempts,
                         "unit witness")
-
-
-def zlinear_extension(f, field: Field):
-    """Extend a function additive on units to the whole field.
-
-    Over a field the only non-unit is 0, where the recipe g(0) =
-    f(a + 0) - f(a) applies; the value is checked independent of the
-    auxiliary unit a.
-    """
-    one = field.one()
-    other = one + one
-    if other.is_zero():
-        other = field.t() if field.kind == "function_field" else one
-
-    def g(x):
-        x = field.scalar(x)
-        if not x.is_zero():
-            return f(x)
-        value = f(one + x) - f(one)
-        if other != one and f(other + x) - f(other) != value:
-            raise InternalInvariant("extension depends on the auxiliary unit")
-        return value
-
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ def _bareiss(ring, m, cols: int, upward: bool):
     elements, in place, with pivots in the first `cols` columns: (pivot
     columns 0-based, sign of the row swaps)."""
     neg = ring.neg
-    width = len(m[0]) if m else 0
+    # the columns that hold no pivot yet, in order
+    live = list(range(len(m[0]) if m else 0))
     pivots, sign, prev = [], 1, ring.one
     for c in range(cols):
         r = len(pivots)
@@ -55,7 +56,7 @@ def _bareiss(ring, m, cols: int, upward: bool):
             sign = -sign
         pivot, row_r = m[r][c], m[r]
         pivots.append(c)
-        live = [j for j in range(width) if j not in pivots]
+        live.remove(c)
         step = ring.row_step(prev)
         for i in range(0 if upward else r + 1, len(m)):
             if i != r:

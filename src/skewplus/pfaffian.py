@@ -20,7 +20,8 @@ in the ring of `Field.ring()`: it builds that table, answers every
 bordered test, and runs pf_recursive, the reference Pfaffian, whose
 final value alone is reduced to a scalar.  pf_eliminate, the other
 algorithm, is skew elimination: the ring kernel `_pf_ring` and one
-reduction; the gamma oracle runs that kernel on ring submatrices.  A skew
+reduction.  The gamma oracle runs the kernel's pivot-pair step without
+its search (`_pf_lead`), and reads six Pfaffians off one pass.  A skew
 matrix clears its upper triangle into the ring once, on first use, and
 keeps it (`SkewMatrix.ring_form`) for the table sweep, pf_eliminate and
 the gamma oracle; pf_recursive clears on its own, so the two Pfaffians
@@ -42,6 +43,7 @@ from operator import itemgetter
 
 from .errors import (
     IndexOutOfRange,
+    InternalInvariant,
     NotSkewPlus,
     OddSize,
     ParseError,
@@ -337,29 +339,12 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
 def _pf_ring(ring, upper):
     """(p, sign) with sign * p the Pfaffian of the even-sized skew matrix
     over the ring R whose strict upper rows are `upper` (sequences of ring
-    elements, copied and left as they are), by skew Bareiss elimination on
-    that triangle.
-    After the pivot pair (k, k+1), entry (i, j) becomes
-
-        (m[k][k+1] m[i][j] - m[k][i] m[k+1][j] + m[k][j] m[k+1][i]) / prev,
-
-    with prev the previous pivot m[k-2][k-1] (1 at the start).  The
-    numerator is the Pfaffian of the principal block on {k, k+1, i, j};
-    by the Pfaffian analogue of Sylvester's identity (the Dress-Wenzel
-    identity), each entry is then the Pfaffian of the leading eliminated
-    block bordered by i and j, so every division is exact in R, and each
-    one is checked.  Each pivot pair makes one `ring.row_step(prev)`, called
-    once per row i on the entries j > i with the three terms above; p is
-    the last pivot, or zero.  Pivots take the largest-index nonzero entry
-    of row k and are moved into place by a paired row/column swap, which
-    flips the sign.
-    """
-    q = len(upper) + 1 if upper else 0   # the size is even
-    # m[i][j] holds entry (i, j) for i < j; the rest is padding
-    m = [[None] * (i + 1) + list(row) for i, row in enumerate(upper)] + [[None] * q]
-    neg = ring.neg
-    sign = 1
-    prev = ring.one
+    elements, copied and left as they are), by skew Bareiss elimination,
+    one `_pivot_pair` per pair of indices; p is the last pivot, or zero.
+    Pivots take the largest-index nonzero entry of row k and are moved into
+    place by a paired row/column swap, which flips the sign."""
+    m = _padded(upper)
+    q, neg, sign, prev = len(m), ring.neg, 1, ring.one
     for k in range(0, q, 2):
         row_k = m[k]
         pivot = next((r for r in range(q - 1, k, -1) if row_k[r]), None)
@@ -375,14 +360,51 @@ def _pf_ring(ring, upper):
             for x in range(pivot + 1, q):
                 row_b[x], m[pivot][x] = m[pivot][x], row_b[x]
             sign = -sign
-        row_k1, base = m[k + 1], row_k[k + 1]
-        step = ring.row_step(prev)
-        for i in range(k + 2, q - 1):
-            row_i = m[i]
-            step(row_i, range(i + 1, q),
-                 ((base, row_i), (neg(row_k[i]), row_k1), (row_k1[i], row_k)))
-        prev = base
+        prev = _pivot_pair(ring, m, k, prev)
     return prev, sign
+
+
+def _pf_lead(ring, upper, lead: int):
+    """The padded rows m of `_pf_ring`'s triangle after `_pivot_pair` on
+    the fixed pairs (0, 1), ..., (lead-2, lead-1), with no search: for
+    lead <= i < j, m[i][j] is the Pfaffian of the principal block on
+    0..lead-1, i, j.  A zero pivot raises `InternalInvariant`."""
+    m = _padded(upper)
+    prev = ring.one
+    for k in range(0, lead, 2):
+        if not m[k][k + 1]:
+            raise InternalInvariant(f"the leading block on 0..{k + 1} has Pfaffian zero")
+        prev = _pivot_pair(ring, m, k, prev)
+    return m
+
+
+def _padded(upper):
+    """Strict upper rows as full-length rows m, m[i][j] = entry (i, j), i < j."""
+    m = [[None] * (i + 1) + list(row) for i, row in enumerate(upper)]
+    return m + [[None] * (len(m) + 1)] if m else m
+
+
+def _pivot_pair(ring, m, k: int, prev):
+    """Skew Bareiss elimination on the pivot pair (k, k+1) of the padded
+    triangle m, in place, after the pair with pivot prev (1 at the start);
+    returns this pivot m[k][k+1].  Entry (i, j), k+2 <= i < j, becomes
+
+        (m[k][k+1] m[i][j] - m[k][i] m[k+1][j] + m[k][j] m[k+1][i]) / prev.
+
+    The numerator is the Pfaffian of the principal block on {k, k+1, i, j};
+    by the Pfaffian analogue of Sylvester's identity (the Dress-Wenzel
+    identity), each entry is then the Pfaffian of the leading eliminated
+    block bordered by i and j, so every division is exact in R, and each
+    one is checked: one `ring.row_step(prev)` per row i."""
+    q, neg = len(m), ring.neg
+    row_k, row_k1 = m[k], m[k + 1]
+    base = row_k[k + 1]
+    step = ring.row_step(prev)
+    for i in range(k + 2, q - 1):
+        row_i = m[i]
+        step(row_i, range(i + 1, q),
+             ((base, row_i), (neg(row_k[i]), row_k1), (row_k1[i], row_k)))
+    return base
 
 
 def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> "PfaffianTable":
@@ -448,10 +470,14 @@ class PfaffianTable:
     @property
     def raw(self) -> dict:
         if self._raw is None:
+            # a table holds every subset of each even size up to its cap;
+            # the subsets of keep come in the order of their positions
             table, keep = self._source
-            label = {i: k for k, i in enumerate(keep, start=1)}
-            self._raw = {tuple(label[i] for i in s): v for s, v in table.raw.items()
-                         if all(i in label for i in s)}
+            raw, n = table.raw, len(keep)
+            self._raw = {s: raw[kept] for size in range(0, n + 1, 2)
+                         if tuple(keep[:size]) in raw
+                         for s, kept in zip(combinations(range(1, n + 1), size),
+                                            combinations(keep, size))}
             self._source = None
         return self._raw
 

@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewplus.chains import FormalSum, boundary
-from skewplus.errors import BadIndices, BadRange, DegenerateBrace, SamplerExhausted, ZeroUnit
+from skewplus.errors import (
+    BadIndices,
+    BadRange,
+    DegenerateBrace,
+    DivisionByZero,
+    SamplerExhausted,
+    ZeroUnit,
+)
 from skewplus.fields import Field, Scalar
 from skewplus.gamma import (
     FAMILIES,
+    Bracket3,
     brace,
     brace1,
     bracket_to_skew3,
@@ -20,20 +28,23 @@ from skewplus.gamma import (
     gamma_oracle_c,
     gamma_terms,
     pfaffian_ratio,
-    reduce_to_canonical,
     sample_family_values,
     seven_term_certificate,
     seven_term_relation,
     skew3,
-    square_bracket,
-    unit_bracket,
     verify_appendix,
-    zlinear_extension,
 )
 from skewplus import gamma, pfaffian, sections
 from skewplus.errors import InternalInvariant
 from skewplus.matrices import Matrix, PermutationMap
-from skewplus.pfaffian import SkewPlusMatrix, pf_eliminate, random_skew_plus
+from skewplus.pfaffian import (
+    SkewMatrix,
+    SkewPlusMatrix,
+    _pf_lead,
+    _pf_ring,
+    pf_eliminate,
+    random_skew_plus,
+)
 from skewplus.sections import section_v_det1
 from skewplus.symplectic import SymplecticSpace, gram, pairing, psi_matrix
 from skewplus.unimod import NonDegSeq, random_nondeg_seq
@@ -46,6 +57,12 @@ F3T = Field.function_field(3)
 def swap_adjacent(a, k):
     """Relabel by exchanging indices k and k+1 (rows and columns together)."""
     return a.permuted(PermutationMap.transposition(a.size, k, k + 1))
+
+
+def reduce_to_canonical(a, triple):
+    """Relabel the matrix so that the triple becomes (2n, 2n+1, 2n+2) and
+    the other indices keep their order: the relabeling of the oracle."""
+    return a.permuted(PermutationMap(gamma._canonical_order(a.size, triple)))
 
 
 def reduce_oracle(a, triple):
@@ -63,6 +80,37 @@ def reduce_oracle(a, triple):
         a = swap_adjacent(a, i)
         i += 1
     return a
+
+
+def pf_without_oracle(ring, b, drop):
+    """The Pfaffian of the skew ring matrix b (full rows) without the
+    0-based indices in `drop`, by one `_pf_ring` elimination of its
+    sub-triangle: the oracle's six Pfaffians as it computed them, one
+    elimination each, before they came from one leading pass."""
+    keep = [x for x in range(len(b)) if x not in drop]
+    p, sign = _pf_ring(ring, [[b[x][y] for y in keep[i + 1:]] for i, x in enumerate(keep[:-1])])
+    return p if sign == 1 else ring.neg(p)
+
+
+def full_rows(ring, upper):
+    """The full skew rows of the ring triangle with strict upper rows `upper`."""
+    q = len(upper) + 1
+    b = [[ring.zero] * q for _ in range(q)]
+    for x, row in enumerate(upper):
+        for y, value in enumerate(row, start=x + 1):
+            b[x][y], b[y][x] = value, ring.neg(value)
+    return b
+
+
+def pf_lead_oracle(ring, upper, lead):
+    """`_pf_lead` with each trailing entry (i, j) read by `pf_without_oracle`
+    as the Pfaffian without the other trailing indices."""
+    b = full_rows(ring, upper)
+    q = len(b)
+    m = [[None] * q for _ in range(q)]
+    for i, j in combinations(range(lead, q), 2):
+        m[i][j] = pf_without_oracle(ring, b, [x for x in range(lead, q) if x not in (i, j)])
+    return m
 
 
 def pfaffian_ratio_scalar(a, triple):
@@ -431,14 +479,15 @@ def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
     """Each check of the oracle raises, with its own message, when the
     input it checks is bent: a corner vector doubled, a nonzero entry past
     a corner vector's diagonal, the corner's det-1 correction dropped, the
-    last unknown of the first column moved by one, a pair Pfaffian
-    doubled, a Pfaffian of the determinant identity doubled.  The dropped
+    last unknown of the first column moved by one, the leading pass's
+    three pair Pfaffians doubled, its three Pfaffians of the determinant
+    identity doubled.  The dropped
     correction keeps the corner's Gram entries: it sits on e_3, which
     pairs only with e_4, zero in every corner vector."""
     a = random_skew_plus(field, 6, random.Random(f"bent:{field!r}"))
     ring = field.ring()
-    real_section, real_substitute, real_pf = (gamma._det1_vectors, gamma._substitute,
-                                              gamma._pf_ring)
+    real_section, real_substitute, real_lead = (gamma._det1_vectors, gamma._substitute,
+                                                gamma._pf_lead)
 
     # the corner vectors are tuples of canonical values
     def bent_corner(corner):
@@ -459,28 +508,109 @@ def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
             nums[0][-1] = ring.add(nums[0][-1], den)
         return den
 
-    def bent_pfaffians(bent_calls):
-        calls = []
+    def bent_pfaffians(entries):
+        def pf_lead(ring, upper, lead):
+            m = real_lead(ring, upper, lead)
+            for x, y in entries:
+                m[x][y] = ring.add(m[x][y], m[x][y])
+            return m
+        return pf_lead
 
-        def pf_ring(ring, upper):
-            calls.append(None)
-            p, sign = real_pf(ring, upper)
-            return (ring.add(p, p), sign) if len(calls) in bent_calls else (p, sign)
-        return pf_ring
-
-    # the three pair Pfaffians come first, then the three of the identity
+    # the last four indices are 2..5: the pair Pfaffians sit in row 2, the
+    # identity's among 3, 4, 5
     for name, bent, message in [
             ("_det1_vectors", bent_corner, "corner Gram"),
             ("_det1_vectors", past_diagonal, "not triangular"),
             ("_det1_vectors", no_correction, "has determinant"),
             ("_substitute", bent_last_unknown, "face pairing with the corner"),
-            ("_pf_ring", bent_pfaffians({1, 2, 3}), "last coordinate"),
-            ("_pf_ring", bent_pfaffians({4, 5, 6}), "determinant identity")]:
+            ("_pf_lead", bent_pfaffians([(2, 3), (2, 4), (2, 5)]), "last coordinate"),
+            ("_pf_lead", bent_pfaffians([(3, 4), (3, 5), (4, 5)]), "determinant identity")]:
         with monkeypatch.context() as patch:
             patch.setattr(gamma, name, bent)
             with pytest.raises(InternalInvariant, match=message):
                 gamma_oracle_c(a, (1, 3, 5))
     assert gamma_oracle_c(a, (1, 3, 5)) == pfaffian_ratio(a, (1, 3, 5))
+
+
+def check_lead_pass(a, lead):
+    """Every trailing entry (i, j) of the leading pass on the ring form of
+    a equals its Pfaffian by `pf_without_oracle`, and, reduced, by
+    pf_eliminate and pf_recursive on the leading indices plus i and j."""
+    ring = a.field.ring()
+    scale, upper = a.inner.ring_form()
+    m = _pf_lead(ring, upper, lead)
+    b = full_rows(ring, upper)
+    for i, j in combinations(range(lead, a.size), 2):
+        assert ring.equal(m[i][j], pf_without_oracle(
+            ring, b, [x for x in range(lead, a.size) if x not in (i, j)]))
+        block = a.principal([*range(1, lead + 1), i + 1, j + 1])
+        assert ring.to_scalar(m[i][j], scale, lead // 2 + 1) == pf_eliminate(block) \
+            == pfaffian.pf_recursive(block)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+@pytest.mark.parametrize("q", [4, 5, 6, 8, 10])
+def test_lead_pass_trailing_block_is_bordered_pfaffians(field, q):
+    a = random_skew_plus(field, q, random.Random(f"lead:{field!r}:{q}"))
+    for lead in range(0, q - 1, 2):
+        check_lead_pass(a, lead)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from([Q, FP, F3T]), st.integers(4, 10), st.integers(0, 10 ** 6), st.data())
+def test_lead_pass_property(field, q, seed, data):
+    a = random_skew_plus(field, q, random.Random(seed))
+    check_lead_pass(a, data.draw(st.sampled_from(range(0, q - 1, 2))))
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_lead_pass_raises_on_a_zero_pivot(field):
+    """A zero pivot, a leading block of Pfaffian zero, raises, and the pass
+    leaves its input as it is: first entry (1, 2) zeroed, then entry (3, 4)
+    set to (a13 a24 - a14 a23) / a12, so that Pf on 1..4 vanishes."""
+    e = [x for row in random_skew_plus(field, 6, random.Random(f"pivot:{field!r}")).inner.upper
+         for x in row]
+    first = [field.zero()] + e[1:]
+    # entries 0..4 are row 1, 5..8 row 2, 9 is (3, 4)
+    second = e[:9] + [(e[1] * e[6] - e[2] * e[5]) / e[0]] + e[10:]
+    ring = field.ring()
+    for bent, pivot in ((first, 1), (second, 3)):
+        upper = [list(row) for row in SkewMatrix.from_upper(field, 6, bent).ring_form()[1]]
+        before = [list(row) for row in upper]
+        _pf_lead(ring, upper, pivot - 1)
+        with pytest.raises(InternalInvariant, match=f"0..{pivot} has Pfaffian zero"):
+            _pf_lead(ring, upper, pivot + 1)
+        assert upper == before
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_oracle_with_a_zero_entry_matches_six_eliminations(field, monkeypatch):
+    """On trusted 6x6 matrices with one upper entry zeroed, which need not
+    be certified, the oracle gives the value it gives with its six
+    Pfaffians from `pf_without_oracle`, or both raise the same error type:
+    InternalInvariant where a leading pivot is zero (the leading Pfaffian
+    of the corner is zero, so its section fails), DivisionByZero where a
+    pair Pfaffian is zero and c has no denominator."""
+    rng = random.Random(f"zero entry:{field!r}")
+    entries = [x for row in random_skew_plus(field, 6, rng).inner.upper for x in row]
+
+    def outcome(matrix, triple):
+        try:
+            return gamma_oracle_c(matrix, triple)
+        except (InternalInvariant, DivisionByZero) as error:
+            return type(error)
+
+    seen = []
+    for pos in range(len(entries)):
+        bent = entries[:pos] + [field.zero()] + entries[pos + 1:]
+        z = SkewPlusMatrix(SkewMatrix.from_upper(field, 6, bent), _trusted=True)
+        for triple in combinations(range(1, 7), 3):
+            new = outcome(z, triple)
+            with monkeypatch.context() as patch:
+                patch.setattr(gamma, "_pf_lead", pf_lead_oracle)
+                assert outcome(z, triple) == new, (pos, triple)
+            seen.append(new)
+    assert InternalInvariant in seen and any(isinstance(x, Scalar) for x in seen)
 
 
 # the size-6 cases keep their ids
@@ -581,15 +711,15 @@ def test_brackets():
     coeff, gen = bracket_to_skew3(brace1(x, a), Q)
     assert coeff == Q.scalar(12)
     assert gen == skew3(Q, Q.fraction(1, 2), Q.fraction(1, 2), Q.fraction(1, 2))
-    coeff, gen = bracket_to_skew3(square_bracket(1, 2, 3), Q)
+    coeff, gen = bracket_to_skew3(Bracket3("square", (1, 2, 3)), Q)
     assert coeff == Q.one() and gen == skew3(Q, 1, 2, 3)
-    coeff, gen = bracket_to_skew3(unit_bracket(a), Q)
+    coeff, gen = bracket_to_skew3(Bracket3("unit", (a,)), Q)
     assert gen == skew3(Q, a, a, a)
     with pytest.raises(DegenerateBrace):
         # 1/1 - 1/2 + 1/(-2) vanishes
         bracket_to_skew3(brace(Q.one(), Q.one(), Q.scalar(2), Q.scalar(-2)), Q)
     with pytest.raises(ZeroUnit):
-        bracket_to_skew3(square_bracket(0, 1, 1), Q)
+        bracket_to_skew3(Bracket3("square", (0, 1, 1)), Q)
 
 
 def test_find_inverse_triple():
@@ -616,14 +746,3 @@ def test_find_w_units():
     with pytest.raises(SamplerExhausted):
         find_w_units(Q.one(), "linear", Field.prime(5), rng)
 
-
-def test_zlinear_extension():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return x  # the identity is additive on units
-
-    g = zlinear_extension(f, Q)
-    assert g(Q.scalar(5)) == Q.scalar(5)
-    assert g(Q.zero()) == Q.zero()

@@ -350,6 +350,32 @@ def test_restricted_table_equals_a_fresh_one(a, max_size, data):
     assert scalars(twice) == scalars(even_principal_pfaffians(sub.principal(inner), max_size))
 
 
+def restricted_raw_oracle(table, keep):
+    """PfaffianTable.restrict(keep).raw as it was read: every entry of the
+    source table scanned, those on subsets of keep relabelled."""
+    label = {i: k for k, i in enumerate(keep, start=1)}
+    return {tuple(label[i] for i in s): v for s, v in table.raw.items()
+            if all(i in label for i in s)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(skew_matrices(sizes=range(0, 8)), st.one_of(st.none(), st.integers(0, 8)), st.data())
+def test_restricted_raw_picks_the_scanned_entries(a, max_size, data):
+    """A restricted table's raw dict, picked by combinations of the kept
+    indices, equals the scan of its source's entries, for full and capped
+    tables, and for a restriction of a read or an unread restriction."""
+    q = a.size
+    table = even_principal_pfaffians(a, max_size)
+    keep = sorted(data.draw(st.sets(st.integers(1, q), max_size=q))) if q else []
+    inner = sorted(data.draw(st.sets(st.integers(1, len(keep)), max_size=len(keep)))) if keep else []
+    part = table.restrict(keep)
+    if data.draw(st.booleans()):
+        assert part.raw == restricted_raw_oracle(table, keep)
+    twice = part.restrict(inner)
+    assert twice.raw == restricted_raw_oracle(part, inner)
+    assert list(part.raw) == list(restricted_raw_oracle(table, keep))
+
+
 def _count_sweeps(monkeypatch):
     calls = []
     real = pfaffian.pfaffian_table

@@ -206,3 +206,30 @@ def test_a_corrupted_quotient_slot_raises(slot, monkeypatch):
         full.det()
     with pytest.raises(InternalInvariant):
         pf_eliminate(a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.flag())
+def test_kernel_steps_the_columns_that_hold_no_pivot(field, monkeypatch):
+    """Each pivot step of the Matrix kernel passes its row step the
+    columns that hold none of the pivots so far, pivot included, in
+    increasing order: the list it rebuilt at every pivot before it kept
+    one list and removed each pivot column from it."""
+    rng = random.Random(f"live columns:{field!r}")
+    ring = field.ring()
+    real, steps = ring.row_step, []
+
+    def row_step(prev):
+        calls, step = [], real(prev)
+        steps.append(calls)
+        return lambda row, cols, terms: calls.append(list(cols)) or step(row, cols, terms)
+    monkeypatch.setattr(ring, "row_step", row_step)
+    for _ in range(30):
+        a, b, _ = random_system(field, rng)
+        for upward, augment in ((False, None), (True, b)):
+            steps.clear()
+            pivots = a._eliminate(augment, upward=upward)[3]
+            width = a.cols + (augment.cols if augment is not None else 0)
+            assert len(steps) == len(pivots)
+            for t, calls in enumerate(steps):
+                live = [j for j in range(width) if j not in pivots[:t + 1]]
+                assert all(cols == live for cols in calls)
