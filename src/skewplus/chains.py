@@ -191,11 +191,6 @@ class GroupRingElt:
         """The basis element <a> for a unit a."""
         return cls(field, {field.scalar(a): 1})
 
-    @classmethod
-    def double_bracket(cls, field: Field, a) -> "GroupRingElt":
-        """1 - <a>, the augmentation-ideal element attached to a."""
-        return cls.one(field) - cls.bracket(field, a)
-
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
         out = dict(self.terms)
         for u, c in other.terms.items():

@@ -24,7 +24,7 @@ import time
 from itertools import combinations
 
 from . import chains, gamma, sections, symplectic, unimod
-from .errors import DivisionByZero, FieldMismatch, ParseError, SkewplusError
+from .errors import DivisionByZero, FieldMismatch, ParseError, ShapeMismatch, SkewplusError
 from .fields import FUNCTION_FIELD, RATIONALS, Field
 from .matrices import Matrix
 from .pfaffian import (
@@ -372,7 +372,7 @@ def _load_matrix(path: str):
         if obj.get("skew"):
             return SkewMatrix.from_json(obj)
         return SkewMatrix.from_matrix(Matrix.from_json(obj))
-    except (KeyError, TypeError, FieldMismatch, DivisionByZero) as exc:
+    except (KeyError, TypeError, FieldMismatch, DivisionByZero, ShapeMismatch) as exc:
         raise ParseError(f"malformed matrix object: {exc!r}") from None
 
 

@@ -66,7 +66,7 @@ class NotIsometry(SkewplusError):
 
 
 class BadParity(SkewplusError):
-    """An embedding between symplectic groups violates the parity rules."""
+    """The standard form was asked for on a space of odd dimension."""
 
 
 class ZeroUnit(SkewplusError):

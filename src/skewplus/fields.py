@@ -975,28 +975,3 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
         raise FieldMismatch(f"literal {text!r} is not in {field!r}")
     return s
 
-
-def specialize(s: Scalar, t0: Scalar) -> Scalar:
-    """Evaluate a function-field element at t = t0 in F_p.
-
-    Raises DivisionByZero when the denominator vanishes at t0.
-    """
-    if s.field.kind != FUNCTION_FIELD:
-        raise FieldMismatch("specialize expects a function-field element")
-    p = s.field.p
-    fp = Field.prime(p)
-    t0 = fp.scalar(t0) if isinstance(t0, int) else t0
-    if t0.field != fp:
-        raise FieldMismatch("specialization point must lie in F_p")
-
-    def ev(poly):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * t0.value + c) % p
-        return acc
-
-    num, den = s.value
-    d = ev(den)
-    if d == 0:
-        raise DivisionByZero("denominator vanishes at the specialization point")
-    return Scalar(fp, ev(num) * pow(d, -1, p) % p)

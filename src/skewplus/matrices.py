@@ -319,24 +319,6 @@ class Matrix:
             basis.append(tuple(vec))
         return basis
 
-    # -- permutations ----------------------------------------------------
-
-    def apply_permutation(self, perm: "PermutationMap", side: str = "both") -> "Matrix":
-        """Permute rows and/or columns: output (i, j) entry is taken from
-        (perm(i), j), (i, perm(j)), or (perm(i), perm(j))."""
-        if side not in ("rows", "cols", "both"):
-            raise BadIndices(f"side must be rows, cols, or both, not {side!r}")
-        if side in ("rows", "both") and perm.size != self.rows:
-            raise ShapeMismatch("permutation size does not match row count")
-        if side in ("cols", "both") and perm.size != self.cols:
-            raise ShapeMismatch("permutation size does not match column count")
-        rows = range(1, self.rows + 1)
-        cols = range(1, self.cols + 1)
-        ri = (lambda i: perm(i)) if side in ("rows", "both") else (lambda i: i)
-        ci = (lambda j: perm(j)) if side in ("cols", "both") else (lambda j: j)
-        return Matrix._of(self.field,
-                          [[self.data[ri(i) - 1][ci(j) - 1] for j in cols] for i in rows])
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -350,9 +332,11 @@ class Matrix:
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
         field = Field.from_descriptor(obj["field"])
-        entries = obj["entries"]
-        if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
-            raise ParseError("entry grid does not match declared shape")
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        # a JSON true is an int to Python, but not a size
+        if (type(rows) is not int or type(cols) is not int
+                or len(entries) != rows or any(len(r) != cols for r in entries)):
+            raise ParseError("entry grid does not match declared integer shape")
         return cls(field, [[parse_scalar(x, field) for x in row] for row in entries])
 
 
@@ -370,12 +354,6 @@ class PermutationMap:
     @classmethod
     def identity(cls, size: int) -> "PermutationMap":
         return cls(range(1, size + 1))
-
-    @classmethod
-    def transposition(cls, size: int, a: int, b: int) -> "PermutationMap":
-        images = list(range(1, size + 1))
-        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-        return cls(images)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.size:

@@ -218,10 +218,10 @@ class SkewMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "SkewMatrix":
         field = Field.from_descriptor(obj["field"])
-        q = obj["rows"]
-        entries = obj["entries"]
-        if obj.get("cols") != q or len(entries) != q or any(len(r) != q for r in entries):
-            raise ParseError("entry grid does not match a square declared shape")
+        q, cols, entries = obj["rows"], obj.get("cols"), obj["entries"]
+        if (type(q) is not int or type(cols) is not int or cols != q
+                or len(entries) != q or any(len(r) != q for r in entries)):
+            raise ParseError("entry grid does not match a square declared integer shape")
         # only the strict upper triangle is trusted; the rest is reconstructed
         from .fields import parse_scalar
         rows = [[parse_scalar(entries[i][j], field) for j in range(i + 1, q)]

@@ -27,7 +27,6 @@ from .errors import (
     NotNonDegenerate,
     RankMismatch,
     ShapeMismatch,
-    ZeroUnit,
 )
 from .fields import Field, Scalar, as_scalars, as_values
 from .matrices import Matrix, _products
@@ -137,9 +136,6 @@ class SymplecticSpace:
     def basis_vector(self, i: int):
         return standard_basis_vector(self.field, self.dim, i)
 
-    def zero_vector(self):
-        return tuple(self.field.zero() for _ in range(self.dim))
-
     def random_vector(self, rng, bound: int):
         return tuple(self.field.sample(rng, bound) for _ in range(self.dim))
 
@@ -200,10 +196,6 @@ class SpMatrix:
     @property
     def field(self):
         return self.matrix.field
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.size % 2 == 0 else "odd"
 
     def __mul__(self, other: "SpMatrix") -> "SpMatrix":
         if self.size != other.size:
@@ -302,11 +294,6 @@ def _pairing_matrix(space: SymplecticSpace, vectors) -> Matrix:
     return Matrix._of(space.field, rows)
 
 
-def radical_line(v: Subspace):
-    """Generator of V cap V^perp for non-degenerate V of odd rank."""
-    return _radical(v)[1]
-
-
 def _radical(v: Subspace):
     """(c, x): the kernel vector c of V's Gram matrix, and x = sum c_i v_i."""
     g = v.gram().full_matrix()
@@ -332,19 +319,6 @@ def _corank1_piece(basis, coeffs):
     gives the first such (rank-1)-subset in lexicographic order."""
     drop = max(i for i, c in enumerate(coeffs) if not c.is_zero())
     return list(basis[:drop]) + list(basis[drop + 1:])
-
-
-def split_odd_space(v: Subspace):
-    """Split odd non-degenerate V as V0 perp Rx, with a partner y for x.
-
-    Returns (V0, x, y): V0 non-degenerate of even rank inside V, x a
-    generator of V cap V^perp, and y orthogonal to V0 with <x, y> = 1.
-    """
-    if v.rank % 2 == 0:
-        raise NotNonDegenerate("subspace has even rank")
-    coeffs, x = _radical(v)
-    v0 = _corank1_piece(v.basis, coeffs)
-    return Subspace(v.space, v0), x, _partner(v.space, v0, x)
 
 
 def _partner(space: SymplecticSpace, v0, x):
@@ -433,80 +407,3 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
     q = Matrix.from_columns(field, list(w_basis) + list(ext_w))
     g = q * p.inverse()
     return SpMatrix(g, space.dim)
-
-
-# ---------------------------------------------------------------------------
-# embeddings, conjugation, retraction
-# ---------------------------------------------------------------------------
-
-def _pad_front(m: Matrix, extra: int) -> Matrix:
-    field = m.field
-    n = m.rows
-    rows = []
-    for i in range(extra):
-        rows.append([1 if j == i else 0 for j in range(extra)] + [0] * n)
-    for r in m.data:
-        rows.append([field.zero()] * extra + list(r))
-    return Matrix(field, rows)
-
-
-def embed(a: SpMatrix, target_size: int) -> SpMatrix:
-    """Include a group element into a higher-rank group.
-
-    New hyperbolic coordinates are prepended, so the image acts as the
-    identity on the added leading block.  Odd rank 2k+1 realizes inside
-    rank 2k+2, hence cannot embed into even rank below 2k+2.
-    """
-    if target_size < a.size:
-        raise BadParity("cannot embed into lower rank")
-    target_dim = realized_dim(target_size)
-    source_dim = realized_dim(a.size)
-    if target_dim < source_dim:
-        raise BadParity(
-            f"rank {a.size} realizes in dimension {source_dim}, "
-            f"which does not fit in rank {target_size}")
-    return SpMatrix(_pad_front(a.matrix, target_dim - source_dim), target_size)
-
-
-def t_conjugator(field: Field, b, dim: int) -> Matrix:
-    """diag(b, 1/b, identity), the unit acting on the leading plane."""
-    b = field.scalar(b)
-    if b.is_zero():
-        raise ZeroUnit("conjugation unit must be nonzero")
-    rows = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-    rows[0][0] = b
-    rows[1][1] = b.inv()
-    return Matrix(field, rows)
-
-
-def conjugate_Tb(a: SpMatrix, b) -> SpMatrix:
-    """Conjugate by diag(b, 1/b, 1).  Fixes even elements pointwise; on
-    odd elements it scales the c slot by b^2 and the u slot by b."""
-    b = a.field.scalar(b)
-    if b.is_zero():
-        raise ZeroUnit("conjugation unit must be nonzero")
-    if a.size % 2 == 0:
-        return a
-    dim = realized_dim(a.size)
-    t = t_conjugator(a.field, b, dim)
-    return SpMatrix(t * a.matrix * t.inverse(), a.size)
-
-
-def retract_rho(a: SpMatrix) -> SpMatrix:
-    """Project an odd element onto its even corner block M."""
-    if a.size % 2 == 0:
-        raise BadParity("retraction is defined on odd-rank elements")
-    dim = realized_dim(a.size)
-    block = a.matrix.submatrix(range(3, dim + 1), range(3, dim + 1))
-    return SpMatrix(block, a.size - 1)
-
-
-def odd_parts(a: SpMatrix):
-    """The (c, u, M) block data of an odd element."""
-    if a.size % 2 == 0:
-        raise BadParity("only odd-rank elements have (c, u, M) blocks")
-    dim = realized_dim(a.size)
-    c = a.matrix.entry(1, 2)
-    u = tuple(a.matrix.entry(i, 2) for i in range(3, dim + 1))
-    m = a.matrix.submatrix(range(3, dim + 1), range(3, dim + 1))
-    return c, u, m

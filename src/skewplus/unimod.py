@@ -48,9 +48,9 @@ from .errors import (
     SamplerExhausted,
     ShapeMismatch,
 )
-from .fields import Field, Scalar, as_scalars, as_values
+from .fields import Scalar, as_scalars, as_values
 from .fields import sample_until as _sampler_loop  # perfbench's tracer wraps it here
-from .matrices import Matrix, ring_rank
+from .matrices import ring_rank
 from .pfaffian import (
     PfaffianTable,
     SkewMatrix,
@@ -464,30 +464,3 @@ def _first_obstruction(g: SkewPlusMatrix):
     return next(s for size in range(1, g.size + 1, 2)
                 for s in combinations(range(1, g.size + 1), size)
                 if constant_border_obstructed(g.principal(s)))
-
-
-# ---------------------------------------------------------------------------
-# specialization t -> t0 (function field to its prime field)
-# ---------------------------------------------------------------------------
-
-def membership_witnesses(seq: NonDegSeq):
-    """The scalars whose nonvanishing certifies membership of `seq`: the
-    Gram table (every even sub-Gram Pfaffian up to size min(q, 2n)) plus
-    one maximal minor of the whole sequence.  If none of them vanishes
-    under a specialization, membership is preserved."""
-    m = Matrix.from_columns(seq.space.field, seq.vectors)
-    rows = [i + 1 for i in m.transpose().pivot_columns()]
-    cols = [j + 1 for j in m.pivot_columns()]
-    table = seq.gram_table()
-    return [table[s] for s in table.raw] + [m.submatrix(rows, cols).det()]
-
-
-def specialize_seq(seq: NonDegSeq, t0):
-    """Reduce a sequence over F_p(t) to F_p at t = t0; returns the plain
-    vector list and the residue space."""
-    from .fields import specialize
-
-    field = seq.space.field
-    fp = Field.prime(field.p)
-    vectors = [tuple(specialize(x, t0) for x in v) for v in seq.vectors]
-    return vectors, SymplecticSpace(fp, seq.space.half_rank)

@@ -194,10 +194,16 @@ def _skew2(field, entries):
     # could be (about 10^9 to 10^11), it fills memory
     _skew2(F3T, [["0", "(1+t^4611686018427387904)/(1) over F_3[t]"], ["0", "0"]]),
     _skew2(F3T, [["0", "(t^99999999999999999999) over F_3[t]"], ["0", "0"]]),
+    json.dumps({"field": {"kind": "rationals"}, "rows": 2, "cols": 3,
+                "entries": [["0", "1", "2"], ["-1", "0", "3"]]}),
+    json.dumps({"field": {"kind": "rationals"}, "rows": True, "cols": True,
+                "entries": [["0"]], "skew": True}),
+    json.dumps({"field": {"kind": "rationals"}, "rows": True, "cols": True,
+                "entries": [["0"]]}),
 ], ids=["array", "missing-entries", "entries-not-a-grid", "numeric-entries",
         "string-characteristic", "fractional-characteristic", "field-not-an-object",
         "literal-of-another-field", "zero-denominator", "not-utf8", "nested-100000-deep",
-        "degree-2^62", "degree-10^20"])
+        "degree-2^62", "degree-10^20", "non-square", "boolean-shape", "boolean-shape-full"])
 def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import DivisionByZero, FieldMismatch, ParseError, SamplerExhausted
 from skewplus.fields import (_KRONECKER_MIN, PRIME, Field, Scalar, _canonical_ratio, parse_scalar,
-                             poly_divmod, poly_gcd, poly_mul, poly_trim, sample_until, specialize)
+                             poly_divmod, poly_gcd, poly_mul, poly_trim, sample_until)
 
 FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
@@ -183,16 +183,6 @@ def test_is_infinite_flag():
     assert not Field.prime(5).is_infinite
     assert Field.rationals().characteristic == 0
     assert Field.function_field(3).characteristic == 3
-
-
-def test_specialize():
-    F2t = Field.function_field(2)
-    t = F2t.t()
-    F2 = Field.prime(2)
-    x = (1 + t) / (1 + t + t * t)
-    assert specialize(x, F2.scalar(0)) == F2.one()
-    with pytest.raises(DivisionByZero):
-        specialize(1 / (t + 1), F2.scalar(1))
 
 
 def test_powers():

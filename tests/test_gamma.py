@@ -56,7 +56,9 @@ F3T = Field.function_field(3)
 
 def swap_adjacent(a, k):
     """Relabel by exchanging indices k and k+1 (rows and columns together)."""
-    return a.permuted(PermutationMap.transposition(a.size, k, k + 1))
+    images = list(range(1, a.size + 1))
+    images[k - 1], images[k] = k + 1, k
+    return a.permuted(PermutationMap(images))
 
 
 def reduce_to_canonical(a, triple):

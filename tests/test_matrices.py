@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from skewplus import fields
 from skewplus.errors import InternalInvariant, NotSquare, ShapeMismatch, Singular
 from skewplus.fields import PRIME, Field
-from skewplus.matrices import Matrix, PermutationMap
+from skewplus.matrices import Matrix
 from skewplus.symplectic import psi_matrix
 
 Q = Field.rationals()
@@ -279,15 +279,8 @@ def test_rank_permutation_invariant():
         rng.shuffle(rp)
         cp = list(range(1, 6))
         rng.shuffle(cp)
-        permuted = m.apply_permutation(PermutationMap(rp), "rows") \
-                    .apply_permutation(PermutationMap(cp), "cols")
+        permuted = m.submatrix(rp, cp)
         assert permuted.rank() == m.rank()
-
-
-def test_apply_permutation_identity():
-    rng = random.Random(10)
-    m = rand_matrix(rng, 4)
-    assert m.apply_permutation(PermutationMap.identity(4)) == m
 
 
 def test_nullspace():

@@ -570,7 +570,7 @@ def test_permuted_faces_match():
     rng = random.Random(10)
     from skewplus.matrices import PermutationMap
     a = random_skew(Q, 5, rng)
-    perm = PermutationMap.transposition(5, 2, 3)
+    perm = PermutationMap([1, 3, 2, 4, 5])
     b = a.permuted(perm)
     for i in range(1, 6):
         for j in range(1, 6):
@@ -597,7 +597,7 @@ def test_trusted_views_match_public_constructors(sparse_field):
         images = list(range(1, q + 1))
         rng.shuffle(images)
         perm = PermutationMap(images)
-        assert a.permuted(perm).full_matrix() == full.apply_permutation(perm)
+        assert a.permuted(perm).full_matrix() == full.submatrix(images, images)
 
 
 # -- the ring form a skew matrix keeps --------------------------------------

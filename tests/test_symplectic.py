@@ -3,12 +3,10 @@ import random
 import pytest
 
 from skewplus.errors import (
-    BadParity,
     Degenerate,
     NotIsometry,
     NotNonDegenerate,
     RankMismatch,
-    ZeroUnit,
 )
 from skewplus.fields import Field
 from skewplus.matrices import Matrix
@@ -17,21 +15,17 @@ from skewplus.symplectic import (
     SpMatrix,
     Subspace,
     SymplecticSpace,
-    conjugate_Tb,
     elementary,
-    embed,
     gram,
     is_sp_member,
-    odd_parts,
     pairing,
     psi_matrix,
-    radical_line,
     random_sp,
-    retract_rho,
-    split_odd_space,
     symplectic_basis,
     transvection,
     witt_extend,
+    _corank1_piece,
+    _partner,
     _radical,
 )
 from skewplus.unimod import random_nondeg_seq
@@ -125,15 +119,23 @@ def test_elementary():
         assert is_sp_member(m, two_n)
 
 
+def _split(v):
+    """(V0, x, y) as witt_extend's odd branch builds them: V0 the
+    even corank-1 piece of V, x the radical generator, y its partner."""
+    coeffs, x = _radical(v)
+    v0 = _corank1_piece(v.basis, coeffs)
+    return Subspace(v.space, v0), x, _partner(v.space, v0, x)
+
+
 def test_radical_line():
     space = SymplecticSpace(Q, 2)
     e = space.basis_vector
     v = Subspace(space, [e(1), e(2), e(3)])
-    x = radical_line(v)
+    _, x = _radical(v)
     assert x[0].is_zero() and x[1].is_zero() and x[3].is_zero()
     assert not x[2].is_zero()
     with pytest.raises(NotNonDegenerate):
-        radical_line(Subspace(space, [e(1), e(2)]))  # even rank, radical 0
+        _radical(Subspace(space, [e(1), e(2)]))  # even rank, radical 0
 
 
 def test_radical_equivariance():
@@ -143,10 +145,10 @@ def test_radical_equivariance():
         seq = random_nondeg_seq(space, 3, rng)
         v = Subspace(space, seq.vectors)
         g = random_sp(space, rng)
-        x = radical_line(v)
+        _, x = _radical(v)
         gx = g.apply(x)
         moved = Subspace(space, [g.apply(b) for b in v.basis])
-        y = radical_line(moved)
+        _, y = _radical(moved)
         # gx and y span the same line
         assert Matrix.from_columns(Q, [gx, y]).rank() == 1
 
@@ -155,7 +157,7 @@ def test_split_odd_space():
     space = SymplecticSpace(Q, 2)
     e = space.basis_vector
     v = Subspace(space, [e(1), e(2), e(3)])
-    v0, x, y = split_odd_space(v)
+    v0, x, y = _split(v)
     assert v0.rank == 2
     assert pairing(x, y) == Q.one()
     assert all(pairing(b, y).is_zero() for b in v0.basis)
@@ -165,7 +167,7 @@ def test_split_odd_space_keeps_first_nondegenerate_pair():
     # Pf(Gram(e1, e3)) = 0, so the piece is (e1, e2), not the leading pair
     space = SymplecticSpace(Q, 2)
     e = space.basis_vector
-    v0, x, _ = split_odd_space(Subspace(space, [e(1), e(3), e(2)]))
+    v0, x, _ = _split(Subspace(space, [e(1), e(3), e(2)]))
     assert v0.basis == (e(1), e(2))
     assert Matrix.from_columns(Q, [x, e(3)]).rank() == 1
 
@@ -177,7 +179,7 @@ def test_split_odd_space_random():
         r = rng.choice([1, 3, 5])
         seq = random_nondeg_seq(space, r, rng)
         v = Subspace(space, seq.vectors)
-        v0, x, y = split_odd_space(v)
+        v0, x, y = _split(v)
         assert v0.rank == r - 1
         assert pairing(x, y) == Q.one()
         assert all(pairing(b, y).is_zero() for b in v0.basis)
@@ -251,30 +253,6 @@ def test_witt_extend_odd_all_fields(field):
         assert all(g.apply(a) == b for a, b in zip(v.vectors, w.vectors))
 
 
-def test_embed_even_and_odd():
-    rng = random.Random(7)
-    m = random_sp(SymplecticSpace(Q, 1), rng)
-    up = embed(m, 6)
-    assert up.size == 6 and up.matrix.rows == 6
-    assert is_sp_member(up.matrix, 6)
-    # the new leading coordinates are fixed pointwise
-    assert up.matrix.entry(1, 1) == Q.one() and up.matrix.entry(2, 2) == Q.one()
-    odd = embed(m, 3)
-    assert odd.size == 3 and odd.matrix.rows == 4
-    assert is_sp_member(odd.matrix, 3)
-    with pytest.raises(BadParity):
-        embed(odd, 2)  # rank 3 realizes in dimension 4
-    with pytest.raises(BadParity):
-        embed(up, 4)
-
-
-def test_rho_retracts_embedding():
-    rng = random.Random(8)
-    for n in (1, 2):
-        m = random_sp(SymplecticSpace(Q, n), rng)
-        assert retract_rho(embed(m, 2 * n + 1)).matrix == m.matrix
-
-
 def _odd_element(c, u, m2):
     """Assemble an odd rank-3 element from its block data."""
     one, zero = Q.one(), Q.zero()
@@ -287,22 +265,6 @@ def _odd_element(c, u, m2):
         [zero, u[1], m2.entry(2, 1), m2.entry(2, 2)],
     ]
     return SpMatrix(Matrix(Q, rows), 3)
-
-
-def test_conjugate_Tb():
-    rng = random.Random(9)
-    m2 = random_sp(SymplecticSpace(Q, 1), rng)
-    odd = _odd_element(Q.scalar(3), (Q.one(), Q.scalar(2)), m2.matrix)
-    b = Q.scalar(5)
-    conj = conjugate_Tb(odd, b)
-    c1, u1, m1 = odd_parts(conj)
-    assert c1 == b * b * Q.scalar(3)
-    assert u1 == (b, b * Q.scalar(2))
-    assert m1 == m2.matrix
-    # even elements are fixed
-    assert conjugate_Tb(m2, b) is m2
-    with pytest.raises(ZeroUnit):
-        conjugate_Tb(odd, 0)
 
 
 def test_odd_membership_block_shape():
@@ -327,7 +289,7 @@ def test_split_gram_block_shape():
         r = rng.choice([1, 3, 5])
         seq = random_nondeg_seq(space, r, rng)
         v = Subspace(space, seq.vectors)
-        v0, x, _ = split_odd_space(v)
+        v0, x, _ = _split(v)
         g = gram(list(v0.basis) + [x], Q)
         assert g.remove_indices([r]) == v0.gram()
         for i in range(1, r):
@@ -339,6 +301,18 @@ def test_odd_rank_one_membership():
     for c in (-4, 0, 9):
         assert is_sp_member(elementary(Q, 1, 2, c, 2), 1)
     assert not is_sp_member(psi_matrix(Q, 2), 1)  # moves e1
+
+
+def _lift_to_odd(m):
+    """diag(1, 1, m): an even-group matrix m as an odd element one rank up."""
+    field, dim = m.field, m.rows + 2
+    return Matrix(field, [[1 if j == i else 0 for j in range(dim)] for i in range(2)]
+                  + [[0, 0] + list(r) for r in m.data])
+
+
+def _diagonal(field, entries):
+    n = len(entries)
+    return Matrix(field, [[entries[i] if j == i else 0 for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(5), Field.function_field(3)],
@@ -356,11 +330,12 @@ def test_membership_against_oracle(field):
             # elements with nonzero c and u
             v = list(big.random_vector(rng, 5))
             v[1] = field.zero()
-            odd = embed(g, two_n + 1) * SpMatrix(
-                transvection(big, v, field.sample(rng, 5)), two_n + 1)
+            odd = _lift_to_odd(g.matrix) * transvection(big, v, field.sample(rng, 5))
             b = field.sample_nonzero(rng, 5)
-            cases += [(g.matrix, two_n), (odd.matrix, two_n + 1),
-                      (conjugate_Tb(odd, b).matrix, two_n + 1)]
+            # conjugating by diag(b, 1/b, 1) scales c by b^2 and u by b
+            t = _diagonal(field, [b, b.inv()] + [field.one()] * two_n)
+            cases += [(g.matrix, two_n), (odd, two_n + 1),
+                      (t * odd * t.inverse(), two_n + 1)]
         for m, size in list(cases):
             if m.rows:
                 rows = [list(r) for r in m.data]

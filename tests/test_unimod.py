@@ -14,7 +14,7 @@ from skewplus.errors import (
     SamplerExhausted,
     ShapeMismatch,
 )
-from skewplus.fields import Field, as_values as values, specialize
+from skewplus.fields import Field, as_values as values
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import (
     SkewMatrix,
@@ -33,10 +33,8 @@ from skewplus.unimod import (
     good_position_sample,
     is_good_position,
     is_nondeg_unimodular,
-    membership_witnesses,
     random_nondeg_seq,
     skew_plus_extend,
-    specialize_seq,
     star_is_certified,
 )
 
@@ -50,7 +48,7 @@ def test_membership_basics():
     r4 = SymplecticSpace(Q, 2)
     assert is_nondeg_unimodular([], r2)
     assert is_nondeg_unimodular([r2.basis_vector(1)], r2)
-    assert not is_nondeg_unimodular([r2.zero_vector()], r2)
+    assert not is_nondeg_unimodular([(Q.zero(),) * r2.dim], r2)
     # two orthogonal vectors have singular Gram
     assert not is_nondeg_unimodular([r4.basis_vector(1), r4.basis_vector(3)], r4)
     assert is_nondeg_unimodular([r4.basis_vector(1), r4.basis_vector(2)], r4)
@@ -73,7 +71,7 @@ def test_nondeg_seq_faces_inherit():
     assert face.length == 3
     assert is_nondeg_unimodular(face.vectors, space)
     with pytest.raises(NotNonDegenerate):
-        NonDegSeq(space, [space.zero_vector()])
+        NonDegSeq(space, [(Q.zero(),) * space.dim])
 
 
 def test_faces_reject_bad_indices():
@@ -97,7 +95,7 @@ def test_good_position_examples():
     r2 = SymplecticSpace(Q, 1)
     empty = NonDegSeq.empty(r2)
     assert is_good_position(empty, r2.basis_vector(1))
-    assert not is_good_position(empty, r2.zero_vector())
+    assert not is_good_position(empty, (Q.zero(),) * r2.dim)
     one = empty.append(r2.basis_vector(1), _trusted=True)
     assert is_good_position(one, r2.basis_vector(2))
     assert not is_good_position(one, r2.basis_vector(1))  # dependent
@@ -199,7 +197,7 @@ def test_sampler_exhausts_over_prime_field():
 
 def test_checked_sequence_keeps_its_table(monkeypatch):
     """A checked NonDegSeq hands the table of its membership test on to
-    gram_table, good-position tests and membership witnesses.  The Gram
+    gram_table and good-position tests.  The Gram
     table is swept by `pfaffian_table` from the ring form."""
     import skewplus.unimod as unimod
     calls = []
@@ -212,8 +210,7 @@ def test_checked_sequence_keeps_its_table(monkeypatch):
     calls.clear()
     seq = NonDegSeq(space, vectors)
     assert len(calls) == 1
-    table = seq.gram_table()
-    assert [table[s] for s in table.raw] == membership_witnesses(seq)[:-1]
+    seq.gram_table()
     is_good_position(seq, space.random_vector(rng, 5))
     assert len(calls) == 1
 
@@ -338,7 +335,8 @@ def _good_position_case(field, rng):
         c = field.sample_nonzero(rng, 3)
         x = tuple(c * y for y in rng.choice(seq.vectors))
     else:
-        u, w = rng.sample(seq.vectors, 2) if seq.length >= 2 else (space.zero_vector(),) * 2
+        zero = (field.zero(),) * space.dim
+        u, w = rng.sample(seq.vectors, 2) if seq.length >= 2 else (zero, zero)
         x = tuple(a + b for a, b in zip(u, w))
     return seq, x
 
@@ -360,29 +358,6 @@ def test_good_position_ring_path_matches_scalar_oracle(field):
 def test_good_position_property(field, seed):
     seq, x = _good_position_case(field, random.Random(seed))
     assert is_good_position(seq, x) == good_position_oracle(seq, x)
-
-
-def test_specialization_preserves_membership():
-    rng = random.Random(10)
-    f2t = Field.function_field(2)
-    f2 = Field.prime(2)
-    space = SymplecticSpace(f2t, 1)
-    t = f2t.t()
-    one = f2t.one()
-    # (e1, t*e1 + e2) is non-degenerate over F_2(t)
-    seq = NonDegSeq(space, [(one, f2t.zero()), (t, one)])
-    witnesses = membership_witnesses(seq)
-    for t0 in (f2.scalar(0), f2.scalar(1)):
-        if any(specialize(w, t0).is_zero() for w in witnesses):
-            continue
-        vectors, res_space = specialize_seq(seq, t0)
-        assert is_nondeg_unimodular(vectors, res_space)
-    # a sequence whose witness vanishes at t0 = 0 degenerates there
-    seq2 = NonDegSeq(space, [(one, f2t.zero()), (f2t.zero(), t)])
-    witnesses = membership_witnesses(seq2)
-    assert any(specialize(w, f2.scalar(0)).is_zero() for w in witnesses)
-    vectors, res_space = specialize_seq(seq2, f2.scalar(0))
-    assert not is_nondeg_unimodular(vectors, res_space)
 
 
 def _oracle_nondeg(vectors, space):
@@ -585,7 +560,7 @@ def _rank_case(field, rng):
     vectors = [space.random_vector(rng, 4) for _ in range(rng.randint(0, space.dim + 1))]
     kind = rng.randrange(4)
     if vectors and kind == 1:
-        vectors[rng.randrange(len(vectors))] = space.zero_vector()
+        vectors[rng.randrange(len(vectors))] = (field.zero(),) * space.dim
     elif len(vectors) >= 2 and kind == 2:
         c = field.sample_nonzero(rng, 4)
         vectors[-1] = tuple(c * x for x in rng.choice(vectors[:-1]))
