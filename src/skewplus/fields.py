@@ -95,6 +95,23 @@ def poly_sub(a, b, p):
 _KRONECKER_MIN = 6
 _SLOTS = tuple((array(c).itemsize, c) for c in "BHIQ") if sys.byteorder == "little" else ()
 
+# Determinants and Pfaffians over F_p[t] lifted to Z (PolynomialRing.lift)
+# against the packed row step, by the estimate w * the rows' summed lengths
+# (halved for a Pfaffian): lifted / packed time, 2 CPUs, Python 3.11, sizes
+# 4-20, p = 2, 3, 7, 1000003, kernel-3field's entries and the sampler's:
+#
+#     estimate (bits)     det          Pfaffian
+#     up to 5,000         0.21-0.62    0.22-0.92
+#     5,000-7,000         0.55-0.88    0.64-0.85
+#     7,000-14,000        0.96-2.44    0.70-0.90
+#     14,000-28,000       1.66-5.63    0.99-2.43
+#     above 28,000        2.40-47.9    1.51-16.7
+#
+# so the lift is taken up to 7,000 bits for a determinant (lifted at 6,768,
+# 0.81; packed at 7,380, 1.12) and 14,000 for a Pfaffian (12,376, 0.88;
+# 16,430, 1.6).  A Pfaffian's integers are half as long for its estimate.
+_LIFT_MAX_BITS = (7000, 14000)
+
 
 def _slot(bound):
     """(width, code) of the narrowest slot holding every int up to bound,
@@ -670,6 +687,30 @@ class Scalar:
 # an exact division in R that is checked: a remainder raises
 # InternalInvariant.  `row` may itself be one of the x: every x[j] is read
 # before row[j] is written.
+#
+# A determinant or a Pfaffian decides no pivot in R: only its last pivot
+# is read.  So `ring.lift(rows)` may move its kernel to another ring; it
+# returns the kernel ring, the rows in it, and the map reading the result
+# back into R.  Over Z and F_p that is R itself.  Over F_p[t] it is Z
+# (Kronecker substitution): each entry, with coefficients in [0, p), is
+# evaluated at t = 2^w, the integer kernel runs on those ints, and its
+# result is read back as signed base-2^w digits mod p.  Evaluation and
+# reduction mod p are ring maps and integer Bareiss is exact, so the result
+# is exact whatever pivots Z picks, every division still a checked divmod.
+# The read is exact because w is wide enough: Hadamard's bound at |t| = 1
+# on the entries' coefficient 1-norms, B^2 = prod_i max(1, sum_j
+# |a_ij|_1^2), bounds every coefficient of the determinant over Z[t], and
+# sqrt(B) every coefficient of the Pfaffian (Pf^2 = det); w is the least
+# width with 2^(w-1) above that bound (von zur Gathen & Gerhard, Modern
+# Computer Algebra, 8.4 and 16.6).  The lift loses to the packed F_p[t]
+# row step on long results, so it is taken only where w times the summed
+# row lengths, about the bit size of the lifted result, is at most
+# _LIFT_MAX_BITS.  Every elimination that decides pivots in R (rank, solve,
+# inverse, nullspace, `_pf_lead`, `ring_rank`) runs the packed step.
+
+def _identity(x):
+    return x
+
 
 class IntegerRing:
     """Z, for Q."""
@@ -717,6 +758,12 @@ class IntegerRing:
                         raise InternalInvariant(f"{prev} does not divide {num}")
                     row[j] = quo
         return step
+
+    def lift(self, rows, skew=False):
+        """(kernel ring, kernel rows, read) for a determinant or Pfaffian
+        kernel on the rows: this ring, the rows as they are, and read the
+        identity (`PolynomialRing.lift` may move them to Z)."""
+        return self, rows, _identity
 
     def to_value(self, num, scale, e: int):
         """num / scale^e as a canonical value."""
@@ -823,7 +870,8 @@ class PolynomialRing:
     quotients with prev, compared slot by slot with the numerators, checks
     every division (von zur Gathen & Gerhard, Modern Computer Algebra,
     ch. 8-9).  When no slot is wide enough (p near 2^32 or above), it
-    works entry by entry."""
+    works entry by entry.  Determinants and Pfaffians up to a measured
+    size run over Z instead (`lift`, and the ring comment above)."""
 
     zero, one = (), (1,)
     equal = staticmethod(operator.eq)
@@ -835,6 +883,7 @@ class PolynomialRing:
         self.sub = partial(poly_sub, p=p)
         self.mul = partial(poly_mul, p=p)
         self.neg = partial(poly_neg, p=p)
+        self._integers = IntegerRing(field)
 
     def dot(self, x, y):
         """sum_k x[k] y[k], reduced mod p once: by Kronecker substitution
@@ -912,6 +961,62 @@ class PolynomialRing:
             for j, num in zip(cols, nums):
                 row[j] = tuple(num)
         return step
+
+    def lift(self, rows, skew=False):
+        """`IntegerRing.lift` over F_p[t]: Z, the entries evaluated at
+        t = 2^w, and read taking the signed base-2^w digits mod p, when w
+        times the rows' summed lengths (halved for a Pfaffian, whose
+        degree is half the determinant's) is at most _LIFT_MAX_BITS[skew];
+        else this ring.  `rows` are a matrix's rows, or with skew the
+        strict upper rows of a skew matrix, and read is exact on its
+        determinant, or with skew its Pfaffian, and on no other value."""
+        p = self.field.p
+        # per row of the matrix: the squared 1-norms of the coefficients
+        # summed, and the longest entry
+        if skew:
+            sums, lens = [0] * (len(rows) + 1), [0] * (len(rows) + 1)
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row, i + 1):
+                    s, n = sum(x) ** 2, len(x)
+                    sums[i] += s
+                    sums[j] += s
+                    lens[i], lens[j] = max(lens[i], n), max(lens[j], n)
+            root, length = 4, sum(lens) // 2
+        else:
+            sums = [sum(sum(x) ** 2 for x in row) for row in rows]
+            root, length = 2, sum(max(map(len, row), default=0) for row in rows)
+        # bound = B^2 for Hadamard's bound B on the determinant's
+        # coefficients, and the Pfaffian's are at most sqrt(B) (Pf^2 = det):
+        # w is the least with 2^(w-1) > bound^(1/root)
+        bound = math.prod(max(1, s) for s in sums)
+        w = 1 - (-bound.bit_length() // root)
+        if w * length > _LIFT_MAX_BITS[skew]:
+            return self, rows, _identity
+        lifted = []
+        for row in rows:
+            out = []
+            for x in row:
+                v = 0
+                for c in reversed(x):
+                    v = v << w | c
+                out.append(v)
+            lifted.append(out)
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+
+        def read(n):
+            # n has at most bit_length // w + 2 digits in [-2^(w-1), 2^(w-1)):
+            # a top digit c != 0 leaves |n| > 2^(w deg) / 3
+            digits = []
+            for _ in range(n.bit_length() // w + 2):
+                d = n & mask
+                if d >= half:
+                    d -= 1 << w
+                digits.append(d)
+                n = (n - d) >> w
+            if n:
+                raise InternalInvariant(f"the lifted result has too many base-2^{w} digits")
+            return poly_trim(digits, p)
+        return self._integers, lifted, read
 
     to_scalar = IntegerRing.to_scalar
 

@@ -224,37 +224,50 @@ class Matrix:
         terms (p, row i) and (-m_ic, row r); over F_p[t] it packs the row
         into a few big-int products.  Pivot columns are never read again,
         so they are not updated.  The forward pass (upward=False) updates the
-        rows below r only, and the last pivot of a square matrix of full
-        rank is det(L A).  The full pass updates the rows above too
-        (Nakos, Turner & Williams, SIGSAM Bull. 31(3), 1997), so the last
-        pivot D is the common denominator: off the pivot columns, the
-        reduced echelon form is the rows over D.
+        rows below r only; rank and pivot_columns read its pivots, and det
+        runs it on the same cleared rows in the kernel ring of `ring.lift`.
+        The full pass updates the rows above too (Nakos, Turner &
+        Williams, SIGSAM Bull. 31(3), 1997), so the last pivot D is the
+        common denominator: off the pivot columns, the reduced echelon form
+        is the rows over D.
 
         Returns (ring, the L_i, rows, pivot columns 0-based, sign of the
         row swaps).
         """
-        ring = self.field.ring()
         rows = self.data if augment is None else \
             [a + b for a, b in zip(self.data, augment.data)]
+        ring, scales, m = self._cleared(rows)
+        pivots, sign = _bareiss(ring, m, self.cols, upward)
+        return ring, scales, m, pivots, sign
+
+    def _cleared(self, rows):
+        """(ring, the L_i, the rows times their L_i as lists): each row of
+        scalars cleared by its own L_i into the ring of the field."""
+        ring = self.field.ring()
         scales, m = [], []
         for row in rows:
             row_scale, (cleared,) = ring.clear([[x.value for x in row]])
             scales.append(row_scale)
             m.append(cleared)
-        pivots, sign = _bareiss(ring, m, self.cols, upward)
-        return ring, scales, m, pivots, sign
+        return ring, scales, m
 
     def det(self) -> Scalar:
-        """Exact determinant: the forward pass's last pivot over the
-        product of the row scales, with the sign of the row swaps."""
+        """Exact determinant: on the rows cleared as `_eliminate` clears
+        them, the forward pass's last pivot, det(L A), over the product of
+        the row scales, with the sign of the row swaps.  The pass runs in
+        the kernel ring of `ring.lift`: over F_p(t), up to a measured size,
+        in Z on the entries evaluated at t = 2^w, whose pivots need not be
+        those of F_p[t], with the last pivot read back into F_p[t]."""
         if not self.is_square():
             raise NotSquare("determinant of a non-square matrix")
         if self.rows == 0:
             return self.field.one()
-        ring, scales, m, pivots, sign = self._eliminate(upward=False)
+        ring, scales, m = self._cleared(self.data)
+        kernel, m, read = ring.lift(m)
+        pivots, sign = _bareiss(kernel, m, self.cols, upward=False)
         if len(pivots) < self.rows:
             return self.field.zero()
-        d = ring.to_scalar(m[-1][-1], reduce(ring.mul, scales), 1)
+        d = ring.to_scalar(read(m[-1][-1]), reduce(ring.mul, scales), 1)
         return d if sign == 1 else -d
 
     def rank(self) -> int:

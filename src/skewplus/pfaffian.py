@@ -20,12 +20,14 @@ in the ring of `Field.ring()`: it builds that table, answers every
 bordered test, and runs pf_recursive, the reference Pfaffian, whose
 final value alone is reduced to a scalar.  pf_eliminate, the other
 algorithm, is skew elimination: the ring kernel `_pf_ring` and one
-reduction.  The gamma oracle runs the kernel's pivot-pair step without
-its search (`_pf_lead`), and reads six Pfaffians off one pass.  A skew
-matrix clears its upper triangle into the ring once, on first use, and
-keeps it (`SkewMatrix.ring_form`) for the table sweep, pf_eliminate and
-the gamma oracle; pf_recursive clears on its own, so the two Pfaffians
-stay independent.
+reduction.  Over F_p(t), unless the matrix is large, the kernel runs in Z
+on the entries evaluated at t = 2^w, and its result is read back into
+F_p[t] (`PolynomialRing.lift`).  The gamma oracle runs the kernel's
+pivot-pair step without its search (`_pf_lead`), and reads six Pfaffians
+off one pass.  A skew matrix clears its upper triangle into the ring once,
+on first use, and keeps it (`SkewMatrix.ring_form`) for the table sweep,
+pf_eliminate and the gamma oracle; pf_recursive clears on its own, so the
+two Pfaffians stay independent.
 
 A skew matrix stores its upper triangle flat, as the canonical values of
 its entries (`Scalar.value`), which the ring clears directly: hashing and
@@ -323,7 +325,9 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     into the ring R whose fraction field is the scalar field (Z for Q,
     F_p[t] for F_p(t), F_p itself for F_p) is the matrix's ring form;
     `_pf_ring` eliminates a copy of it to Pf(L A), which is reduced once
-    to Pf(A) = Pf(L A) / L^(q/2).
+    to Pf(A) = Pf(L A) / L^(q/2).  `ring.lift` picks the kernel's ring:
+    over F_p(t), below a size threshold, Z on the form evaluated at
+    t = 2^w, whose Pfaffian is read back into F_p[t] exactly.
     """
     a = _unwrap(a)
     q = a.size
@@ -331,8 +335,9 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
         raise OddSize(f"Pfaffian of odd size {q}")
     ring = a.field.ring()
     scale, upper = a.ring_form()
-    pivot, sign = _pf_ring(ring, upper)
-    result = ring.to_scalar(pivot, scale, q // 2)
+    kernel, upper, read = ring.lift(upper, skew=True)
+    pivot, sign = _pf_ring(kernel, upper)
+    result = ring.to_scalar(read(pivot), scale, q // 2)
     return result if sign == 1 else -result
 
 

@@ -2,7 +2,8 @@
 
 Both elimination kernels, `Matrix._eliminate` (det, rank, inverse, solve,
 nullspace) and `pf_eliminate`, make one `ring.row_step(prev)` per pivot step
-and call it once per row.  The oracle here is the update they made before,
+and call it once per row; over F_p(t), det and pf_eliminate may run theirs
+in Z (`PolynomialRing.lift`), whose row step the oracle replaces too.  The oracle here is the update they made before,
 entry by entry: each numerator by the ring's mul and add, then one exact
 division by prev, checked.  With the oracle swapped in for every ring, every
 result must stay equal, the eliminated rows included.
@@ -17,7 +18,7 @@ from skewplus import fields
 from skewplus.errors import InternalInvariant, Singular
 from skewplus.fields import Field, IntegerRing, PolynomialRing, ResidueRing, poly_divmod
 from skewplus.matrices import Matrix
-from skewplus.pfaffian import SkewMatrix, pf_eliminate
+from skewplus.pfaffian import SkewMatrix, _pf_ring, pf_eliminate
 
 # F_3(t), F_7(t) and F_1000003(t) take the packed rows at every slot width;
 # F_{2^61-1}(t) takes none and goes entry by entry
@@ -141,15 +142,24 @@ def test_kernel_matches_per_entry_oracle(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.flag())
 def test_pf_eliminate_matches_per_entry_oracle(field, monkeypatch):
+    """pf_eliminate, and the skew kernel on the ring form in the field's
+    own ring: over F_p(t) pf_eliminate may run over Z, and the kernel on
+    F_p[t] is the packed step's."""
+    packed = []
+    real = fields._packed_quotients
+    monkeypatch.setattr(fields, "_packed_quotients",
+                        lambda *args: packed.append(1) or real(*args))
     rng = random.Random(f"pf row step:{field!r}")
     swaps = 0
     for q in range(0, 11, 2):
         for zeros in (0, 0.3, 0.6):
             entry = entry_sampler(field, rng, zeros)
             a = SkewMatrix.from_upper(field, q, [entry() for _ in range(q * (q - 1) // 2)])
-            same_under_oracle(monkeypatch, lambda: pf_eliminate(a))
+            same_under_oracle(monkeypatch, lambda: (pf_eliminate(a),
+                                                    _pf_ring(field.ring(), a.ring_form()[1])))
             swaps += q > 2 and a.upper[0][0].is_zero()
     assert swaps, "no case needed a pivot swap"
+    assert bool(packed) == (field.kind == fields.FUNCTION_FIELD and field.p < 2 ** 32)
 
 
 @st.composite
@@ -186,8 +196,10 @@ def test_kernel_property_against_per_entry_oracle(system):
 @pytest.mark.parametrize("slot", [0, -1])
 def test_a_corrupted_quotient_slot_raises(slot, monkeypatch):
     """Add 1 to one coefficient of one packed quotient, the lowest or the
-    top: the check q * prev = numerator must see it, in det and in
-    pf_eliminate."""
+    top: the check q * prev = numerator must see it, in the Matrix kernel
+    (an inverse) and in the skew kernel on F_p[t] itself.  Over F_p(t),
+    det and pf_eliminate of a matrix this small run over Z and never reach
+    the packed step."""
     real = fields._packed_quotients
 
     def corrupt(nums, prev, inverse, width, code, p):
@@ -200,12 +212,15 @@ def test_a_corrupted_quotient_slot_raises(slot, monkeypatch):
     rng = random.Random(5)
     a = SkewMatrix.from_upper(field, 6, [field.sample_nonzero(rng, 5) for _ in range(15)])
     full = a.full_matrix()
+    ring, (_, upper) = field.ring(), a.ring_form()
     assert pf_eliminate(a) ** 2 == full.det()
+    assert full * full.inverse() == Matrix.identity(field, 6)
+    assert _pf_ring(ring, upper)[0]
     monkeypatch.setattr(fields, "_packed_quotients", corrupt)
     with pytest.raises(InternalInvariant):
-        full.det()
+        full.inverse()
     with pytest.raises(InternalInvariant):
-        pf_eliminate(a)
+        _pf_ring(ring, upper)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.flag())
