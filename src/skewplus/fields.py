@@ -15,12 +15,12 @@ Skew matrices and sequences store these values (`Scalar.value`) rather
 than scalars, and the ring views below clear rows of them.
 
 Sums and products over Q and F_p(t) follow Henrici's rule (J. ACM 3, 1956,
-as in CPython's Fraction): the gcds are taken of the canonical operands'
-parts, so none is taken of the full products.  Polynomial gcds run
-Euclid's remainder sequence in place.  Two polynomials of at least 6
-coefficients each multiply by Kronecker substitution (Harvey, J. Symb.
-Comp. 44, 2009): each is packed in byte slots into one int, and one big-int
-product gives all coefficients.
+as in CPython's Fraction), once for both in the ring views below: gcds are
+taken of the canonical operands' parts, none of the full products.
+Polynomial gcds run Euclid's remainder sequence in place.  Two polynomials
+of at least 6 coefficients each multiply by Kronecker substitution (Harvey,
+J. Symb. Comp. 44, 2009): each is packed in byte slots into one int, and
+one big-int product gives all coefficients.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ class Field:
             if type(value) is int:
                 return Scalar(self, (value, 1))
             if type(value) is tuple and len(value) == 2 and all(type(x) is int for x in value):
-                return Scalar(self, _ratio(*value))
+                return Scalar(self, self.ring().to_value(*value, 1))
             if type(value) is not Fraction:
                 value = Fraction(value)
             return Scalar(self, (value.numerator, value.denominator))
@@ -326,7 +326,8 @@ class Field:
             num = poly_trim((value,), self.p)
             return Scalar(self, (num, (1,)))
         if isinstance(value, tuple) and len(value) == 2:
-            return Scalar(self, _canonical_ratio(value[0], value[1], self.p))
+            num, den = (poly_trim(x, self.p) for x in value)
+            return Scalar(self, self.ring().to_value(num, den, 1))
         raise ParseError(f"cannot coerce {value!r} into {self!r}")
 
     def zero(self) -> "Scalar":
@@ -341,8 +342,9 @@ class Field:
         return Scalar(self, ((0, 1), (1,)))
 
     def fraction(self, num: int, den: int) -> "Scalar":
-        return Scalar(self, _ratio(num, den)) if self.kind == RATIONALS \
-            else self.scalar(num) / self.scalar(den)
+        if self.kind == FUNCTION_FIELD:
+            num, den = poly_trim((num,), self.p), poly_trim((den,), self.p)
+        return Scalar(self, self.ring().to_value(num, den, 1))
 
     # -- sampling ------------------------------------------------------
 
@@ -351,16 +353,15 @@ class Field:
         if size_bound < 1:
             raise ParseError("size_bound must be >= 1")
         if self.kind == RATIONALS:
-            return Scalar(self, _ratio(rng.randint(-size_bound, size_bound),
-                                       rng.randint(1, size_bound)))
+            return Scalar(self, self.ring().to_value(rng.randint(-size_bound, size_bound),
+                                                     rng.randint(1, size_bound), 1))
         if self.kind == PRIME:
             return Scalar(self, rng.randrange(self.p))
         deg_bound = min(size_bound, 1 + size_bound // 4)
         num = [rng.randrange(self.p) for _ in range(rng.randint(0, deg_bound) + 1)]
         den = [rng.randrange(self.p) for _ in range(rng.randint(0, deg_bound) + 1)]
-        if not poly_trim(den, self.p):
-            den = [1]
-        return Scalar(self, _canonical_ratio(tuple(num), tuple(den), self.p))
+        return Scalar(self, self.ring().to_value(poly_trim(num, self.p),
+                                                 poly_trim(den, self.p) or (1,), 1))
 
     def sample_nonzero(self, rng, size_bound: int) -> "Scalar":
         while True:
@@ -448,33 +449,11 @@ def sample_until(test, draw, max_attempts, what):
                            "(pool too small, or the field is too small)")
 
 
-def _ratio(num: int, den: int):
-    """num / den as a canonical rational: the int pair gcd-reduced, den > 0."""
-    if not den:
-        raise DivisionByZero("zero denominator")
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
-def _canonical_ratio(num, den, p):
-    num = poly_trim(num, p)
-    den = poly_trim(den, p)
-    if not den:
-        raise DivisionByZero("zero denominator in function field element")
-    if not num:
-        return ((), (1,))
-    # the gcd times den's leading coefficient leaves a monic denominator
-    g = tuple(x * den[-1] % p for x in poly_gcd(num, den, p))
-    return (poly_divmod(num, g, p)[0], poly_divmod(den, g, p)[0])
-
-
 class Scalar:
     """An element of Q, F_p, or F_p(t), always in canonical form: `value`
     is a reduced (num, den) int pair with den > 0 over Q, an int in 0..p-1
     over F_p, and a pair of coefficient tuples with monic denominator over
-    F_p(t).
+    F_p(t).  Arithmetic is the value arithmetic of `field.ring()`.
 
     Arithmetic accepts plain ints on either side, so formulas read
     naturally: 1 / (b * e**2), a - b + c, and so on.
@@ -499,9 +478,7 @@ class Scalar:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        if self.field.kind == PRIME:
-            return self.value == 0
-        return not self.value[0]
+        return self.field.ring().value_is_zero(self.value)
 
     def __bool__(self):
         return not self.is_zero()
@@ -512,45 +489,12 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.field.kind
-        if k == RATIONALS:
-            # Henrici's rule, as below on polynomials
-            (n1, d1), (n2, d2) = self.value, other.value
-            g = math.gcd(d1, d2)
-            if g == 1:
-                return Scalar(self.field, (n1 * d2 + n2 * d1, d1 * d2))
-            s = d1 // g
-            t = n1 * (d2 // g) + n2 * s
-            g2 = math.gcd(t, g)
-            return Scalar(self.field, (t // g2, s * (d2 // g2)))
-        if k == PRIME:
-            return Scalar(self.field, (self.value + other.value) % self.field.p)
-        # Henrici's rule: with g = gcd(d1, d2), s = d1/g, u = d2/g and
-        # t = n1 u + n2 s, only g2 = gcd(t, g) cancels from t / (g s u), so
-        # the sum is (t/g2, s (d2/g2)); for g = 1 it is the plain cross sum
-        (n1, d1), (n2, d2), p = self.value, other.value, self.field.p
-        if not n1 or not n2:
-            return self if n1 else other
-        g = d1 if d1 == d2 else poly_gcd(d1, d2, p)
-        if g == (1,):
-            return Scalar(self.field, (poly_add(poly_mul(n1, d2, p), poly_mul(n2, d1, p), p),
-                                       poly_mul(d1, d2, p)))
-        s, u = poly_divmod(d1, g, p)[0], poly_divmod(d2, g, p)[0]
-        t = poly_add(poly_mul(n1, u, p), poly_mul(n2, s, p), p)
-        g2 = poly_gcd(t, g, p)
-        if g2 != (1,):
-            t, d2 = poly_divmod(t, g2, p)[0], poly_divmod(d2, g2, p)[0]
-        return Scalar(self.field, (t, poly_mul(s, d2, p)))
+        return Scalar(self.field, self.field.ring().value_add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.field.kind
-        if k == RATIONALS:
-            return Scalar(self.field, (-self.value[0], self.value[1]))
-        if k == PRIME:
-            return Scalar(self.field, (-self.value) % self.field.p)
-        return Scalar(self.field, (poly_neg(self.value[0], self.field.p), self.value[1]))
+        return Scalar(self.field, self.field.ring().value_neg(self.value))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -568,39 +512,14 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.field.kind
-        if k == RATIONALS:
-            # Henrici's rule, as below on polynomials
-            (n1, d1), (n2, d2) = self.value, other.value
-            g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
-            return Scalar(self.field, ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
-        if k == PRIME:
-            return Scalar(self.field, (self.value * other.value) % self.field.p)
-        # Henrici's rule: with g1 = gcd(n1, d2) and g2 = gcd(n2, d1), the
-        # product ((n1/g1)(n2/g2), (d1/g2)(d2/g1)) is already canonical
-        (n1, d1), (n2, d2), p = self.value, other.value, self.field.p
-        if not n1 or not n2:
-            return other if n1 else self
-        g1, g2 = poly_gcd(n1, d2, p), poly_gcd(n2, d1, p)
-        if g1 != (1,):
-            n1, d2 = poly_divmod(n1, g1, p)[0], poly_divmod(d2, g1, p)[0]
-        if g2 != (1,):
-            n2, d1 = poly_divmod(n2, g2, p)[0], poly_divmod(d1, g2, p)[0]
-        return Scalar(self.field, (poly_mul(n1, n2, p), poly_mul(d1, d2, p)))
+        return Scalar(self.field, self.field.ring().value_mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        k = self.field.kind
-        if k == RATIONALS:
-            num, den = self.value
-            return Scalar(self.field, (den, num) if num > 0 else (-den, -num))
-        if k == PRIME:
-            return Scalar(self.field, pow(self.value, -1, self.field.p))
-        num, den = self.value
-        return Scalar(self.field, _canonical_ratio(den, num, self.field.p))
+        return Scalar(self.field, self.field.ring().value_inv(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -675,7 +594,10 @@ class Scalar:
 # result num back into the canonical value (`to_value`) or scalar
 # (`to_scalar`) num / L^e once, at the end.  In every R the zero element
 # is the only falsy one, and `equal` tests two elements for equality (over
-# F_p, add, sub and mul leave their results unreduced).
+# F_p, add, sub and mul leave their results unreduced).  The value
+# operations `value_add`, `value_mul`, `value_neg`, `value_inv` and
+# `value_is_zero`, which `Scalar` wraps, take and return canonical values;
+# IntegerRing writes them once for Q and F_p(t), ResidueRing mod p.
 #
 # The row step is the one division a fraction-free elimination makes.
 # `ring.row_step(prev)` is called once per pivot step, with prev the
@@ -713,10 +635,14 @@ def _identity(x):
 
 
 class IntegerRing:
-    """Z, for Q."""
+    """Z, for Q.  The value operations take and return canonical values,
+    coprime pairs (num, den) with den unit-normal, and use only gcd, the
+    exact quotient quo, add, mul, neg and unit_normal: PolynomialRing
+    inherits them."""
 
     zero, one = 0, 1
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    gcd, quo = math.gcd, operator.floordiv
     equal = staticmethod(operator.eq)
 
     @staticmethod
@@ -766,21 +692,70 @@ class IntegerRing:
         return self, rows, _identity
 
     def to_value(self, num, scale, e: int):
-        """num / scale^e as a canonical value."""
-        return _ratio(num, scale ** e)
+        """num / scale^e as a canonical value, or DivisionByZero."""
+        den = scale ** e
+        if not den:
+            raise DivisionByZero("zero denominator")
+        g = math.gcd(num, den)
+        return self.unit_normal(num // g, den // g)
 
     def to_scalar(self, num, scale, e: int) -> Scalar:
         """num / scale^e as a canonical scalar."""
         return Scalar(self.field, self.to_value(num, scale, e))
 
+    @staticmethod
+    def unit_normal(num, den):
+        """(num, den) divided by the unit that makes den normal: den > 0."""
+        return (num, den) if den > 0 else (-num, -den)
+
+    def value_add(self, x, y):
+        """x + y: with g = gcd(d1, d2), s = d1/g, u = d2/g and
+        t = n1 u + n2 s, only g2 = gcd(t, g) cancels from t / (g s u), so
+        the sum is (t/g2, s (d2/g2)); for g = 1 it is the plain cross sum."""
+        (n1, d1), (n2, d2) = x, y
+        add, mul, quo, one = self.add, self.mul, self.quo, self.one
+        g = d1 if d1 == d2 else self.gcd(d1, d2)
+        if g == one:
+            return add(mul(n1, d2), mul(n2, d1)), mul(d1, d2)
+        s = quo(d1, g)
+        t = add(mul(n1, quo(d2, g)), mul(n2, s))
+        g2 = self.gcd(t, g)
+        if g2 != one:
+            t, d2 = quo(t, g2), quo(d2, g2)
+        return t, mul(s, d2)
+
+    def value_mul(self, x, y):
+        """x y: with g1 = gcd(n1, d2) and g2 = gcd(n2, d1), the product
+        ((n1/g1)(n2/g2), (d1/g2)(d2/g1)) is already canonical."""
+        (n1, d1), (n2, d2) = x, y
+        gcd, quo, one = self.gcd, self.quo, self.one
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        if g1 != one:
+            n1, d2 = quo(n1, g1), quo(d2, g1)
+        if g2 != one:
+            n2, d1 = quo(n2, g2), quo(d1, g2)
+        return self.mul(n1, n2), self.mul(d1, d2)
+
+    def value_neg(self, x):
+        return self.neg(x[0]), x[1]
+
+    def value_inv(self, x):
+        """1 / x for nonzero x: coprime parts swapped, then unit-normalised."""
+        return self.unit_normal(x[1], x[0])
+
+    @staticmethod
+    def value_is_zero(x):
+        return not x[0]
+
 
 class ResidueRing(IntegerRing):
     """F_p itself, with the integer operations on plain ints.  Clearing
-    scales by 1.  Only the row step, dot and to_scalar reduce mod p, and
-    the row step reduces every entry it updates, so the entries a kernel
-    keeps stay in (-p, p), where a falsy int is exactly a zero residue.  In
-    a field a division by nonzero prev leaves no remainder: the row step
-    folds 1/prev into the coefficients once per row; prev = 0 raises."""
+    scales by 1.  The row step, dot, to_scalar and value operations reduce
+    mod p (`value_neg` does, `neg` does not), and the row step reduces every
+    entry it updates, so the entries a kernel keeps stay in (-p, p), where a
+    falsy int is exactly a zero residue.  In a field a division by nonzero
+    prev leaves no remainder: the row step folds 1/prev into the
+    coefficients once per row; prev = 0 raises."""
 
     def dot(self, x, y):
         return sum(map(operator.mul, x, y)) % self.field.p
@@ -813,16 +788,24 @@ class ResidueRing(IntegerRing):
     def to_value(self, num, scale, e: int):
         p = self.field.p
         if scale != 1:
+            if not scale % p:
+                raise DivisionByZero("zero denominator")
             num *= pow(scale, -e, p)
         return num % p
 
+    def value_add(self, x, y):
+        return (x + y) % self.field.p
 
-def _exact_quotient(x, d, p):
-    """x / d in F_p[t], raising InternalInvariant if d does not divide x."""
-    quo, rem = poly_divmod(x, d, p)
-    if rem:
-        raise InternalInvariant(f"{poly_to_str(d)} does not divide {poly_to_str(x)} over F_{p}")
-    return quo
+    def value_mul(self, x, y):
+        return x * y % self.field.p
+
+    def value_neg(self, x):
+        return -x % self.field.p
+
+    def value_inv(self, x):
+        return pow(x, -1, self.field.p)
+
+    value_is_zero = staticmethod(operator.not_)
 
 
 def _series_inverse(f, n, p, g=()):
@@ -857,10 +840,10 @@ def _packed_quotients(nums, prev, inverse, width, code, p):
     return quos
 
 
-class PolynomialRing:
-    """F_p[t], for F_p(t); elements are trimmed coefficient tuples.  Long
-    products and dot products go by Kronecker substitution, at least
-    _KRONECKER_MIN = 6 coefficients in every factor.
+class PolynomialRing(IntegerRing):
+    """F_p[t], for F_p(t), with IntegerRing's value operations; elements
+    are trimmed coefficient tuples.  Long products and dot products go by
+    Kronecker substitution, _KRONECKER_MIN = 6 coefficients in each factor.
 
     The row step packs a whole row by two-level Kronecker substitution:
     coefficient slots, the widths _kronecker uses, inside one block per
@@ -874,16 +857,24 @@ class PolynomialRing:
     size run over Z instead (`lift`, and the ring comment above)."""
 
     zero, one = (), (1,)
-    equal = staticmethod(operator.eq)
 
     def __init__(self, field: Field):
-        self.field = field
+        super().__init__(field)
         p = field.p
         self.add = partial(poly_add, p=p)
         self.sub = partial(poly_sub, p=p)
         self.mul = partial(poly_mul, p=p)
         self.neg = partial(poly_neg, p=p)
+        self.gcd = partial(poly_gcd, p=p)
         self._integers = IntegerRing(field)
+
+    def quo(self, x, d):
+        """x / d, raising InternalInvariant if d does not divide x."""
+        quo, rem = poly_divmod(x, d, self.field.p)
+        if rem:
+            raise InternalInvariant(f"{poly_to_str(d)} does not divide {poly_to_str(x)} "
+                                    f"over F_{self.field.p}")
+        return quo
 
     def dot(self, x, y):
         """sum_k x[k] y[k], reduced mod p once: by Kronecker substitution
@@ -906,8 +897,8 @@ class PolynomialRing:
         dens = {den for row in rows for _, den in row}
         scale = (1,)
         for den in dens:
-            scale = poly_mul(scale, _exact_quotient(den, poly_gcd(scale, den, p), p), p)
-        cofactor = {den: _exact_quotient(scale, den, p) for den in dens}
+            scale = poly_mul(scale, self.quo(den, poly_gcd(scale, den, p)), p)
+        cofactor = {den: self.quo(scale, den) for den in dens}
         return scale, [[poly_mul(num, cofactor[den], p) for num, den in row]
                        for row in rows]
 
@@ -929,8 +920,8 @@ class PolynomialRing:
             slot = _slot(max(sum(min(len(c), n) for (c, _), n in zip(terms, longest)), block) * sq)
             if slot is None:
                 for k, j in enumerate(cols):
-                    row[j] = _exact_quotient(self.dot([c for c, _ in terms],
-                                                      [xs[k] for _, xs in terms]), prev, p)
+                    row[j] = self.quo(self.dot([c for c, _ in terms],
+                                               [xs[k] for _, xs in terms]), prev)
                 return
             width, code = slot
             slots = [x % p for x in _slots(
@@ -1018,15 +1009,15 @@ class PolynomialRing:
             return poly_trim(digits, p)
         return self._integers, lifted, read
 
-    to_scalar = IntegerRing.to_scalar
-
     def to_value(self, num, scale, e: int):
         """num / scale^e as a canonical value.  A factor num shares with
         scale^e is a factor of scale, so the gcds are taken against scale
         itself: at most e of them, each cancelling one copy of scale."""
-        p = self.field.p
+        if not scale:
+            raise DivisionByZero("zero denominator")
         if not num:
             return (), (1,)
+        p = self.field.p
         den = (1,)
         for i in range(e):
             g = poly_gcd(num, scale, p)
@@ -1036,6 +1027,13 @@ class PolynomialRing:
                 break
             num = poly_divmod(num, g, p)[0]
             den = poly_mul(den, poly_divmod(scale, g, p)[0], p)
+        return self.unit_normal(num, den)
+
+    def unit_normal(self, num, den):
+        """(num, den) divided by the unit that makes den monic."""
+        if den[-1] == 1:
+            return num, den
+        p = self.field.p
         inv = pow(den[-1], -1, p)
         return tuple(x * inv % p for x in num), tuple(x * inv % p for x in den)
 
@@ -1060,7 +1058,7 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
         f = Field.function_field(p)
         num = poly_from_str(m.group(1), p)
         den = poly_from_str(m.group(2), p) if m.group(2) is not None else (1,)
-        s = Scalar(f, _canonical_ratio(num, den, p))
+        s = Scalar(f, f.ring().to_value(num, den, 1))
     else:
         m = _PRIME_RE.match(text)
         if m:
@@ -1072,10 +1070,8 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
                 raise ParseError(f"bad scalar literal {text!r}")
             num = int(m.group(1))
             den = int(m.group(2)) if m.group(2) else 1
-            if field is not None and field.kind != RATIONALS:
-                # integer literals are allowed in any field
-                return field.scalar(num) / field.scalar(den)
-            s = Scalar(Field.rationals(), _ratio(num, den))
+            # integer literals are allowed in any field
+            s = (field or Field.rationals()).fraction(num, den)
     if field is not None and s.field != field:
         raise FieldMismatch(f"literal {text!r} is not in {field!r}")
     return s

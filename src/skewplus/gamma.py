@@ -57,6 +57,7 @@ from .errors import (
 from .fields import Field, Scalar, sample_until
 from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, _pf_lead
 from .sections import _det1_vectors, _substitute
+from .symplectic import apply_psi
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,8 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     cor = [row + [ring.zero] * (m + 1 - len(row)) for row in cor]
     if any(any(row[x + 1:]) for x, row in enumerate(cor)):
         raise InternalInvariant("corner section is not triangular")
-    # psi v = (v_2, -v_1, v_4, -v_3, ...), so <x, y> = x . psi y
-    psi_cor = [[x for k in range(0, len(v), 2) for x in (v[k + 1], neg(v[k]))] for v in cor]
+    # <x, y> = x . psi y
+    psi_cor = [apply_psi(v, neg) for v in cor]
     for x in range(m):
         for y in range(x + 1, m):
             # <corner_x, corner_y> = A'_xy, the entries all three faces share
@@ -243,8 +244,7 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     for r in idx:
         s, t = (col for col in idx if col != r)
         # <x_s, x_t> = pair / E^2, since <w_s, w_t> = u_s . psi u_t
-        pair = dot(u[s][:m - 1], [y for k in range(0, m - 1, 2)
-                                  for y in (u[t][k + 1], neg(u[t][k]))])
+        pair = dot(u[s][:m - 1], apply_psi(u[t][:m - 1], neg))
         # d_s = (A'_st - <x_s, x_t> + z_s d_t) / z_t
         x_r = add(mul(sub(mul(b[s][t], mul(mul(den, den), scale)), pair), l_b),
                   mul(mul(z[s], beta[r]), big_e))

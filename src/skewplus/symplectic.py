@@ -51,15 +51,18 @@ def psi_matrix(field: Field, dim: int) -> Matrix:
 # reduced once.  psi y stops at the last even coordinate, so an odd last
 # coordinate of x pairs with nothing.
 
+def apply_psi(v, neg):
+    """psi v, as above, for a row v of ring elements and the ring's neg."""
+    return [x for k in range(0, len(v) - 1, 2) for x in (v[k + 1], neg(v[k]))]
+
+
 def ring_form(field: Field, vectors):
     """(L, [L v_i], [L psi v_i]) in the ring of `field`, for one common L
     that clears every v_i, each given by the canonical values of its
     coordinates: <v_i, v_j> = dot(L v_i, L psi v_j) / L^2."""
     ring = field.ring()
     scale, rows = ring.clear(vectors)
-    neg = ring.neg
-    return scale, rows, [[x for k in range(0, len(c) - 1, 2) for x in (c[k + 1], neg(c[k]))]
-                         for c in rows]
+    return scale, rows, [apply_psi(c, ring.neg) for c in rows]
 
 
 def pairing(x, y) -> Scalar:

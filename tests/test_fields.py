@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import DivisionByZero, FieldMismatch, ParseError, SamplerExhausted
-from skewplus.fields import (_KRONECKER_MIN, PRIME, Field, Scalar, _canonical_ratio, parse_scalar,
-                             poly_divmod, poly_gcd, poly_mul, poly_trim, sample_until)
+from skewplus.fields import (_KRONECKER_MIN, PRIME, RATIONALS, Field, Scalar, parse_scalar, poly_add,
+                             poly_divmod, poly_gcd, poly_mul, poly_neg, poly_to_str, poly_trim,
+                             sample_until)
 
 FIELDS = [Field.rationals(), Field.prime(5), Field.function_field(2),
           Field.function_field(3)]
@@ -412,12 +413,13 @@ def test_shared_factor_pairs_reach_every_cancellation():
 
 def to_scalar_oracle(field, num, scale, e):
     """num / scale^e as PolynomialRing.to_scalar made it before: scale^e
-    by repeated products, then one full gcd against it (_canonical_ratio)."""
+    by repeated products, then one full gcd against it
+    (canonical_ratio_oracle)."""
     p = field.p
     den = (1,)
     for _ in range(e):
         den = poly_mul_oracle(den, scale, p)
-    return Scalar(field, _canonical_ratio(num, den, p))
+    return Scalar(field, canonical_ratio_oracle(num, den, p))
 
 
 @st.composite
@@ -622,3 +624,278 @@ def test_q_paths_make_no_fraction(monkeypatch):
     for triple in combinations(range(1, 7), 3):
         assert gamma_oracle_c(a, triple) == pfaffian_ratio(a, triple)
         assert gamma_oracle_c(a, triple, [1, -2, 3]) == pfaffian_ratio(a, triple)
+
+
+# ---------------------------------------------------------------------------
+# Scalar arithmetic against the per-kind bodies it replaced
+# ---------------------------------------------------------------------------
+#
+# Scalar's +, *, negation, inverse and zero test are now the value
+# operations of the field's ring view.  Before, each branched on the
+# field's kind, and two helpers reduced a fraction to canonical form.
+# Those bodies follow, as they were, on canonical values.
+
+def ratio_oracle(num, den):
+    """`_ratio`: num / den as a canonical rational."""
+    if not den:
+        raise DivisionByZero("zero denominator")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def canonical_ratio_oracle(num, den, p):
+    """`_canonical_ratio`: num / den over F_p(t), canonical."""
+    num = poly_trim(num, p)
+    den = poly_trim(den, p)
+    if not den:
+        raise DivisionByZero("zero denominator in function field element")
+    if not num:
+        return ((), (1,))
+    # the gcd times den's leading coefficient leaves a monic denominator
+    g = tuple(x * den[-1] % p for x in poly_gcd(num, den, p))
+    return (poly_divmod(num, g, p)[0], poly_divmod(den, g, p)[0])
+
+
+def add_body(field, x, y):
+    """The value of x + y by `Scalar.__add__`."""
+    if field.kind == RATIONALS:
+        (n1, d1), (n2, d2) = x, y
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return (n1 * d2 + n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) + n2 * s
+        g2 = math.gcd(t, g)
+        return (t // g2, s * (d2 // g2))
+    if field.kind == PRIME:
+        return (x + y) % field.p
+    (n1, d1), (n2, d2), p = x, y, field.p
+    if not n1 or not n2:
+        return x if n1 else y
+    g = d1 if d1 == d2 else poly_gcd(d1, d2, p)
+    if g == (1,):
+        return (poly_add(poly_mul(n1, d2, p), poly_mul(n2, d1, p), p), poly_mul(d1, d2, p))
+    s, u = poly_divmod(d1, g, p)[0], poly_divmod(d2, g, p)[0]
+    t = poly_add(poly_mul(n1, u, p), poly_mul(n2, s, p), p)
+    g2 = poly_gcd(t, g, p)
+    if g2 != (1,):
+        t, d2 = poly_divmod(t, g2, p)[0], poly_divmod(d2, g2, p)[0]
+    return (t, poly_mul(s, d2, p))
+
+
+def mul_body(field, x, y):
+    """The value of x * y by `Scalar.__mul__`."""
+    if field.kind == RATIONALS:
+        (n1, d1), (n2, d2) = x, y
+        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+        return ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
+    if field.kind == PRIME:
+        return (x * y) % field.p
+    (n1, d1), (n2, d2), p = x, y, field.p
+    if not n1 or not n2:
+        return y if n1 else x
+    g1, g2 = poly_gcd(n1, d2, p), poly_gcd(n2, d1, p)
+    if g1 != (1,):
+        n1, d2 = poly_divmod(n1, g1, p)[0], poly_divmod(d2, g1, p)[0]
+    if g2 != (1,):
+        n2, d1 = poly_divmod(n2, g2, p)[0], poly_divmod(d1, g2, p)[0]
+    return (poly_mul(n1, n2, p), poly_mul(d1, d2, p))
+
+
+def neg_body(field, x):
+    """The value of -x by `Scalar.__neg__`."""
+    if field.kind == RATIONALS:
+        return (-x[0], x[1])
+    if field.kind == PRIME:
+        return (-x) % field.p
+    return (poly_neg(x[0], field.p), x[1])
+
+
+def inv_body(field, x):
+    """The value of x.inv() by `Scalar.inv`, for nonzero x."""
+    if field.kind == RATIONALS:
+        num, den = x
+        return (den, num) if num > 0 else (-den, -num)
+    if field.kind == PRIME:
+        return pow(x, -1, field.p)
+    return canonical_ratio_oracle(x[1], x[0], field.p)
+
+
+def is_zero_body(field, x):
+    """`Scalar.is_zero`."""
+    return x == 0 if field.kind == PRIME else not x[0]
+
+
+def int_body(field, n):
+    """The value of `Field.scalar(n)` for an int n."""
+    if field.kind == RATIONALS:
+        return (n, 1)
+    if field.kind == PRIME:
+        return n % field.p
+    return (poly_trim((n,), field.p), (1,))
+
+
+def fraction_body(field, num, den):
+    """The value of `Field.fraction(num, den)`: `_ratio` over Q, else
+    scalar(num) / scalar(den)."""
+    if field.kind == RATIONALS:
+        return ratio_oracle(num, den)
+    d = int_body(field, den)
+    if is_zero_body(field, d):
+        raise DivisionByZero("inverse of zero")
+    return mul_body(field, int_body(field, num), inv_body(field, d))
+
+
+BODY_FIELDS = [Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(1000003),
+               Field.prime(2 ** 61 - 1), Field.function_field(2), Field.function_field(3),
+               Field.function_field(2 ** 61 - 1)]
+BODY_CASES = ("random", "zero", "equal denominators", "shared factors")
+
+
+@st.composite
+def body_pairs(draw):
+    """(x, y) in one field of BODY_FIELDS: random (negative numerators over
+    Q included), one of them zero, y = x + r over x's denominator for a
+    ring element r, or sharing factors as `shared_factor_pair` makes them
+    (over Q, the same three shapes in Z).  The oracles build every value
+    but those of `shared_factor_pair`."""
+    field = draw(st.sampled_from(BODY_FIELDS))
+    case = draw(st.sampled_from(BODY_CASES))
+    if field.kind == PRIME:
+        residue = st.one_of(st.integers(0, field.p - 1), st.sampled_from([0, 1, field.p - 1]))
+        x, y = (Scalar(field, v) for v in (draw(residue), draw(residue)))
+    elif field.kind == RATIONALS:
+        small = st.integers(-30, 30).filter(bool)
+        if case == "shared factors":
+            n1, n2, z = (draw(q_ints) for _ in range(3))
+            d1, d2, c1, c2 = (draw(small) for _ in range(4))
+            x = Scalar(field, ratio_oracle(n1 * c1, d1 * c2))
+            kind = draw(st.sampled_from(PAIR_KINDS))
+            y = Scalar(field, ratio_oracle(n2 * c2, d2 * c1) if kind == "product"
+                       else ratio_oracle(n2, d2 * c2) if kind == "sum"
+                       else add_body(field, ratio_oracle(z, d2), neg_body(field, x.value)))
+        else:
+            x, y = (Scalar(field, ratio_oracle(draw(q_ints), draw(st.one_of(small, q_ints.filter(bool)))))
+                    for _ in range(2))
+    else:
+        p = field.p
+        if case == "shared factors":
+            parts = [draw(polys(p, 5)) for _ in range(7)]
+            x, y = shared_factor_pair(field, draw(st.sampled_from(PAIR_KINDS)), *parts)
+        else:
+            x, y = (Scalar(field, canonical_ratio_oracle(draw(polys(p, 5)), draw(polys(p, 5)) or (1,), p))
+                    for _ in range(2))
+    if case == "zero":
+        x = Scalar(field, int_body(field, 0))
+    elif case == "equal denominators" and field.kind != PRIME:
+        r = draw(q_ints) if field.kind == RATIONALS else draw(polys(field.p, 4))
+        y = Scalar(field, add_body(field, x.value, int_body(field, r) if field.kind == RATIONALS
+                                   else (r, (1,))))
+        assert y.value[1] == x.value[1]
+    return x, y
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(body_pairs())
+def test_scalar_arithmetic_matches_per_kind_bodies(case):
+    x, y = case
+    field = x.field
+
+    def check(got, want):
+        assert type(got) is Scalar and got.field == field and got.value == want
+
+    for a, b in ((x, y), (y, x), (x, x)):
+        check(a + b, add_body(field, a.value, b.value))
+        check(a - b, add_body(field, a.value, neg_body(field, b.value)))
+        check(a * b, mul_body(field, a.value, b.value))
+        check(-a, neg_body(field, a.value))
+        assert a.is_zero() == is_zero_body(field, a.value) == (not a)
+        if is_zero_body(field, b.value):
+            for divide in (b.inv, lambda: a / b):
+                with pytest.raises(DivisionByZero):
+                    divide()
+        else:
+            check(b.inv(), inv_body(field, b.value))
+            check(a / b, mul_body(field, a.value, inv_body(field, b.value)))
+
+
+def outcome(fn, *args):
+    """fn(*args), or DivisionByZero if it raised that."""
+    try:
+        return fn(*args)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+@st.composite
+def edge_parts(draw):
+    """A field of BODY_FIELDS, ints num and den (den zero in some cases)
+    and, over Q and F_p(t), a raw pair for `Field.scalar`: ints over Q,
+    untrimmed coefficient tuples with entries in [-p, 2p) over F_p(t)."""
+    field = draw(st.sampled_from(BODY_FIELDS))
+    ints = st.one_of(st.just(0), st.integers(-9, 9), q_ints)
+    num, den = draw(ints), draw(st.one_of(ints, st.sampled_from([field.p, -2 * field.p])))
+    if field.kind == RATIONALS:
+        pair = (draw(ints), draw(ints))
+    elif field.kind == PRIME:
+        pair = None
+    else:
+        p = field.p
+        coeff = st.one_of(st.integers(-p, 2 * p - 1), st.sampled_from([0, p, p - 1]))
+        pair = tuple(tuple(draw(st.lists(coeff, max_size=5))) for _ in range(2))
+    return field, num, den, pair
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(edge_parts())
+def test_edge_constructors_match_per_kind_bodies(case):
+    """`Field.scalar` on pairs, `Field.fraction` and `parse_scalar`, zero
+    denominators raising DivisionByZero on both sides."""
+    field, num, den, pair = case
+
+    def value(fn, *args):
+        got = outcome(fn, *args)
+        return got if got is DivisionByZero else got.value
+
+    want = outcome(fraction_body, field, num, den)
+    assert value(field.fraction, num, den) == want
+    # an integer literal lands in any field; without a field it is rational
+    text = f"{num if den >= 0 else -num}/{abs(den)}"
+    assert value(parse_scalar, text, field) == want
+    assert value(parse_scalar, text) == outcome(ratio_oracle, num, den)
+    if field.kind == RATIONALS:
+        assert value(field.scalar, pair) == outcome(ratio_oracle, *pair)
+    elif field.kind == PRIME:
+        text = f"{num} mod {field.p}"
+        assert value(parse_scalar, text) == value(parse_scalar, text, field) == num % field.p
+    else:
+        p = field.p
+        assert value(field.scalar, pair) == outcome(canonical_ratio_oracle, *pair, p)
+        trimmed = [poly_trim(x, p) for x in pair]
+        text = f"({poly_to_str(trimmed[0])})/({poly_to_str(trimmed[1])}) over F_{p}[t]"
+        assert (value(parse_scalar, text) == value(parse_scalar, text, field)
+                == outcome(canonical_ratio_oracle, *trimmed, p))
+
+
+def sample_body(field, rng, size_bound):
+    """The value of `Field.sample(rng, size_bound)`."""
+    if field.kind == RATIONALS:
+        return ratio_oracle(rng.randint(-size_bound, size_bound), rng.randint(1, size_bound))
+    if field.kind == PRIME:
+        return rng.randrange(field.p)
+    deg_bound = min(size_bound, 1 + size_bound // 4)
+    num = [rng.randrange(field.p) for _ in range(rng.randint(0, deg_bound) + 1)]
+    den = [rng.randrange(field.p) for _ in range(rng.randint(0, deg_bound) + 1)]
+    if not poly_trim(den, field.p):
+        den = [1]
+    return canonical_ratio_oracle(tuple(num), tuple(den), field.p)
+
+
+@pytest.mark.parametrize("field", BODY_FIELDS, ids=Field.flag)
+def test_sample_matches_per_kind_body(field):
+    """The same draws from the same rng state, reduced the same way."""
+    got_rng, want_rng = random.Random(31), random.Random(31)
+    for bound in (1, 2, 5, 9, 40) * 20:
+        assert field.sample(got_rng, bound).value == sample_body(field, want_rng, bound)
