@@ -494,18 +494,12 @@ class PfaffianTable:
         return all(self.raw.values())
 
     def bordered_nonzero(self, border, max_size: int) -> bool:
-        """Whether A bordered by the last column `border` (q scalars) has a
-        nonzero Pfaffian on I plus the border index for each odd I in 1..q
-        with |I| <= max_size; the table must reach size max_size - 1.  The
-        border is cleared once, and the test runs in the ring."""
-        return self.bordered_nonzero_ring(self.ring.clear([[x.value for x in border]])[1][0],
-                                          max_size)
-
-    def bordered_nonzero_ring(self, border, max_size: int) -> bool:
-        """`bordered_nonzero` on a border given in the ring as L_b times the
-        scalars, for any nonzero L_b: every term on I, |I| = 2k+1, carries
-        the same nonzero L_b L^k, so the ring value vanishes exactly when
-        the Pfaffian does."""
+        """Whether A bordered by a last column of q scalars has a nonzero
+        Pfaffian on I plus the border index for each odd I in 1..q with
+        |I| <= max_size; the table must reach size max_size - 1.  The
+        border is given in the ring as L_b times the scalars, for any
+        nonzero L_b: every term on I, |I| = 2k+1, carries the same nonzero
+        L_b L^k, so the ring value vanishes exactly when the Pfaffian does."""
         ring, q, raw = self.ring, len(border), self.raw
         signed = _signed(ring, border)
         return all(_expand(ring, signed, s, raw)

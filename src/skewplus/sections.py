@@ -9,8 +9,8 @@ The construction builds the sequence in the smallest possible number of
 coordinates: v_k lies in span(e_1..e_k) with a nonzero k-th coordinate,
 so the pairings <v_i, w> = A_ik (i < k) are triangular in u = psi w,
 solved by one fraction-free forward substitution in the ring of the
-field, and w = (-u_2, u_1, -u_4, u_3, ...) with u padded by a zero to
-even length.  For odd length 2r+1 there are two variants: the "snug"
+field, and w = -psi u = (-u_2, u_1, -u_4, u_3, ...) with u padded by a
+zero to even length.  For odd length 2r+1 there are two variants: the "snug"
 one, whose last vector is that w in R^{2r}, and the "roomy" one, which
 adds e_{2r+1} to w so the sequence can keep growing.  The snug variant
 is what a maximal-length section (q = 2n+1) returns; the roomy v_{k-1}
@@ -36,7 +36,7 @@ from .errors import BadRange, EvenSize, InternalInvariant
 from .fields import Scalar
 from .matrices import Matrix
 from .pfaffian import _as_certified
-from .symplectic import SymplecticSpace
+from .symplectic import SymplecticSpace, apply_psi
 from .unimod import NonDegSeq
 
 
@@ -71,9 +71,9 @@ def _section(a, roomy: bool):
     vectors = []
     for k in range(1, q + 1):
         u = nums[k - 1] + [ring.zero] * ((k - 1) % 2)
-        # w = (-u_2, u_1, -u_4, u_3, ...): psi w = u, so <v_i, w> = v_i . u
-        w = tuple(ring.to_value(x, den, 1) for j in range(0, k - 1, 2)
-                  for x in (ring.neg(u[j + 1]), u[j]))
+        # w = -psi u, so psi w = u and <v_i, w> = v_i . u
+        minus_den = ring.neg(den)
+        w = tuple(ring.to_value(x, minus_den, 1) for x in apply_psi(u, ring.neg))
         if k % 2 == 1 and (k < q or roomy):
             w += (one,)
         vectors.append(w)

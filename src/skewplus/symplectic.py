@@ -15,9 +15,15 @@ Vectors are plain tuples of scalars; `ring_form` takes them as tuples of
 their canonical values (`Scalar.value`), as sequences store them.
 Odd-length tuples are allowed in pairings; the missing last coordinate
 pairs with nothing, which matches viewing R^{2n-1} inside R^{2n}.
+
+The rotation psi is written once, in `apply_psi`.  A `Subspace` checks
+its basis once, by its rank in the ring; what Witt extension adjoins to
+a checked basis is independent by construction and is not checked.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import (
     BadIndices,
@@ -29,7 +35,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field, Scalar, as_scalars, as_values
-from .matrices import Matrix, _products
+from .matrices import Matrix, ring_rank
 from .pfaffian import SkewMatrix
 
 
@@ -102,12 +108,6 @@ def form_gram(field: Field, form) -> SkewMatrix:
                                 for i, ci in enumerate(rows) for psi_j in psi[i + 1:]))
 
 
-def standard_basis_vector(field: Field, dim: int, i: int):
-    if not 1 <= i <= dim:
-        raise BadIndices(f"e_{i} outside dimension {dim}")
-    return tuple(field.one() if k == i - 1 else field.zero() for k in range(dim))
-
-
 def pad_vector(v, dim: int, field: Field):
     v = tuple(v)
     if len(v) > dim:
@@ -137,7 +137,10 @@ class SymplecticSpace:
         return psi_matrix(self.field, self.dim)
 
     def basis_vector(self, i: int):
-        return standard_basis_vector(self.field, self.dim, i)
+        if not 1 <= i <= self.dim:
+            raise BadIndices(f"e_{i} outside dimension {self.dim}")
+        zero = self.field.zero()
+        return tuple(self.field.one() if k == i - 1 else zero for k in range(self.dim))
 
     def random_vector(self, rng, bound: int):
         return tuple(self.field.sample(rng, bound) for _ in range(self.dim))
@@ -234,16 +237,17 @@ def elementary(field: Field, i: int, j: int, a, dim: int) -> Matrix:
 
 
 def transvection(space: SymplecticSpace, v, a) -> Matrix:
-    """The symplectic transvection x -> x + a <x, v> v."""
+    """The symplectic transvection x -> x + a <x, v> v, in closed form:
+    <x, v> = x . psi v, so its matrix is I + a v (psi v)^t."""
     field = space.field
-    dim = space.dim
+    v = as_scalars(field, v)
+    if len(v) != space.dim:
+        raise ShapeMismatch(f"transvection vector of length {len(v)} in R^{space.dim}")
     a = field.scalar(a)
-    cols = []
-    for i in range(1, dim + 1):
-        e = space.basis_vector(i)
-        coeff = a * pairing(e, v)
-        cols.append(tuple(x + coeff * y for x, y in zip(e, v)))
-    return Matrix.from_columns(field, cols)
+    zero, one = field.zero(), field.one()
+    coeffs = [a * x for x in apply_psi(v, operator.neg)]
+    return Matrix._of(field, [[(one if i == j else zero) + c * x for j, c in enumerate(coeffs)]
+                              for i, x in enumerate(v)], space.dim)
 
 
 def random_sp(space: SymplecticSpace, rng, steps: int = 6, bound: int = 5) -> SpMatrix:
@@ -262,17 +266,17 @@ def random_sp(space: SymplecticSpace, rng, steps: int = 6, bound: int = 5) -> Sp
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of R^{2n} given by an independent basis."""
+    """A subspace of R^{2n} given by an independent basis, checked by the
+    rank of the basis cleared into the ring of the field."""
 
     __slots__ = ("space", "basis")
 
     def __init__(self, space: SymplecticSpace, basis):
-        basis = tuple(pad_vector(as_scalars(space.field, v), space.dim, space.field)
-                      for v in basis)
-        if basis:
-            m = Matrix.from_columns(space.field, basis)
-            if m.rank() != len(basis):
-                raise ShapeMismatch("basis vectors are dependent")
+        field = space.field
+        basis = tuple(pad_vector(as_scalars(field, v), space.dim, field) for v in basis)
+        ring = field.ring()
+        if ring_rank(ring, ring.clear([[x.value for x in v] for v in basis])[1]) != len(basis):
+            raise ShapeMismatch("basis vectors are dependent")
         self.space = space
         self.basis = basis
 
@@ -288,13 +292,9 @@ class Subspace:
 
 
 def _pairing_matrix(space: SymplecticSpace, vectors) -> Matrix:
-    """Rows are the functionals <v_i, .> = (-v_2, v_1, -v_4, v_3, ...) on
-    R^{2n}, for vectors v_i of R^{2n}."""
-    rows = []
-    for v in vectors:
-        v = as_scalars(space.field, v)
-        rows.append([x for k in range(0, space.dim, 2) for x in (-v[k + 1], v[k])])
-    return Matrix._of(space.field, rows)
+    """Rows are the functionals <., v_i> = psi v_i on R^{2n}, for vectors
+    v_i of R^{2n} given as scalars."""
+    return Matrix._of(space.field, [apply_psi(v, operator.neg) for v in vectors], space.dim)
 
 
 def _radical(v: Subspace):
@@ -305,12 +305,7 @@ def _radical(v: Subspace):
         raise NotNonDegenerate(
             f"restricted form has radical of rank {len(kernel)}, expected 1")
     coeffs = kernel[0]
-    return coeffs, _combination(v.space.field, coeffs, v.basis)
-
-
-def _combination(field: Field, coeffs, basis):
-    """sum_i coeffs[i] basis[i], for scalars and vectors of `field`."""
-    return tuple(x for (x,) in _products(field, zip(*basis), [coeffs]))
+    return coeffs, Matrix.from_columns(v.space.field, v.basis).apply_vector(coeffs)
 
 
 def _corank1_piece(basis, coeffs):
@@ -325,22 +320,25 @@ def _corank1_piece(basis, coeffs):
 
 
 def _partner(space: SymplecticSpace, v0, x):
-    """A y orthogonal to every vector of v0 with <x, y> = 1."""
+    """A y orthogonal to every vector of v0 with <x, y> = 1, solved as
+    <y, v> = 0 for v in v0 and <y, x> = -1 in the functionals of
+    `_pairing_matrix`."""
     rows = _pairing_matrix(space, list(v0) + [x])
-    rhs = Matrix.column(space.field, [0] * len(v0) + [1])
+    rhs = Matrix.column(space.field, [0] * len(v0) + [-1])
     return tuple(rows.solve_any(rhs).col(1))
 
 
-def symplectic_basis(v: Subspace):
-    """A basis of non-degenerate even-rank V whose Gram matrix is psi.
+def symplectic_basis(vectors):
+    """A basis of the non-degenerate even-rank span of the independent
+    `vectors`, whose Gram matrix is psi; the independence is not checked.
 
     Pairs are peeled off greedily: take the first remaining vector, find
     the first partner it pairs with, scale the partner to pairing 1, and
     project the rest onto the orthogonal complement of the pair.
     """
-    if v.rank % 2 != 0:
+    if len(vectors) % 2 != 0:
         raise Degenerate("odd rank subspace has no symplectic basis")
-    work = list(v.basis)
+    work = list(vectors)
     out = []
     while work:
         a = work.pop(0)
@@ -365,23 +363,23 @@ def symplectic_basis(v: Subspace):
     return tuple(out)
 
 
-def orthogonal_complement(v: Subspace) -> Subspace:
-    """V^perp inside the ambient space."""
-    if v.rank == 0:
-        return Subspace(v.space, [v.space.basis_vector(i)
-                                  for i in range(1, v.space.dim + 1)])
-    rows = _pairing_matrix(v.space, v.basis)
-    return Subspace(v.space, rows.nullspace())
+def orthogonal_complement(space: SymplecticSpace, basis):
+    """A basis of V^perp, for V spanned by `basis` (scalar vectors of
+    R^{2n}): the nullspace basis of the functionals <., v_i>, independent
+    by construction; the standard basis for empty V."""
+    return _pairing_matrix(space, basis).nullspace()
 
 
 def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
     """Extend the basis map v_i -> w_i between non-degenerate subspaces
     with equal Gram matrices to an isometry of the whole space.
 
+    Odd rank: adjoin hyperbolic partners of the two radical generators
+    (images matching under the given map), which leaves the even case.
     Even rank: complete both sides by symplectic bases of the orthogonal
-    complements and map one full basis to the other.  Odd rank: adjoin
-    hyperbolic partners of the two radical generators (images matching
-    under the given map) and reduce to the even case.
+    complements and map one full basis to the other.  The inputs are
+    checked once; the vectors adjoined to them are independent of them
+    by construction.
     """
     field = space.field
     v_basis = [pad_vector(v, space.dim, field) for v in v_basis]
@@ -393,20 +391,17 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
     if V.gram() != W.gram():
         raise NotIsometry("the prescribed map does not preserve the form")
 
+    v_basis, w_basis = list(V.basis), list(W.basis)
     if V.rank % 2 == 1:
         # x = sum c_i v_i generates the radical of V; Gram(W) = Gram(V),
         # so y = sum c_i w_i generates that of W, and the map sends x to y
         coeffs, x = _radical(V)
-        y = _combination(field, coeffs, W.basis)
+        y = Matrix.from_columns(field, w_basis).apply_vector(coeffs)
         # one even non-degenerate corank-1 piece serves both sides
-        return witt_extend(
-            space,
-            v_basis + [_partner(space, _corank1_piece(v_basis, coeffs), x)],
-            w_basis + [_partner(space, _corank1_piece(w_basis, coeffs), y)])
-
-    ext_v = symplectic_basis(orthogonal_complement(V)) if V.rank < space.dim else ()
-    ext_w = symplectic_basis(orthogonal_complement(W)) if W.rank < space.dim else ()
-    p = Matrix.from_columns(field, list(v_basis) + list(ext_v))
-    q = Matrix.from_columns(field, list(w_basis) + list(ext_w))
-    g = q * p.inverse()
+        v_basis.append(_partner(space, _corank1_piece(v_basis, coeffs), x))
+        w_basis.append(_partner(space, _corank1_piece(w_basis, coeffs), y))
+    if len(v_basis) < space.dim:
+        v_basis += symplectic_basis(orthogonal_complement(space, v_basis))
+        w_basis += symplectic_basis(orthogonal_complement(space, w_basis))
+    g = Matrix.from_columns(field, w_basis) * Matrix.from_columns(field, v_basis).inverse()
     return SpMatrix(g, space.dim)

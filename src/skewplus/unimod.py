@@ -291,7 +291,7 @@ def is_good_position(seq: NonDegSeq, x) -> bool:
     max_size = min(seq.length + 1, space.dim) - 1
     if max_size > 0:
         dot = space.field.ring().dot
-        if not seq.gram_table().bordered_nonzero_ring([dot(r, psi_x) for r in rows], max_size):
+        if not seq.gram_table().bordered_nonzero([dot(r, psi_x) for r in rows], max_size):
             return False
     return _full_rank_if_odd(space, [*rows, row_x])
 
@@ -325,10 +325,10 @@ def star_is_certified(a: SkewPlusMatrix, v) -> bool:
     row) need testing: for every odd subset I of 1..q the bordered
     principal matrix on I plus the new index must have nonzero Pfaffian.
     """
-    v = [a.field.scalar(x) for x in v]
+    v = as_values(a.field, v)
     if len(v) != a.size:
         raise ShapeMismatch("border vector has the wrong length")
-    return a.table.bordered_nonzero(v, a.size)
+    return a.table.bordered_nonzero(a.table.ring.clear([v])[1][0], a.size)
 
 
 def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
@@ -437,7 +437,7 @@ def _contract_skew(xi, rng, max_attempts):
     for g in obstructed:
         # the proper odd subsets are those of g's faces, and (g * w).face(i)
         # keeps g.face(i)'s tests for every w: no border clears these
-        if not g.table.bordered_nonzero(ones, q - 1):
+        if not g.table.bordered_nonzero([g.table.ring.one] * q, q - 1):
             raise SamplerExhausted(
                 f"size-{q} generator obstructed on the proper odd subset "
                 f"{_first_obstruction(g)}: no border clears it")

@@ -453,7 +453,8 @@ def test_bordered_ring_test_matches_scalar_oracle(case):
         want = all(not _bordered_pf(oracle, border, s, zero).is_zero()
                    for size in range(1, max_size + 1, 2)
                    for s in combinations(range(1, q + 1), size))
-        assert table.bordered_nonzero(border, max_size) == want
+        ring_border = table.ring.clear([[x.value for x in border]])[1][0]
+        assert table.bordered_nonzero(ring_border, max_size) == want
 
 
 def test_remove_indices():

@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import (
     Degenerate,
     NotIsometry,
     NotNonDegenerate,
     RankMismatch,
+    ShapeMismatch,
 )
-from skewplus.fields import Field
-from skewplus.matrices import Matrix
+from skewplus.fields import Field, as_scalars
+from skewplus.matrices import Matrix, _products
 from skewplus.pfaffian import SkewMatrix
 from skewplus.symplectic import (
     SpMatrix,
@@ -18,6 +20,7 @@ from skewplus.symplectic import (
     elementary,
     gram,
     is_sp_member,
+    orthogonal_complement,
     pairing,
     psi_matrix,
     random_sp,
@@ -25,6 +28,7 @@ from skewplus.symplectic import (
     transvection,
     witt_extend,
     _corank1_piece,
+    _pairing_matrix,
     _partner,
     _radical,
 )
@@ -191,15 +195,15 @@ def test_symplectic_basis():
     space = SymplecticSpace(Q, 2)
     e = space.basis_vector
     two = Q.scalar(2)
-    sb = symplectic_basis(Subspace(space, [e(1), tuple(two * c for c in e(2))]))
+    sb = symplectic_basis(Subspace(space, [e(1), tuple(two * c for c in e(2))]).basis)
     assert gram(sb, Q) == SkewMatrix.from_matrix(psi_matrix(Q, 2))
     for _ in range(20):
         r = rng.choice([2, 4])
         seq = random_nondeg_seq(space, r, rng)
-        sb = symplectic_basis(Subspace(space, seq.vectors))
+        sb = symplectic_basis(Subspace(space, seq.vectors).basis)
         assert gram(sb, Q) == SkewMatrix.from_matrix(psi_matrix(Q, r))
     with pytest.raises(Degenerate):
-        symplectic_basis(Subspace(space, [e(1), e(3)]))
+        symplectic_basis(Subspace(space, [e(1), e(3)]).basis)
 
 
 def test_witt_extend_identity_and_planes():
@@ -347,3 +351,120 @@ def test_membership_against_oracle(field):
             assert got == sp_member_oracle(m, size)
             seen.add((size % 2, got))
     assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
+# -- the Scalar paths the ring paths replaced, kept as oracles ---------------
+
+def pairing_matrix_oracle(space, vectors):
+    """`_pairing_matrix` as it was: the rows <v_i, .> = (-v_2, v_1, -v_4,
+    v_3, ...) on Scalars, the negation of today's rows <., v_i>."""
+    rows = []
+    for v in vectors:
+        v = as_scalars(space.field, v)
+        rows.append([x for k in range(0, space.dim, 2) for x in (-v[k + 1], v[k])])
+    return Matrix._of(space.field, rows)
+
+
+def partner_oracle(space, v0, x):
+    """`_partner` as it was: <v, y> = 0 for v in v0 and <x, y> = 1 in the
+    rows of `pairing_matrix_oracle`."""
+    rows = pairing_matrix_oracle(space, list(v0) + [x])
+    rhs = Matrix.column(space.field, [0] * len(v0) + [1])
+    return tuple(rows.solve_any(rhs).col(1))
+
+
+def independent_oracle(space, basis) -> bool:
+    """`Subspace`'s independence check as it was: the rank of the Scalar
+    matrix of columns."""
+    return not basis or Matrix.from_columns(space.field, basis).rank() == len(basis)
+
+
+def combination_oracle(field, coeffs, basis):
+    """`symplectic._combination` as it was: sum_i coeffs[i] basis[i]."""
+    return tuple(x for (x,) in _products(field, zip(*basis), [coeffs]))
+
+
+def transvection_oracle(space, v, a):
+    """`transvection` as it was: column i is e_i + a <e_i, v> v."""
+    field = space.field
+    a = field.scalar(a)
+    cols = []
+    for i in range(1, space.dim + 1):
+        e = space.basis_vector(i)
+        coeff = a * pairing(e, v)
+        cols.append(tuple(x + coeff * y for x, y in zip(e, v)))
+    return Matrix.from_columns(field, cols)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the library error it raised."""
+    try:
+        return f(*args)
+    except (ShapeMismatch, NotNonDegenerate) as exc:
+        return type(exc)
+
+
+ORACLE_FIELDS = [Q, Field.prime(2), Field.prime(1000003), Field.function_field(3)]
+
+
+def _against_oracles(field, rng):
+    """One seeded case of up to 2n + 1 vectors of R^2, R^4 or R^6, some
+    zero, repeated, scaled or summed: every replaced path against its
+    oracle.  Returns (accepted, whether a radical was compared)."""
+    space = SymplecticSpace(field, rng.choice([1, 2, 3]))
+    vectors = [space.random_vector(rng, 4) for _ in range(rng.randint(0, space.dim + 1))]
+    kind = rng.randrange(4)
+    if vectors and kind == 1:
+        vectors[rng.randrange(len(vectors))] = (field.zero(),) * space.dim
+    elif len(vectors) >= 2 and kind == 2:
+        c = field.sample_nonzero(rng, 4)
+        vectors[-1] = tuple(c * x for x in rng.choice(vectors[:-1]))
+    elif len(vectors) >= 3 and kind == 3:
+        u, w = rng.sample(vectors[:-1], 2)
+        vectors[-1] = tuple(x + y for x, y in zip(u, w))
+    rows = _pairing_matrix(space, vectors)
+    if vectors:
+        oracle = pairing_matrix_oracle(space, vectors)
+        assert rows == -oracle
+        assert rows.nullspace() == oracle.nullspace() == orthogonal_complement(space, vectors)
+    else:
+        assert orthogonal_complement(space, vectors) == [space.basis_vector(i)
+                                                         for i in range(1, space.dim + 1)]
+    t = space.random_vector(rng, 4) if rng.randrange(3) else (field.zero(),) * space.dim
+    a = field.sample(rng, 4)
+    assert transvection(space, t, a) == transvection_oracle(space, t, a)
+    accepted = not isinstance(_outcome(Subspace, space, vectors), type)
+    assert accepted == independent_oracle(space, vectors)
+    if not accepted or len(vectors) % 2 == 0:
+        return accepted, False
+    v = Subspace(space, vectors)
+    radical = _outcome(_radical, v)
+    if isinstance(radical, type):
+        return accepted, False
+    coeffs, x = radical
+    assert x == combination_oracle(field, coeffs, v.basis)
+    v0 = _corank1_piece(v.basis, coeffs)
+    assert _outcome(_partner, space, v0, x) == _outcome(partner_oracle, space, v0, x)
+    return accepted, True
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["q", "f2", "f1000003", "f3t"])
+def test_replaced_paths_match_their_oracles(field):
+    rng = random.Random(f"symplectic oracles:{field!r}")
+    seen = {_against_oracles(field, rng) for _ in range(150)}
+    assert {accepted for accepted, _ in seen} == {True, False}
+    assert (True, True) in seen
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 10 ** 6))
+def test_replaced_paths_match_their_oracles_property(field, seed):
+    _against_oracles(field, random.Random(seed))
+
+
+def test_transvection_rejects_a_wrong_length_vector():
+    space = SymplecticSpace(Q, 2)
+    with pytest.raises(ShapeMismatch):
+        transvection(space, (Q.one(),) * 3, 2)
+    with pytest.raises(ShapeMismatch):
+        transvection(space, (Q.one(),) * 5, 2)

@@ -310,7 +310,8 @@ def good_position_oracle(seq, x) -> bool:
     border = [_scalar_pairing(v, x) for v in seq.vectors] if max_size > 0 else []
     table = even_principal_pfaffians(gram(seq.vectors, space.field),
                                      min(seq.length, space.dim))
-    if not table.bordered_nonzero(border, max_size):
+    if not table.bordered_nonzero(table.ring.clear([[x.value for x in border]])[1][0],
+                                  max_size):
         return False
     return full_rank_if_odd_oracle(seq.vectors + (x,), space)
 
