@@ -364,7 +364,8 @@ def _load_matrix(path: str):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except (UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"unreadable JSON in {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("a matrix file holds one JSON object")

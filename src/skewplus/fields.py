@@ -216,6 +216,14 @@ def poly_to_str(a):
     return "+".join(terms)
 
 
+def _int(digits: str) -> int:
+    """int(digits) for outside input, past Python's digit limit a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long") from None
+
+
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
 
 
@@ -228,13 +236,13 @@ def poly_from_str(text, p):
         m = _TERM_RE.match(term)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ParseError(f"bad polynomial term {term!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
+        c = _int(m.group(1)) if m.group(1) is not None else 1
         if m.group(2) is None:
             k = 0
         elif m.group(3) is None:
             k = 1
         else:
-            k = int(m.group(3))
+            k = _int(m.group(3))
         coeffs[k] = coeffs.get(k, 0) + c
     try:
         out = [0] * (max(coeffs) + 1)
@@ -398,7 +406,7 @@ class Field:
         kind, _, p = flag.partition(":")
         kinds = {"fp": PRIME, "fpt": FUNCTION_FIELD}
         if kind in kinds and p.isascii() and p.isdigit():
-            return cls(kinds[kind], int(p))
+            return cls(kinds[kind], _int(p))
         raise ParseError(f"bad field flag {flag!r} (expected q, fp:P, or fpt:P)")
 
     def flag(self) -> str:
@@ -1054,7 +1062,7 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
     text = text.strip()
     m = _FPT_RE.match(text)
     if m:
-        p = int(m.group(3))
+        p = _int(m.group(3))
         f = Field.function_field(p)
         num = poly_from_str(m.group(1), p)
         den = poly_from_str(m.group(2), p) if m.group(2) is not None else (1,)
@@ -1062,14 +1070,14 @@ def parse_scalar(text: str, field: Field | None = None) -> Scalar:
     else:
         m = _PRIME_RE.match(text)
         if m:
-            f = Field.prime(int(m.group(2)))
-            s = f.scalar(int(m.group(1)))
+            f = Field.prime(_int(m.group(2)))
+            s = f.scalar(_int(m.group(1)))
         else:
             m = _RATIONAL_RE.match(text)
             if not m:
                 raise ParseError(f"bad scalar literal {text!r}")
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            num = _int(m.group(1))
+            den = _int(m.group(2)) if m.group(2) else 1
             # integer literals are allowed in any field
             s = (field or Field.rationals()).fraction(num, den)
     if field is not None and s.field != field:

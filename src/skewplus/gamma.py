@@ -27,10 +27,9 @@ field from the matrix's ring form, relabelled, to c: its six Pfaffians,
 each the leading (2n-2)-block bordered by two of the last four indices,
 by one skew elimination of that block, the face vectors of all three
 columns by one substitution, its checks by cross-multiplication.  The
-corner's section comes unchecked from `sections._det1_vectors`, run on
-the relabelled corner, and is cleared once; the checks the public
-`section_v_det1` makes in Scalars (its Gram matrix, and det = 1 as an
-upper triangular matrix whose diagonal multiplies to 1) run in the ring.
+corner's section is cleared once and checked in the ring, against the
+corner rows of the relabelled ring matrix, by `sections._det1_checked`,
+the checker of the public `section_v_det1` too.
 
 The bracket calculus provides the compact generators of size-3 sums:
 square brackets [a b; c] are plain generators, braces x{a b; c} rescale
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .fields import Field, Scalar, sample_until
 from .pfaffian import SkewMatrix, SkewPlusMatrix, _as_certified, _pf_lead
-from .sections import _det1_vectors, _substitute
+from .sections import _det1_checked, _substitute
 from .symplectic import apply_psi
 
 
@@ -151,13 +150,13 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     every leading Pfaffian nonzero) leaves L^n times all six in the
     trailing 4x4 block.  The face vectors are one forward substitution
     against the corner section, and every value is kept as a numerator
-    over a ring denominator.  The corner is `sections._det1_vectors` of
-    A' on its first 2n-1 indices, with no table and no check of its own,
-    cleared once by l; in the ring it is checked to be triangular, to have
-    the corner's Gram entries, and to have det = 1 (its diagonal
-    multiplies to l^(2n-1)).  The checks
-    compare by cross-multiplication, and only c becomes a scalar.  The
-    oracle reads neither the certificate's table nor `pfaffian_ratio`.
+    over a ring denominator.  The corner is the det-1 section of A' on its
+    first 2n-1 indices, with no table, cleared once by l and checked by
+    `sections._det1_checked` against the corner rows of B: triangular,
+    with the corner's Gram entries, and with det = 1 (its diagonal
+    multiplies to l^(2n-1)).  The checks compare by cross-multiplication,
+    and only c becomes a scalar.  The oracle reads neither the
+    certificate's table nor `pfaffian_ratio`.
     """
     a = _as_certified(a)
     q = a.size
@@ -189,27 +188,12 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     for _ in range(q // 2 - 2):
         l_n1 = mul(l_n1, scale)
 
-    # shared corner: the det-1 triangular section of the (2n-1)-block by
-    # `_det1_vectors`, which checks nothing, cleared once to cor = l corner
-    # and padded into R^{2n}; the checks of `section_v_det1` run here
-    ell, cor = ring.clear(_det1_vectors(a.inner._on(order[:m])))
-    cor = [row + [ring.zero] * (m + 1 - len(row)) for row in cor]
-    if any(any(row[x + 1:]) for x, row in enumerate(cor)):
-        raise InternalInvariant("corner section is not triangular")
-    # <x, y> = x . psi y
-    psi_cor = [apply_psi(v, neg) for v in cor]
-    for x in range(m):
-        for y in range(x + 1, m):
-            # <corner_x, corner_y> = A'_xy, the entries all three faces share
-            if not equal(mul(dot(cor[x], psi_cor[y]), scale), mul(b[x][y], mul(ell, ell))):
-                raise InternalInvariant("corner Gram does not match the matrix")
-    # det = 1: the diagonal of l corner multiplies to l^(2n-1); the Pf of
-    # the leading (2n-2)-block, the product of its diagonal, is 1 / last_pivot
-    diagonal, ell_m = ring.one, ring.one
-    for x in range(m):
-        diagonal, ell_m = mul(diagonal, cor[x][x]), mul(ell_m, ell)
-    if not equal(diagonal, ell_m):
-        raise InternalInvariant("corner section has determinant != 1")
+    # shared corner: the det-1 triangular section of the (2n-1)-block,
+    # checked against b's corner rows, cleared once to cor = l corner and
+    # padded into R^{2n}; the Pf of the leading (2n-2)-block, the product
+    # of its diagonal, is 1 / last_pivot
+    _, ell, cor = _det1_checked(a.inner._on(order[:m]), scale,
+                                [row[x + 1:m] for x, row in enumerate(b[:m])])
     last_pivot = cor[m - 1][m - 1]             # l last_pivot
 
     # for each column col of the triple, u solves <corner_x, w> = A'_{x,col}

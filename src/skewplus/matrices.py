@@ -21,19 +21,25 @@ from .errors import (
 from .fields import Field, Scalar, as_scalars, parse_scalar
 
 
+def _cleared(ring, rows):
+    """(the L_i, the rows times their L_i as lists): each row of canonical
+    scalars cleared by its own L_i, the lcm of its denominators, into
+    `ring`, the ring of their field."""
+    cleared = [ring.clear([[x.value for x in row]]) for row in rows]
+    return [scale for scale, _ in cleared], [row for _, (row,) in cleared]
+
+
 def _products(field: Field, rows, cols):
     """[[sum_k r[k] c[k] for c in cols] for r in rows] on rows and columns
-    of canonical scalars of `field`.  Each row and each column is cleared
-    once by its own lcm L into the ring R of `field.ring()`, so entry
-    (i, j) is one dot product in R over L_i L_j, reduced once."""
+    of canonical scalars of `field`.  Both factors are cleared by
+    `_cleared`, each row and each column by its own L into the ring R of
+    `field.ring()`, so entry (i, j) is one dot product in R over L_i L_j,
+    reduced once."""
     ring = field.ring()
-    right = [ring.clear([[x.value for x in c]]) for c in cols]
     dot, mul, to_scalar = ring.dot, ring.mul, ring.to_scalar
-    out = []
-    for r in rows:
-        lr, (r,) = ring.clear([[x.value for x in r]])
-        out.append([to_scalar(dot(r, c), mul(lr, lc), 1) for lc, (c,) in right])
-    return out
+    right = list(zip(*_cleared(ring, cols)))
+    return [[to_scalar(dot(r, c), mul(lr, lc), 1) for lc, c in right]
+            for lr, r in zip(*_cleared(ring, rows))]
 
 
 def _bareiss(ring, m, cols: int, upward: bool):
@@ -75,16 +81,16 @@ def ring_rank(ring, rows) -> int:
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data", "_hash")
+    __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data):
-        self._set(field, tuple(tuple(field.scalar(x) for x in row) for row in data))
+        # each row is read once: `as_scalars` reads its argument twice
+        self._set(field, tuple(as_scalars(field, tuple(row)) for row in data))
         if any(len(row) != self.cols for row in self.data):
             raise ShapeMismatch("ragged rows")
 
     def _set(self, field, data, cols=0):
         self.field = field
-        self._hash = None
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else cols
@@ -118,7 +124,7 @@ class Matrix:
             raise ShapeMismatch("columns of unequal length")
         if n == 0:
             return cls.zeros(field, 0, len(columns))
-        return cls(field, [[columns[j][i] for j in range(len(columns))] for i in range(n)])
+        return cls(field, zip(*columns))
 
     @classmethod
     def column(cls, field: Field, entries) -> "Matrix":
@@ -197,9 +203,7 @@ class Matrix:
                 and self.cols == other.cols and self.data == other.data)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.data))
-        return self._hash
+        return hash((self.field, self.data))
 
     def __repr__(self):
         body = "; ".join(" ".join(x.literal() for x in row) for row in self.data)
@@ -236,20 +240,10 @@ class Matrix:
         """
         rows = self.data if augment is None else \
             [a + b for a, b in zip(self.data, augment.data)]
-        ring, scales, m = self._cleared(rows)
+        ring = self.field.ring()
+        scales, m = _cleared(ring, rows)
         pivots, sign = _bareiss(ring, m, self.cols, upward)
         return ring, scales, m, pivots, sign
-
-    def _cleared(self, rows):
-        """(ring, the L_i, the rows times their L_i as lists): each row of
-        scalars cleared by its own L_i into the ring of the field."""
-        ring = self.field.ring()
-        scales, m = [], []
-        for row in rows:
-            row_scale, (cleared,) = ring.clear([[x.value for x in row]])
-            scales.append(row_scale)
-            m.append(cleared)
-        return ring, scales, m
 
     def det(self) -> Scalar:
         """Exact determinant: on the rows cleared as `_eliminate` clears
@@ -262,7 +256,8 @@ class Matrix:
             raise NotSquare("determinant of a non-square matrix")
         if self.rows == 0:
             return self.field.one()
-        ring, scales, m = self._cleared(self.data)
+        ring = self.field.ring()
+        scales, m = _cleared(ring, self.data)
         kernel, m, read = ring.lift(m)
         pivots, sign = _bareiss(kernel, m, self.cols, upward=False)
         if len(pivots) < self.rows:

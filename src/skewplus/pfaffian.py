@@ -75,6 +75,8 @@ class SkewMatrix:
 
     def __init__(self, field: Field, size: int, upper_rows):
         # upper_rows[i] holds (a_{i+1,i+2}, ..., a_{i+1,q}), 0-based lists
+        if size < 0:
+            raise ShapeMismatch(f"size {size} is negative")
         rows = [[field.scalar(x).value for x in row] for row in upper_rows]
         if len(rows) != max(size - 1, 0):
             raise ShapeMismatch(f"size {size} needs {max(size - 1, 0)} upper rows")
@@ -105,6 +107,8 @@ class SkewMatrix:
     def from_upper(cls, field: Field, q: int, entries) -> "SkewMatrix":
         """Build from a flat list of upper entries in row-major order."""
         entries = list(entries)
+        if q < 0:
+            raise ShapeMismatch(f"size {q} is negative")
         if len(entries) != q * (q - 1) // 2:
             raise ShapeMismatch(f"expected {q*(q-1)//2} upper entries, got {len(entries)}")
         return cls._of(field, q, tuple(field.scalar(x).value for x in entries))

@@ -23,18 +23,18 @@ entries A_{k,k+1..q}, as a row of every later vector's system.
 `_det1_vectors` post-composes the snug odd section with a determinant
 correction along e_q, producing an upper triangular matrix of columns
 with determinant exactly 1 and unchanged Gram matrix; it checks nothing.
-`section_v_det1` is the public, checked wrapper over it: it pads the
-vectors into a `NonDegSeq` and checks its Gram matrix and determinant.
+`_det1_checked` is its one checker, in the ring against a ring form of
+the matrix; `section_v_det1` and the gamma oracle both go through it.
 The coordinates pass from the ring to the sequence, and from a vector to
 the next vector's system, as canonical values (`Scalar.value`).
-The gamma oracle calls the helper and runs the same checks in the ring.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import BadRange, EvenSize, InternalInvariant
 from .fields import Scalar
-from .matrices import Matrix
 from .pfaffian import _as_certified
 from .symplectic import SymplecticSpace, apply_psi
 from .unimod import NonDegSeq
@@ -119,24 +119,37 @@ def _det1_vectors(a):
     return vectors[:-1] + [vectors[-1] + (det_block.inv().value,)]
 
 
+def _det1_checked(a, scale, upper):
+    """(vectors, l, rows): `_det1_vectors(a)` for the odd-size `a`, with
+    rows[k] = l v_k padded to q + 1, checked against the ring form (L,
+    upper) of `a`: v_k in span(e_1..e_k), dot(l v_x, l psi v_y) L =
+    (L a_xy) l^2, and the diagonal multiplies to l^q (det = 1)."""
+    q, ring = a.size, a.field.ring()
+    mul, equal = ring.mul, ring.equal
+    vectors = _det1_vectors(a)
+    ell, rows = ring.clear(vectors)
+    rows = [row + [ring.zero] * (q + 1 - len(row)) for row in rows]
+    if any(any(row[x + 1:]) for x, row in enumerate(rows)):
+        raise InternalInvariant("corner section is not triangular")
+    psi, ell_2 = [apply_psi(v, ring.neg) for v in rows], mul(ell, ell)
+    if any(not equal(mul(ring.dot(rows[x], psi[y]), scale), mul(value, ell_2))
+           for x, entries in enumerate(upper) for y, value in enumerate(entries, start=x + 1)):
+        raise InternalInvariant("corner Gram does not match the matrix")
+    if not equal(reduce(mul, (row[x] for x, row in enumerate(rows))), reduce(mul, [ell] * q)):
+        raise InternalInvariant("corner section has determinant != 1")
+    return vectors, ell, rows
+
+
 def section_v_det1(a) -> NonDegSeq:
     """Upper triangular section with determinant 1, for odd-size matrices.
 
     The columns v_1..v_q satisfy v_i in span(e_1..e_i), det(v_1..v_q) = 1,
     and Gram = a.  They are returned padded into R^{q+1}, with the last
-    coordinate of every vector zero.  The vectors come from the unchecked
-    `_det1_vectors`; the Gram matrix and the determinant are checked here.
+    coordinate of every vector zero, and checked by `_det1_checked`.
     """
     a = _as_certified(a)
     q = a.size
     if q % 2 == 0:
         raise EvenSize(f"this section needs odd size, got {q}")
-    field = a.field
-    space = SymplecticSpace(field, (q + 1) // 2)
-    seq = NonDegSeq._padded(space, _det1_vectors(a.inner))
-    if seq.gram() != a.inner:
-        raise InternalInvariant("triangular section does not invert the Gram map")
-    full = Matrix.from_columns(field, [v[:q] for v in seq.vectors])
-    if full.det() != field.one():
-        raise InternalInvariant("triangular section has determinant != 1")
-    return seq
+    vectors, _, _ = _det1_checked(a.inner, *a.inner.ring_form())
+    return NonDegSeq._padded(SymplecticSpace(a.field, (q + 1) // 2), vectors)

@@ -87,8 +87,8 @@ def gram(vectors, field: Field | None = None) -> SkewMatrix:
     """Gram matrix of a sequence of vectors under the standard form."""
     vectors = [tuple(v) for v in vectors]
     if field is None:
-        if not vectors:
-            raise ShapeMismatch("empty sequence needs an explicit field")
+        if not vectors or not vectors[0]:
+            raise ShapeMismatch("a sequence without coordinates needs an explicit field")
         field = vectors[0][0].field
     q = len(vectors)
     if q > 1 and any(len(v) != len(vectors[0]) for v in vectors):
@@ -120,21 +120,17 @@ def pad_vector(v, dim: int, field: Field):
 class SymplecticSpace:
     """The standard symplectic space R^{2n} over a fixed field."""
 
-    __slots__ = ("field", "half_rank", "_hash")
+    __slots__ = ("field", "half_rank")
 
     def __init__(self, field: Field, half_rank: int):
         if half_rank < 0:
             raise BadIndices("half rank must be nonnegative")
         self.field = field
         self.half_rank = half_rank
-        self._hash = None
 
     @property
     def dim(self) -> int:
         return 2 * self.half_rank
-
-    def psi(self) -> Matrix:
-        return psi_matrix(self.field, self.dim)
 
     def basis_vector(self, i: int):
         if not 1 <= i <= self.dim:
@@ -150,9 +146,7 @@ class SymplecticSpace:
                 and self.half_rank == other.half_rank)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self.half_rank))
-        return self._hash
+        return hash((self.field, self.half_rank))
 
     def __repr__(self):
         return f"SymplecticSpace(2n={self.dim}, {self.field!r})"
@@ -342,15 +336,13 @@ def symplectic_basis(vectors):
     out = []
     while work:
         a = work.pop(0)
-        partner = None
         for idx, u in enumerate(work):
-            if not pairing(a, u).is_zero():
-                partner = idx
+            ab = pairing(a, u)
+            if not ab.is_zero():
                 break
-        if partner is None:
+        else:
             raise Degenerate("restricted form is degenerate")
-        b = work.pop(partner)
-        b = tuple(x / pairing(a, b) for x in b)
+        b = tuple(x / ab for x in work.pop(idx))
         out.extend([a, b])
         reduced = []
         for w in work:

@@ -137,6 +137,15 @@ def test_malformed_field_flag_is_usage_error(capsys, command):
     assert "field" in captured.err
 
 
+@pytest.mark.parametrize("command", [["bench", "pfaffian"], ["verify", "sm"]])
+@pytest.mark.parametrize("kind", ["fp", "fpt"])
+def test_field_flag_past_the_digit_limit_is_usage_error(capsys, command, kind):
+    assert run(command + ["--field", f"{kind}:{'1' * 5000}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_error():
     assert run(["verify", "nonsense"]) == 2
     assert run([]) == 2
@@ -172,6 +181,7 @@ def test_report_without_trials_fails():
 
 
 F3T = {"kind": "function_field", "p": 3}
+BIG = "1" * 5000
 
 
 def _skew2(field, entries):
@@ -200,10 +210,23 @@ def _skew2(field, entries):
                 "entries": [["0"]], "skew": True}),
     json.dumps({"field": {"kind": "rationals"}, "rows": True, "cols": True,
                 "entries": [["0"]]}),
+    # integers past Python's 4300-digit conversion limit
+    _skew2({"kind": "rationals"}, [["0", BIG], ["0", "0"]]),
+    _skew2({"kind": "prime", "p": 5}, [["0", f"1 mod {BIG}"], ["0", "0"]]),
+    _skew2({"kind": "prime", "p": 5}, [["0", f"{BIG} mod 5"], ["0", "0"]]),
+    _skew2(F3T, [["0", f"(t^{BIG}) over F_3[t]"], ["0", "0"]]),
+    _skew2(F3T, [["0", f"({BIG}*t) over F_3[t]"], ["0", "0"]]),
+    _skew2(F3T, [["0", f"(t) over F_{BIG}[t]"], ["0", "0"]]),
+    _skew2({"kind": "prime", "p": "P"}, [["0", "1"], ["-1", "0"]]).replace('"P"', BIG),
+    json.dumps({"field": {"kind": "rationals"}, "rows": 2, "cols": 2,
+                "entries": [["0", "1"], ["-1", "0"]]}).replace('"rows": 2', f'"rows": {BIG}'),
 ], ids=["array", "missing-entries", "entries-not-a-grid", "numeric-entries",
         "string-characteristic", "fractional-characteristic", "field-not-an-object",
         "literal-of-another-field", "zero-denominator", "not-utf8", "nested-100000-deep",
-        "degree-2^62", "degree-10^20", "non-square", "boolean-shape", "boolean-shape-full"])
+        "degree-2^62", "degree-10^20", "non-square", "boolean-shape", "boolean-shape-full",
+        "5000-digit-literal", "5000-digit-modulus", "5000-digit-residue",
+        "5000-digit-degree", "5000-digit-coefficient", "5000-digit-function-field",
+        "5000-digit-json-p", "5000-digit-json-rows"])
 def test_compute_rejects_malformed_matrix_json(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())

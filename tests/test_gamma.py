@@ -449,8 +449,8 @@ def test_ratio_from_ring_entries_property(field, q, kind, seed, data):
 @pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
 def test_oracle_uses_no_table_ratio_or_expansion(field, monkeypatch):
     """The oracle stays independent of the certificate's table, of
-    pfaffian_ratio and of the last-column expansion, and makes its corner
-    checks itself: no checked section, Scalar determinant or Gram matrix."""
+    pfaffian_ratio and of the last-column expansion, and checks its corner
+    in the ring: no public section, Scalar determinant or Gram matrix."""
     a = random_skew_plus(field, 6, random.Random(f"independent:{field!r}"))
     triples = list(combinations(range(1, 7), 3))
     want = [pfaffian_ratio(a, triple) for triple in triples]
@@ -470,8 +470,6 @@ def test_oracle_uses_no_table_ratio_or_expansion(field, monkeypatch):
         pfaffian.even_principal_pfaffians(a)
     with pytest.raises(AssertionError):
         fresh.pf_without()
-    with pytest.raises(AssertionError):
-        section_v_det1(a.principal([1, 2, 3]))
     for matrix in (a, fresh):
         assert [gamma_oracle_c(matrix, triple) for triple in triples] == want
 
@@ -483,12 +481,13 @@ def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
     a corner vector's diagonal, the corner's det-1 correction dropped, the
     last unknown of the first column moved by one, the leading pass's
     three pair Pfaffians doubled, its three Pfaffians of the determinant
-    identity doubled.  The dropped
+    identity doubled.  The corner checks are `sections._det1_checked`, so
+    its section is bent in `sections`.  The dropped
     correction keeps the corner's Gram entries: it sits on e_3, which
     pairs only with e_4, zero in every corner vector."""
     a = random_skew_plus(field, 6, random.Random(f"bent:{field!r}"))
     ring = field.ring()
-    real_section, real_substitute, real_lead = (gamma._det1_vectors, gamma._substitute,
+    real_section, real_substitute, real_lead = (sections._det1_vectors, gamma._substitute,
                                                 gamma._pf_lead)
 
     # the corner vectors are tuples of canonical values
@@ -520,15 +519,15 @@ def test_oracle_checks_fire_on_a_bent_input(field, monkeypatch):
 
     # the last four indices are 2..5: the pair Pfaffians sit in row 2, the
     # identity's among 3, 4, 5
-    for name, bent, message in [
-            ("_det1_vectors", bent_corner, "corner Gram"),
-            ("_det1_vectors", past_diagonal, "not triangular"),
-            ("_det1_vectors", no_correction, "has determinant"),
-            ("_substitute", bent_last_unknown, "face pairing with the corner"),
-            ("_pf_lead", bent_pfaffians([(2, 3), (2, 4), (2, 5)]), "last coordinate"),
-            ("_pf_lead", bent_pfaffians([(3, 4), (3, 5), (4, 5)]), "determinant identity")]:
+    for module, name, bent, message in [
+            (sections, "_det1_vectors", bent_corner, "corner Gram"),
+            (sections, "_det1_vectors", past_diagonal, "not triangular"),
+            (sections, "_det1_vectors", no_correction, "has determinant"),
+            (gamma, "_substitute", bent_last_unknown, "face pairing with the corner"),
+            (gamma, "_pf_lead", bent_pfaffians([(2, 3), (2, 4), (2, 5)]), "last coordinate"),
+            (gamma, "_pf_lead", bent_pfaffians([(3, 4), (3, 5), (4, 5)]), "determinant identity")]:
         with monkeypatch.context() as patch:
-            patch.setattr(gamma, name, bent)
+            patch.setattr(module, name, bent)
             with pytest.raises(InternalInvariant, match=message):
                 gamma_oracle_c(a, (1, 3, 5))
     assert gamma_oracle_c(a, (1, 3, 5)) == pfaffian_ratio(a, (1, 3, 5))

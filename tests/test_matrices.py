@@ -1,11 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewplus import fields
-from skewplus.errors import InternalInvariant, NotSquare, ShapeMismatch, Singular
-from skewplus.fields import PRIME, Field
+from skewplus.errors import (
+    FieldMismatch,
+    InternalInvariant,
+    NotSquare,
+    ShapeMismatch,
+    Singular,
+    SkewplusError,
+)
+from skewplus.fields import FUNCTION_FIELD, PRIME, Field
 from skewplus.matrices import Matrix
 from skewplus.symplectic import psi_matrix
 
@@ -320,3 +328,136 @@ def test_one_based_entry():
     m = Matrix(Q, [[1, 2], [3, 4]])
     assert m.entry(1, 2) == Q.scalar(2)
     assert m.entry(2, 1) == Q.scalar(3)
+
+
+# -- one coercion rule, against the coercing constructors it replaced ------
+
+def matrix_oracle(field, data):
+    """`Matrix(field, data)` as it was: every entry through `field.scalar`,
+    scalars of the field too."""
+    rows = tuple(tuple(field.scalar(x) for x in row) for row in data)
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ShapeMismatch("ragged rows")
+    return Matrix._of(field, rows, cols)
+
+
+def from_columns_oracle(field, columns):
+    """`Matrix.from_columns` as it was: the transposed grid through the
+    coercing constructor."""
+    columns = [tuple(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ShapeMismatch("columns of unequal length")
+    if n == 0:
+        return Matrix.zeros(field, 0, len(columns))
+    return matrix_oracle(field, [[columns[j][i] for j in range(len(columns))] for i in range(n)])
+
+
+RAW_KINDS = ["scalar", "int", "fraction", "pair", "other"]
+
+
+def raw_entry(field, kind, n, d):
+    """An input entry of the given kind built from the ints n and d: a
+    scalar of `field`, an int, a Fraction, a pair (ints over Q, coefficient
+    tuples over F_p(t); a zero denominator is possible), or a scalar of
+    another field."""
+    p = field.p
+    if kind == "scalar":
+        if field == Q:
+            return field.scalar((n, d or 1))
+        return field.scalar(((n % p, d % p), (d % p, 1)) if field.kind == FUNCTION_FIELD else n)
+    if kind == "int":
+        return n
+    if kind == "fraction":
+        return Fraction(n, d or 1)
+    if kind == "pair":
+        return ((n % p,), (d % p,)) if field.kind == FUNCTION_FIELD else (n, d)
+    return (Q if field != Q else Field.prime(5)).scalar(n)
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the library error it raised."""
+    try:
+        return f(*args)
+    except SkewplusError as exc:
+        return type(exc)
+
+
+def check_coercion_against_oracle(field, grid, ragged, as_generators):
+    """Matrix(...) and from_columns against the coercing constructors:
+    equal matrices and equal errors, on the grid of raw entries as rows
+    and as columns (the last one shortened when `ragged`), given as lists
+    or as generators."""
+    lines = [list(line) for line in grid]
+    if ragged and lines and lines[-1]:
+        lines[-1].pop()
+
+    def data():
+        return [iter(line) for line in lines] if as_generators else [list(line) for line in lines]
+    assert outcome(Matrix, field, data()) == outcome(matrix_oracle, field, data())
+    assert outcome(Matrix.from_columns, field, data()) == outcome(from_columns_oracle, field, data())
+
+
+COERCION_FIELDS = [Q, Field.prime(2), Field.prime(1000003), Field.function_field(3)]
+
+
+@pytest.mark.parametrize("field", COERCION_FIELDS, ids=["q", "f2", "f1000003", "f3t"])
+def test_coercion_against_oracle(field):
+    rng = random.Random(f"coercion:{field!r}")
+    for case in range(60):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        # mostly scalars of the field, so most grids are accepted
+        kinds = RAW_KINDS if case % 3 == 0 else ["scalar"] * 6 + RAW_KINDS[1:]
+        grid = [[raw_entry(field, rng.choice(kinds), rng.randint(-9, 9), rng.randint(-2, 9))
+                 for _ in range(cols)] for _ in range(rows)]
+        check_coercion_against_oracle(field, grid, case % 5 == 4, case % 2 == 1)
+
+
+@st.composite
+def raw_grids(draw):
+    field = draw(st.sampled_from(COERCION_FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.builds(raw_entry, st.just(field), st.sampled_from(RAW_KINDS),
+                      st.integers(-9, 9), st.integers(-2, 9))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return field, grid, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(raw_grids())
+def test_coercion_property_against_oracle(case):
+    check_coercion_against_oracle(*case)
+
+
+def test_constructors_take_scalars_of_the_field_as_they_are(monkeypatch):
+    """Matrix(...) and from_columns call `Field.scalar` for no scalar of the
+    field; ints, Fractions and pairs are still coerced, generator rows
+    accepted, and another field's scalars refused."""
+    calls = []
+    real = Field.scalar
+
+    def counting(self, value):
+        calls.append(value)
+        return real(self, value)
+    f3t = Field.function_field(3)
+    for field in (Q, Field.prime(2), Field.prime(1000003), f3t):
+        x, y = field.one(), field.zero()
+        monkeypatch.setattr(Field, "scalar", counting)
+        m = Matrix(field, [[x, y], (y, x)])
+        cols = Matrix.from_columns(field, [(x, y), iter((y, x))])
+        gen = Matrix(field, (iter(row) for row in [[x, y], [y, x]]))
+        monkeypatch.setattr(Field, "scalar", real)
+        assert calls == []
+        assert m == cols == gen == Matrix.identity(field, 2)
+        with pytest.raises(FieldMismatch):
+            Matrix(field, [[x, (Q if field != Q else f3t).one()]])
+        with pytest.raises(FieldMismatch):
+            Matrix.from_columns(field, [[x], [(Q if field != Q else f3t).one()]])
+    half = Q.scalar(1) / 2
+    assert Matrix(Q, [[1, Fraction(1, 2)], [(1, 2), half]]) == \
+        Matrix.from_columns(Q, [(1, (1, 2)), iter([half, half])]) == \
+        Matrix(Q, [[Q.one(), half], [half, half]])
+    over_t = f3t.scalar(((0, 1), (1,)))
+    assert Matrix(f3t, [[((0, 1), (1,)), 2]]) == Matrix(f3t, [[over_t, f3t.scalar(2)]])

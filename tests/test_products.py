@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewplus.errors import FieldMismatch, ShapeMismatch
 from skewplus.fields import PRIME, Field
-from skewplus.matrices import Matrix
+from skewplus.matrices import Matrix, _products
 from skewplus.pfaffian import SkewMatrix
 from skewplus.symplectic import gram, pairing
 
@@ -198,3 +198,66 @@ def product_cases(draw):
 @given(product_cases())
 def test_products_property_against_oracles(case):
     check_products(*case)
+
+
+# -- `_products` on the shared row clearing, against its own loop -----------
+
+def products_loop_oracle(field, rows, cols):
+    """`_products` as it was, with its own clearing loop: each column
+    cleared once, each row cleared as it is reached."""
+    ring = field.ring()
+    right = [ring.clear([[x.value for x in c]]) for c in cols]
+    dot, mul, to_scalar = ring.dot, ring.mul, ring.to_scalar
+    out = []
+    for r in rows:
+        lr, (r,) = ring.clear([[x.value for x in r]])
+        out.append([to_scalar(dot(r, c), mul(lr, lc), 1) for lc, (c,) in right])
+    return out
+
+
+LOOP_FIELDS = [Q, Field.prime(2), Field.prime(1000003), Field.function_field(3)]
+
+
+@pytest.mark.parametrize("field", LOOP_FIELDS, ids=["q", "f2", "f1000003", "f3t"])
+def test_products_against_loop_oracle(field):
+    rng = random.Random(f"products loop:{field!r}")
+    for _ in range(40):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = [[field.zero() if rng.random() < 0.3 else field.sample(rng, 5)
+              for _ in range(inner)] for _ in range(rows)]
+        b = [[field.sample(rng, 5) for _ in range(inner)] for _ in range(cols)]
+        assert _products(field, a, b) == products_loop_oracle(field, a, b)
+        # rows given once, as an iterator
+        assert _products(field, iter(a), b) == products_loop_oracle(field, a, b)
+
+
+@st.composite
+def factor_rows(draw):
+    field = draw(st.sampled_from(LOOP_FIELDS))
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def grid(r):
+        return draw(st.lists(st.lists(entries(field), min_size=inner, max_size=inner),
+                             min_size=r, max_size=r))
+    return field, grid(rows), grid(cols)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(factor_rows())
+def test_products_property_against_loop_oracle(case):
+    field, rows, cols = case
+    assert _products(field, rows, cols) == products_loop_oracle(field, rows, cols)
+
+
+def test_impossible_shapes_raise_shape_mismatch():
+    """A Gram matrix of vectors without coordinates has no field to be in,
+    and a skew matrix has no negative size."""
+    for vectors in ([()], [(), ()]):
+        with pytest.raises(ShapeMismatch):
+            gram(vectors)
+    with pytest.raises(ShapeMismatch):
+        SkewMatrix(Q, -1, [])
+    with pytest.raises(ShapeMismatch):
+        SkewMatrix.from_upper(Q, -1, [1])
+    with pytest.raises(ShapeMismatch):
+        SkewMatrix.zero(Q, -2)

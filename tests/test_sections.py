@@ -1,15 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from skewplus import sections
 from skewplus.errors import BadRange, EvenSize, InternalInvariant, Singular
-from skewplus.fields import PRIME, Field
+from skewplus.fields import PRIME, Field, Scalar
 from skewplus.matrices import Matrix
 from skewplus.pfaffian import SkewMatrix, SkewPlusMatrix, is_skew_plus, random_skew_plus
 from skewplus.sections import _section, _substitute, section_V, section_v_det1
 from skewplus.symplectic import SymplecticSpace, pad_vector, pairing, psi_matrix
-from skewplus.unimod import is_nondeg_unimodular
+from skewplus.unimod import NonDegSeq, is_nondeg_unimodular
 
 Q = Field.rationals()
 
@@ -382,3 +384,118 @@ def test_det1_rejects_even():
     rng = random.Random(9)
     with pytest.raises(EvenSize):
         section_v_det1(random_skew_plus(Q, 4, rng))
+
+
+# -- the det-1 checks against the Scalar checks they replaced -------------
+
+def section_v_det1_oracle(a):
+    """`section_v_det1` as it was: the vectors of `sections._det1_vectors`
+    padded into a `NonDegSeq`, checked by its Scalar Gram matrix and by a
+    full Scalar determinant of the q x q block."""
+    q, field = a.size, a.field
+    if q % 2 == 0:
+        raise EvenSize(f"this section needs odd size, got {q}")
+    space = SymplecticSpace(field, (q + 1) // 2)
+    seq = NonDegSeq._padded(space, sections._det1_vectors(a.inner))
+    if seq.gram() != a.inner:
+        raise InternalInvariant("triangular section does not invert the Gram map")
+    full = Matrix.from_columns(field, [v[:q] for v in seq.vectors])
+    if full.det() != field.one():
+        raise InternalInvariant("triangular section has determinant != 1")
+    return seq
+
+
+def bent_section(field, kind, k, i):
+    """`sections._det1_vectors` with its output bent: "none"; "double",
+    v_k doubled; "bump", 1 added to coordinate i <= k of v_k; "drop", the
+    det-1 correction dropped; "past", a coordinate 1 appended to v_k past
+    its diagonal (k is 0-based and reduced modulo q, i modulo k + 1)."""
+    real = sections._det1_vectors
+
+    def bent(a):
+        vectors = real(a)
+        x = k % len(vectors)
+        v = [Scalar(field, c) for c in vectors[x]]
+        if kind == "double":
+            v = [c + c for c in v]
+        elif kind == "bump":
+            j = i % (x + 1)
+            v = v + [field.zero()] * (j + 1 - len(v))
+            v[j] = v[j] + field.one()
+        elif kind == "drop":
+            x, v = len(vectors) - 1, [Scalar(field, c) for c in vectors[-1][:-1]]
+        elif kind == "past":
+            v = v + [field.zero()] * (x + 1 - len(v)) + [field.one()]
+        return vectors[:x] + [tuple(c.value for c in v)] + vectors[x + 1:]
+    return bent
+
+
+def det1_outcome(check, a, bent):
+    """check(a) with `sections._det1_vectors` bent: its vectors, or
+    "rejected" when a check raised `InternalInvariant`."""
+    with mock.patch.object(sections, "_det1_vectors", bent):
+        try:
+            return check(a).vectors
+        except InternalInvariant:
+            return "rejected"
+
+
+BENDS = ["none", "double", "bump", "drop", "past"]
+
+
+def check_det1_against_oracle(a, kind, k, i):
+    """Equal vectors and equal accept/reject decisions.  A coordinate past
+    the diagonal of the last vector lands in the padding slot e_{q+1},
+    which neither Scalar check reads: it pairs only with e_q, zero in every
+    other vector, and the determinant is of the q x q block.  The ring
+    check refuses it, as it refuses every non-triangular section."""
+    q = a.size
+    bent = bent_section(a.field, kind, k, i)
+    got = det1_outcome(section_v_det1, a, bent)
+    if kind == "past":
+        assert got == "rejected"
+    if kind != "past" or k % q < q - 1:
+        assert got == det1_outcome(section_v_det1_oracle, a, bent)
+    if kind == "none":
+        assert got == section_v_det1_oracle(a).vectors
+
+
+DET1_FIELDS = [Q, Field.prime(2), Field.prime(1000003), Field.function_field(3)]
+
+
+@pytest.mark.parametrize("field", DET1_FIELDS, ids=["q", "f2", "f1000003", "f3t"])
+def test_det1_checks_against_scalar_oracle(field):
+    rng = random.Random(f"det1 checks:{field!r}")
+    decisions = set()
+    for q in (1, 3, 5, 7):
+        for _ in range(2):
+            a = random_skew_plus(field, q, rng)
+            for kind in BENDS:
+                k, i = rng.randrange(q), rng.randrange(q)
+                check_det1_against_oracle(a, kind, k, i)
+                decisions.add(det1_outcome(section_v_det1, a, bent_section(field, kind, k, i))
+                              == "rejected")
+    assert decisions == {True, False}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(DET1_FIELDS), st.sampled_from([1, 3, 5, 7]), st.sampled_from(BENDS),
+       st.integers(0, 6), st.integers(0, 6), st.integers(0, 10 ** 6))
+def test_det1_checks_property_against_scalar_oracle(field, q, kind, k, i, seed):
+    check_det1_against_oracle(random_skew_plus(field, q, random.Random(seed)), kind, k, i)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(1000003), Field.function_field(3)],
+                         ids=["q", "f1000003", "f3t"])
+def test_det1_checks_fire_on_a_bent_section(field):
+    """Each check of `section_v_det1` raises with its own message: v_1
+    doubled changes a Gram entry, a coordinate past v_1's diagonal breaks
+    the triangle, and the dropped correction, on e_q, which pairs only
+    with e_{q+1}, keeps the Gram entries and leaves determinant 0."""
+    a = random_skew_plus(field, 5, random.Random(f"bent det1:{field!r}"))
+    for kind, message in [("double", "corner Gram"), ("past", "not triangular"),
+                          ("drop", "has determinant")]:
+        with mock.patch.object(sections, "_det1_vectors", bent_section(field, kind, 0, 0)):
+            with pytest.raises(InternalInvariant, match=message):
+                section_v_det1(a)
+    assert section_v_det1(a).vectors == section_v_det1_oracle(a).vectors

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewplus import symplectic
 from skewplus.errors import (
     Degenerate,
     NotIsometry,
@@ -205,6 +206,23 @@ def test_symplectic_basis():
     with pytest.raises(Degenerate):
         symplectic_basis(Subspace(space, [e(1), e(3)]).basis)
 
+
+
+def test_symplectic_basis_pairs_each_partner_once(monkeypatch):
+    """The partner is scaled by the pairing found in the search: one
+    pairing for two vectors, not one more per coordinate."""
+    calls = []
+    real = symplectic.pairing
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+    space = SymplecticSpace(Q, 3)
+    e1, e2 = space.basis_vector(1), space.basis_vector(2)
+    monkeypatch.setattr(symplectic, "pairing", counting)
+    a, b = symplectic_basis([e1, tuple(3 * x for x in e2)])
+    assert len(calls) == 1
+    assert (a, b) == (e1, e2)
 
 def test_witt_extend_identity_and_planes():
     space = SymplecticSpace(Q, 2)
