@@ -313,7 +313,8 @@ class Field:
         """Coerce an int, Scalar, or pair: (num, den) ints over Q,
         coefficient tuples over F_p(t).  Over Q, anything else that
         `Fraction` accepts (a Fraction, a decimal string) is converted once
-        here."""
+        here, but a float, which is not exact, is refused; every refusal
+        raises `ParseError`, and a zero denominator `DivisionByZero`."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
@@ -324,7 +325,14 @@ class Field:
             if type(value) is tuple and len(value) == 2 and all(type(x) is int for x in value):
                 return Scalar(self, self.ring().to_value(*value, 1))
             if type(value) is not Fraction:
-                value = Fraction(value)
+                if isinstance(value, float):
+                    raise ParseError(f"cannot coerce the float {value!r} into {self!r} exactly")
+                try:
+                    value = Fraction(value)
+                except ZeroDivisionError:
+                    raise DivisionByZero(f"{value!r} has a zero denominator") from None
+                except (TypeError, ValueError, OverflowError):
+                    raise ParseError(f"cannot coerce {value!r} into {self!r}") from None
             return Scalar(self, (value.numerator, value.denominator))
         if self.kind == PRIME:
             if not isinstance(value, int):

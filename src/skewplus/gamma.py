@@ -170,7 +170,7 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     add, sub, mul, neg, dot, equal = ring.add, ring.sub, ring.mul, ring.neg, ring.dot, ring.equal
 
     # b[x][y] = L A'_{x+1,y+1}, A' the matrix relabelled by `order`
-    scale, upper = a.inner.ring_form()
+    scale, upper = a.ring_form()
     full = [[ring.zero] * q for _ in range(q)]
     for x, row in enumerate(upper):
         for y, value in enumerate(row, start=x + 1):
@@ -192,7 +192,7 @@ def gamma_oracle_c(a, triple, betas=None) -> Scalar:
     # checked against b's corner rows, cleared once to cor = l corner and
     # padded into R^{2n}; the Pf of the leading (2n-2)-block, the product
     # of its diagonal, is 1 / last_pivot
-    _, ell, cor = _det1_checked(a.inner._on(order[:m]), scale,
+    _, ell, cor = _det1_checked(a._on(order[:m]), scale,
                                 [row[x + 1:m] for x, row in enumerate(b[:m])])
     last_pivot = cor[m - 1][m - 1]             # l last_pivot
 

@@ -9,12 +9,14 @@ the last column:
 
 with Pf of the 0x0 matrix equal to 1.
 
-The certified subclass of skew matrices consists of those whose nonempty
-even-sized principal submatrices are all invertible, or equivalently all
-have nonzero Pfaffian.  These are exactly the Gram matrices of the
+The certified skew matrices are those whose nonempty even-sized
+principal submatrices are all invertible, or equivalently all have
+nonzero Pfaffian.  These are exactly the Gram matrices of the
 non-degenerate vector sequences the rest of the library works with, and
-the certificate is inherited by principal submatrices.  It keeps its
-witness, the table of all even principal Pfaffians, in the ring.  One
+the certificate is inherited by principal submatrices.  `SkewPlusMatrix`
+is the subclass of `SkewMatrix` that holds one: a skew matrix with one
+more slot for its witness, the table of all even principal Pfaffians in
+the ring, and every constructor it inherits certifies.  One
 coding of the last-column expansion above, `_expand`, works fraction-free
 in the ring of `Field.ring()`: it builds that table, answers every
 bordered test, and runs pf_recursive, the reference Pfaffian, whose
@@ -101,7 +103,7 @@ class SkewMatrix:
 
     @classmethod
     def zero(cls, field: Field, q: int) -> "SkewMatrix":
-        return cls(field, q, [[0] * (q - 1 - i) for i in range(max(q - 1, 0))])
+        return cls.from_upper(field, q, [0] * (q * (q - 1) // 2))
 
     @classmethod
     def from_upper(cls, field: Field, q: int, entries) -> "SkewMatrix":
@@ -123,9 +125,8 @@ class SkewMatrix:
             for j in range(i + 1, m.cols + 1):
                 if m.entry(i, j) != -m.entry(j, i):
                     raise ParseError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
-        return cls(m.field, m.rows,
-                   [[m.entry(i, j) for j in range(i + 1, m.rows + 1)]
-                    for i in range(1, m.rows)])
+        return cls.from_upper(m.field, m.rows, [m.entry(i, j) for i in range(1, m.rows)
+                                                for j in range(i + 1, m.rows + 1)])
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
@@ -204,7 +205,8 @@ class SkewMatrix:
                                     for i in range(1, q) for j in range(i + 1, q + 1)))
 
     def __eq__(self, other):
-        return (isinstance(other, SkewMatrix) and self.size == other.size
+        # a certified matrix equals only certified ones
+        return (type(other) is type(self) and self.size == other.size
                 and self.flat == other.flat
                 and (self.field is other.field or self.field == other.field))
 
@@ -230,9 +232,8 @@ class SkewMatrix:
             raise ParseError("entry grid does not match a square declared integer shape")
         # only the strict upper triangle is trusted; the rest is reconstructed
         from .fields import parse_scalar
-        rows = [[parse_scalar(entries[i][j], field) for j in range(i + 1, q)]
-                for i in range(q - 1)]
-        return cls(field, q, rows)
+        return cls.from_upper(field, q, [parse_scalar(entries[i][j], field)
+                                         for i in range(q - 1) for j in range(i + 1, q)])
 
 
 def _start(size: int, i: int) -> int:
@@ -272,7 +273,7 @@ def _face_keep(size: int, i: int):
 # Pfaffians
 # ---------------------------------------------------------------------------
 
-def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
+def pf_recursive(a: SkewMatrix) -> Scalar:
     """Pfaffian by last-column expansion, top down in the ring of
     `Field.ring()` on the upper triangle cleared by one L.
 
@@ -283,7 +284,6 @@ def pf_recursive(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     rather than the double factorial of the naive term expansion.  Still
     exponential; use pf_eliminate for anything large.
     """
-    a = _unwrap(a)
     q = a.size
     if q % 2 != 0:
         raise OddSize(f"Pfaffian of odd size {q}")
@@ -322,7 +322,7 @@ class _ZeroDefault(dict):
         return self.zero
 
 
-def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
+def pf_eliminate(a: SkewMatrix) -> Scalar:
     """Pfaffian by fraction-free skew elimination, cubic time.
 
     The strict upper triangle scaled by L, the lcm of its denominators,
@@ -333,7 +333,6 @@ def pf_eliminate(a: "SkewMatrix | SkewPlusMatrix") -> Scalar:
     over F_p(t), below a size threshold, Z on the form evaluated at
     t = 2^w, whose Pfaffian is read back into F_p[t] exactly.
     """
-    a = _unwrap(a)
     q = a.size
     if q % 2 != 0:
         raise OddSize(f"Pfaffian of odd size {q}")
@@ -416,10 +415,9 @@ def _pivot_pair(ring, m, k: int, prev):
     return base
 
 
-def even_principal_pfaffians(a: "SkewMatrix | SkewPlusMatrix", max_size=None) -> "PfaffianTable":
+def even_principal_pfaffians(a: SkewMatrix, max_size=None) -> "PfaffianTable":
     """Pfaffians of all even-sized principal submatrices (up to `max_size`,
     if given), swept by `pfaffian_table` from the matrix's ring form."""
-    a = _unwrap(a)
     scale, upper = a.ring_form()
     return pfaffian_table(a.field.ring(), scale, _columns(upper, a.size), max_size)
 
@@ -559,89 +557,72 @@ def is_skew_plus(a: "SkewMatrix") -> bool:
     return even_principal_pfaffians(a).all_nonzero()
 
 
-class SkewPlusMatrix:
+class SkewPlusMatrix(SkewMatrix):
     """A skew matrix with its certificate: its PfaffianTable of even
     principal Pfaffians, all nonzero.  Certification keeps the table it
     computes.  A face or principal submatrix of a matrix that has a table
     gets that table's `restrict`, read on first use; other trusted
-    constructions (relabelings, borders) fill it by a sweep on first use."""
+    constructions (relabelings, borders) fill it by a sweep on first use.
+    Every constructor inherited from SkewMatrix certifies, through `_of`;
+    borders and scalings (`star_extend`, `scale`) are plain skew matrices."""
 
-    __slots__ = ("inner", "_table", "_hash")
+    __slots__ = ("_table",)
 
     def __init__(self, inner: SkewMatrix, _trusted: bool = False, _table=None):
         if not _trusted:
             _table = even_principal_pfaffians(inner)
             if not _table.all_nonzero():
                 raise NotSkewPlus("a nonempty even principal submatrix is singular")
-        self.inner = inner
-        self._table = _table
-        self._hash = None
+        self._set(inner.field, inner.size, inner.flat)
+        self._form, self._table = inner._form, _table
 
     @classmethod
     def certify(cls, inner: SkewMatrix) -> "SkewPlusMatrix":
         return cls(inner)
 
+    @classmethod
+    def _of(cls, field: Field, size: int, flat) -> "SkewPlusMatrix":
+        return cls(SkewMatrix._of(field, size, flat))
+
+    @property
+    def inner(self) -> SkewMatrix:
+        """The plain skew matrix, sharing `flat` and any cleared ring form."""
+        plain = SkewMatrix._of(self.field, self.size, self.flat)
+        plain._form = self._form
+        return plain
+
     @property
     def table(self) -> PfaffianTable:
         """Pf of every even principal submatrix, keyed by sorted index tuple."""
         if self._table is None:
-            self._table = even_principal_pfaffians(self.inner)
+            self._table = even_principal_pfaffians(self)
         return self._table
 
     def pf_without(self, *drop) -> Scalar:
         """Pf(A with the indices `drop` removed), read from the table."""
         return self.table[tuple(i for i in range(1, self.size + 1) if i not in drop)]
 
-    # faces of a certified matrix stay certified: their even principal
-    # submatrices are among the original ones
-    def remove_indices(self, indices) -> "SkewPlusMatrix":
-        return self._on(_kept(self.size, indices))
-
-    def principal(self, indices) -> "SkewPlusMatrix":
-        return self._on(_indices(self.size, indices))
-
     def _on(self, keep) -> "SkewPlusMatrix":
-        """`principal` on sorted, distinct indices in range."""
+        """`principal` on sorted, distinct indices in range: faces of a
+        certified matrix stay certified, their even principal submatrices
+        being among the original ones."""
+        keep = tuple(keep)
+        face = SkewPlusMatrix.__new__(SkewPlusMatrix)
+        face._set(self.field, len(keep), _picker(self.size, keep)(self.flat))
         table = self._table
-        return SkewPlusMatrix(self.inner._on(keep), _trusted=True,
-                              _table=None if table is None else table.restrict(keep))
+        face._table = None if table is None else table.restrict(keep)
+        return face
 
     def face(self, i: int) -> "SkewPlusMatrix":
-        size = self.inner.size
-        if not 0 < i <= size:
-            raise IndexOutOfRange(f"indices [{i}] outside 1..{size}")
-        return self._on(_face_keep(size, i))
+        if not 0 < i <= self.size:
+            raise IndexOutOfRange(f"indices [{i}] outside 1..{self.size}")
+        return self._on(_face_keep(self.size, i))
 
     def permuted(self, perm) -> "SkewPlusMatrix":
-        return SkewPlusMatrix(self.inner.permuted(perm), _trusted=True)
-
-    @property
-    def field(self):
-        return self.inner.field
-
-    @property
-    def size(self):
-        return self.inner.size
-
-    def entry(self, i, j):
-        return self.inner.entry(i, j)
-
-    def full_matrix(self):
-        return self.inner.full_matrix()
-
-    def __eq__(self, other):
-        return isinstance(other, SkewPlusMatrix) and self.inner == other.inner
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.inner)
-        return self._hash
+        return SkewPlusMatrix(SkewMatrix.permuted(self, perm), _trusted=True)
 
     def __repr__(self):
-        return f"SkewPlus({self.inner!r})"
-
-    def to_json(self):
-        return self.inner.to_json()
+        return f"SkewPlus({SkewMatrix.__repr__(self)})"
 
 
 def _as_certified(a) -> SkewPlusMatrix:
@@ -669,6 +650,3 @@ def _kept(size: int, drop, error=IndexOutOfRange):
         raise error(f"indices {sorted(drop)} outside 1..{size}")
     return [i for i in range(1, size + 1) if i not in drop]
 
-
-def _unwrap(a):
-    return a.inner if isinstance(a, SkewPlusMatrix) else a

@@ -97,7 +97,7 @@ def section_V(q: int, two_n: int, a) -> NonDegSeq:
     if a.size != q:
         raise BadRange(f"matrix size {a.size} does not match q={q}")
     space = SymplecticSpace(a.field, two_n // 2)
-    seq = NonDegSeq._padded(space, _section(a.inner, roomy=(q % 2 == 1 and q < two_n + 1)))
+    seq = NonDegSeq._padded(space, _section(a, roomy=(q % 2 == 1 and q < two_n + 1)))
     if seq.gram() != a.inner:
         raise InternalInvariant("section does not invert the Gram map")
     return seq
@@ -151,5 +151,5 @@ def section_v_det1(a) -> NonDegSeq:
     q = a.size
     if q % 2 == 0:
         raise EvenSize(f"this section needs odd size, got {q}")
-    vectors, _, _ = _det1_checked(a.inner, *a.inner.ring_form())
+    vectors, _, _ = _det1_checked(a, *a.ring_form())
     return NonDegSeq._padded(SymplecticSpace(a.field, (q + 1) // 2), vectors)

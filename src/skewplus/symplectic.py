@@ -16,9 +16,12 @@ their canonical values (`Scalar.value`), as sequences store them.
 Odd-length tuples are allowed in pairings; the missing last coordinate
 pairs with nothing, which matches viewing R^{2n-1} inside R^{2n}.
 
-The rotation psi is written once, in `apply_psi`.  A `Subspace` checks
-its basis once, by its rank in the ring; what Witt extension adjoins to
-a checked basis is independent by construction and is not checked.
+The rotation psi is written once, in `apply_psi`, and a pairing is an
+entry of `gram`.  A `Subspace` checks its basis once, by its rank in the
+ring; what Witt extension adjoins to a checked basis is independent by
+construction and is not checked.  For odd rank it adjoins one partner
+per side, each one solve against the whole basis, on the kernel of the
+Gram matrix it checked the map against.
 """
 
 from __future__ import annotations
@@ -72,23 +75,18 @@ def ring_form(field: Field, vectors):
 
 
 def pairing(x, y) -> Scalar:
-    """Standard symplectic pairing of two equal-length tuple vectors."""
-    if len(x) != len(y):
-        raise ShapeMismatch("pairing of vectors of different lengths")
-    if not x:
-        raise ShapeMismatch("pairing needs at least one coordinate")
-    field = x[0].field
-    scale, (cx, _), (_, psi_y) = ring_form(field, [as_values(field, x), as_values(field, y)])
-    ring = field.ring()
-    return ring.to_scalar(ring.dot(cx, psi_y), scale, 2)
+    """Standard symplectic pairing of two equal-length tuple vectors, the
+    field read off the first coordinate of x."""
+    return gram([x, y]).entry(1, 2)
 
 
 def gram(vectors, field: Field | None = None) -> SkewMatrix:
-    """Gram matrix of a sequence of vectors under the standard form."""
+    """Gram matrix of a sequence of vectors under the standard form; without
+    `field`, the field of the first coordinate, which must be a scalar."""
     vectors = [tuple(v) for v in vectors]
     if field is None:
-        if not vectors or not vectors[0]:
-            raise ShapeMismatch("a sequence without coordinates needs an explicit field")
+        if not vectors or not vectors[0] or not isinstance(vectors[0][0], Scalar):
+            raise ShapeMismatch("a sequence without scalar coordinates needs an explicit field")
         field = vectors[0][0].field
     q = len(vectors)
     if q > 1 and any(len(v) != len(vectors[0]) for v in vectors):
@@ -291,35 +289,14 @@ def _pairing_matrix(space: SymplecticSpace, vectors) -> Matrix:
     return Matrix._of(space.field, [apply_psi(v, operator.neg) for v in vectors], space.dim)
 
 
-def _radical(v: Subspace):
-    """(c, x): the kernel vector c of V's Gram matrix, and x = sum c_i v_i."""
-    g = v.gram().full_matrix()
-    kernel = g.nullspace()
-    if len(kernel) != 1:
-        raise NotNonDegenerate(
-            f"restricted form has radical of rank {len(kernel)}, expected 1")
-    coeffs = kernel[0]
-    return coeffs, Matrix.from_columns(v.space.field, v.basis).apply_vector(coeffs)
-
-
-def _corank1_piece(basis, coeffs):
-    """The basis without its last vector whose radical coefficient is nonzero.
-
-    The kernel of an odd Gram matrix of corank 1 is spanned by
-    ((-1)^i Pf(Gram without i))_i, so dropping vector i leaves an
-    invertible Gram matrix exactly when c_i is nonzero; the last such i
-    gives the first such (rank-1)-subset in lexicographic order."""
-    drop = max(i for i, c in enumerate(coeffs) if not c.is_zero())
-    return list(basis[:drop]) + list(basis[drop + 1:])
-
-
-def _partner(space: SymplecticSpace, v0, x):
-    """A y orthogonal to every vector of v0 with <x, y> = 1, solved as
-    <y, v> = 0 for v in v0 and <y, x> = -1 in the functionals of
-    `_pairing_matrix`."""
-    rows = _pairing_matrix(space, list(v0) + [x])
-    rhs = Matrix.column(space.field, [0] * len(v0) + [-1])
-    return tuple(rows.solve_any(rhs).col(1))
+def _partner(space: SymplecticSpace, basis, d: int, c_d: Scalar):
+    """A y with <y, v_i> = 0 for i != d and <y, v_d> = -1 / c_d, solved in
+    the functionals of `_pairing_matrix`: for x = sum c_i v_i, <x, y> = 1
+    and y is orthogonal to the basis without v_d."""
+    rhs = [0] * len(basis)
+    rhs[d] = -c_d.inv()
+    rows = _pairing_matrix(space, basis)
+    return tuple(rows.solve_any(Matrix.column(space.field, rhs)).col(1))
 
 
 def symplectic_basis(vectors):
@@ -367,7 +344,8 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
     with equal Gram matrices to an isometry of the whole space.
 
     Odd rank: adjoin hyperbolic partners of the two radical generators
-    (images matching under the given map), which leaves the even case.
+    (images matching under the given map), one solve per side, which
+    leaves the even case.
     Even rank: complete both sides by symplectic bases of the orthogonal
     complements and map one full basis to the other.  The inputs are
     checked once; the vectors adjoined to them are independent of them
@@ -380,18 +358,24 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
         raise RankMismatch(f"{len(v_basis)} vectors against {len(w_basis)}")
     V = Subspace(space, v_basis)
     W = Subspace(space, w_basis)
-    if V.gram() != W.gram():
+    gram_v = V.gram()
+    if gram_v != W.gram():
         raise NotIsometry("the prescribed map does not preserve the form")
 
     v_basis, w_basis = list(V.basis), list(W.basis)
     if V.rank % 2 == 1:
-        # x = sum c_i v_i generates the radical of V; Gram(W) = Gram(V),
-        # so y = sum c_i w_i generates that of W, and the map sends x to y
-        coeffs, x = _radical(V)
-        y = Matrix.from_columns(field, w_basis).apply_vector(coeffs)
-        # one even non-degenerate corank-1 piece serves both sides
-        v_basis.append(_partner(space, _corank1_piece(v_basis, coeffs), x))
-        w_basis.append(_partner(space, _corank1_piece(w_basis, coeffs), y))
+        # c spans the kernel of Gram(V) = Gram(W): sum c_i v_i generates the
+        # radical of V, sum c_i w_i that of W, and the map sends one to the
+        # other.  The kernel is spanned by ((-1)^i Pf(Gram without i))_i, so
+        # the basis without v_d is non-degenerate exactly when c_d != 0
+        kernel = gram_v.full_matrix().nullspace()
+        if len(kernel) != 1:
+            raise NotNonDegenerate(
+                f"restricted form has radical of rank {len(kernel)}, expected 1")
+        c = kernel[0]
+        d = max(i for i, x in enumerate(c) if not x.is_zero())
+        v_basis.append(_partner(space, v_basis, d, c[d]))
+        w_basis.append(_partner(space, w_basis, d, c[d]))
     if len(v_basis) < space.dim:
         v_basis += symplectic_basis(orthogonal_complement(space, v_basis))
         w_basis += symplectic_basis(orthogonal_complement(space, w_basis))

@@ -343,7 +343,7 @@ def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
     def faces_clear(v):
         if not star_is_certified(a, v):
             return False
-        b = SkewPlusMatrix(a.inner.star_extend(v), _trusted=True)
+        b = SkewPlusMatrix(a.star_extend(v), _trusted=True)
         return not any(constant_border_obstructed(b.face(i)) for i in range(1, q + 1))
 
     return _sampler_loop(faces_clear, draw, max_attempts,
@@ -389,7 +389,7 @@ def constant_border_obstructed(a: SkewPlusMatrix) -> bool:
 
 def _bordered_sum(xi: FormalSum, q: int, border) -> FormalSum:
     # (-1)^q sum c [g * border(g)]; every border(g) must certify g * border(g)
-    eta = FormalSum({SkewPlusMatrix(g.inner.star_extend(border(g)), _trusted=True): c
+    eta = FormalSum({SkewPlusMatrix(g.star_extend(border(g)), _trusted=True): c
                      for g, c in xi.items()})
     return eta if q % 2 == 0 else -eta
 

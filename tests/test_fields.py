@@ -117,6 +117,45 @@ def test_division_by_zero():
         Q.zero().inv()
 
 
+def test_rational_scalar_refuses_a_float():
+    with pytest.raises(ParseError):
+        Field.rationals().scalar(0.1)
+
+
+def test_rational_scalar_refuses_a_non_numeric_string():
+    with pytest.raises(ParseError):
+        Field.rationals().scalar("x")
+
+
+def test_rational_scalar_refuses_none():
+    with pytest.raises(ParseError):
+        Field.rationals().scalar(None)
+
+
+def test_rational_scalar_refuses_nan():
+    with pytest.raises(ParseError):
+        Field.rationals().scalar(float("nan"))
+
+
+def test_rational_scalar_refuses_infinity():
+    with pytest.raises(ParseError):
+        Field.rationals().scalar(float("inf"))
+
+
+def test_rational_scalar_of_a_zero_denominator_string():
+    with pytest.raises(DivisionByZero):
+        Field.rationals().scalar("1/0")
+
+
+def test_rational_scalar_keeps_its_exact_inputs():
+    Q = Field.rationals()
+    assert Q.scalar(-3).value == (-3, 1)
+    assert Q.scalar((4, -6)).value == (-2, 3)
+    assert Q.scalar(Fraction(5, 10)).value == (1, 2)
+    assert Q.scalar("0.25").value == (1, 4)
+    assert Q.scalar("-7/3").value == (-7, 3)
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         Field.rationals().one() + Field.prime(5).one()
@@ -581,7 +620,7 @@ def test_q_pairs_at_the_edges():
         with pytest.raises(DivisionByZero):
             zero_den()
     for bad in ((1, 2, 3), (1.0, 2), None):
-        with pytest.raises(TypeError):
+        with pytest.raises(ParseError):
             Q.scalar(bad)
 
 

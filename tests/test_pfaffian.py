@@ -509,6 +509,74 @@ def test_not_skew_plus_raises():
         SkewPlusMatrix.certify(SkewMatrix.zero(Q, 2))
 
 
+def _certified_or_plain(x):
+    """x is a certified matrix whose table is all nonzero, or a plain one."""
+    if type(x) is SkewPlusMatrix:
+        assert x.table.all_nonzero() and is_skew_plus(x.inner)
+        return True
+    assert type(x) is SkewMatrix
+    return False
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5), Field.function_field(3)],
+                         ids=lambda f: f.flag())
+def test_no_construction_yields_an_uncertified_matrix(field):
+    """Every SkewMatrix classmethod called through SkewPlusMatrix
+    certifies, or raises NotSkewPlus on singular input; the derived
+    matrices of a certified one are certified or plain."""
+    classmethods = {name for name, attr in vars(SkewMatrix).items()
+                    if isinstance(attr, classmethod)}
+    assert classmethods == {"_of", "zero", "from_upper", "from_matrix", "from_json"}
+    rng = random.Random(f"constructions:{field!r}")
+    a = random_skew_plus(field, 4, rng)
+    singular = SkewMatrix.from_upper(field, 4, [0] * 6)
+    for q in (0, 1):
+        assert _certified_or_plain(SkewPlusMatrix.zero(field, q))
+    with pytest.raises(NotSkewPlus):
+        SkewPlusMatrix.zero(field, 2)
+    built = [SkewPlusMatrix._of(field, 4, a.flat),
+             SkewPlusMatrix.from_upper(field, 4, [x for row in a.upper for x in row]),
+             SkewPlusMatrix.from_matrix(a.full_matrix()),
+             SkewPlusMatrix.from_json(a.to_json())]
+    for b in built:
+        assert _certified_or_plain(b) and b == a
+    for make in (lambda: SkewPlusMatrix._of(field, 4, singular.flat),
+                 lambda: SkewPlusMatrix.from_upper(field, 4, [0] * 6),
+                 lambda: SkewPlusMatrix.from_matrix(singular.full_matrix()),
+                 lambda: SkewPlusMatrix.from_json(singular.to_json()),
+                 lambda: SkewPlusMatrix.certify(singular),
+                 lambda: SkewPlusMatrix(singular)):
+        with pytest.raises(NotSkewPlus):
+            make()
+    perm = PermutationMap([3, 1, 4, 2])
+    derived = {
+        "principal": a.principal([1, 3, 4]), "remove_indices": a.remove_indices([2]),
+        "face": a.face(4), "permuted": a.permuted(perm),
+        "star_extend": a.star_extend([1] * 4), "scale": a.scale(2)}
+    assert {name for name, b in derived.items() if _certified_or_plain(b)} == {
+        "principal", "remove_indices", "face", "permuted"}
+    for fresh in (SkewPlusMatrix.certify(a.inner), a):
+        # with and without a table to restrict
+        assert _certified_or_plain(fresh.face(1).face(2))
+        assert _certified_or_plain(fresh.principal([]))
+
+
+def test_certified_matrix_is_a_skew_matrix_with_a_plain_inner():
+    """A certified matrix equals only certified ones and hashes like its
+    plain matrix; `inner` shares flat and any cleared form, clearing none."""
+    certified = random_skew_plus(Q, 4, random.Random(9))
+    # certification clears the form; a trusted copy of a fresh matrix has none
+    a = SkewPlusMatrix(SkewMatrix._of(Q, 4, certified.flat), _trusted=True)
+    plain = a.inner
+    assert isinstance(a, SkewMatrix) and type(plain) is SkewMatrix
+    assert plain.flat is a.flat and plain._form is None and a._form is None
+    assert a != plain and plain != a and hash(a) == hash(plain)
+    assert a == certified == SkewPlusMatrix.certify(plain)
+    assert repr(a) == f"SkewPlus({plain!r})"
+    form = a.ring_form()
+    assert a.inner._form is form and certified.inner._form is certified._form
+
+
 def test_star_extend_shapes():
     psi2 = SkewMatrix.from_matrix(psi_matrix(Q, 2))
     padded = psi2.star_extend([0, 0])

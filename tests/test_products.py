@@ -261,3 +261,18 @@ def test_impossible_shapes_raise_shape_mismatch():
         SkewMatrix.from_upper(Q, -1, [1])
     with pytest.raises(ShapeMismatch):
         SkewMatrix.zero(Q, -2)
+
+
+def test_int_vectors_without_a_field_raise_shape_mismatch():
+    """Ints carry no field: a Gram matrix or pairing of int vectors needs
+    one, and the same vectors with an explicit field are fine."""
+    with pytest.raises(ShapeMismatch):
+        gram([(1, 2)])
+    with pytest.raises(ShapeMismatch):
+        gram([(1, 2), (3, 4)])
+    with pytest.raises(ShapeMismatch):
+        pairing((1, 2), (3, 4))
+    with pytest.raises(ShapeMismatch):
+        pairing((1, Q.one()), (3, 4))
+    assert gram([(1, 2), (3, 4)], Q) == SkewMatrix(Q, 2, [[-2]])
+    assert pairing((Q.one(), 2), (3, 4)) == Q.scalar(-2)

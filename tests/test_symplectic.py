@@ -28,10 +28,8 @@ from skewplus.symplectic import (
     symplectic_basis,
     transvection,
     witt_extend,
-    _corank1_piece,
     _pairing_matrix,
     _partner,
-    _radical,
 )
 from skewplus.unimod import random_nondeg_seq
 
@@ -125,22 +123,29 @@ def test_elementary():
 
 
 def _split(v):
-    """(V0, x, y) as witt_extend's odd branch builds them: V0 the
-    even corank-1 piece of V, x the radical generator, y its partner."""
-    coeffs, x = _radical(v)
-    v0 = _corank1_piece(v.basis, coeffs)
-    return Subspace(v.space, v0), x, _partner(v.space, v0, x)
+    """(V0, x, y) for an odd-rank V: V0 the even corank-1 piece of V, x the
+    radical generator (both by the oracles below), and y the partner that
+    witt_extend's odd branch adjoins."""
+    coeffs, x = radical_oracle(v)
+    d = _last_nonzero(coeffs)
+    v0 = corank1_piece_oracle(v.basis, coeffs)
+    return Subspace(v.space, v0), x, _partner(v.space, v.basis, d, coeffs[d])
 
 
 def test_radical_line():
     space = SymplecticSpace(Q, 2)
     e = space.basis_vector
     v = Subspace(space, [e(1), e(2), e(3)])
-    _, x = _radical(v)
+    _, x = radical_oracle(v)
     assert x[0].is_zero() and x[1].is_zero() and x[3].is_zero()
     assert not x[2].is_zero()
     with pytest.raises(NotNonDegenerate):
-        _radical(Subspace(space, [e(1), e(2)]))  # even rank, radical 0
+        radical_oracle(Subspace(space, [e(1), e(2)]))  # even rank, radical 0
+    # witt_extend refuses an odd rank whose radical is not a line
+    big = SymplecticSpace(Q, 3)
+    zero_form = [big.basis_vector(i) for i in (1, 3, 5)]
+    with pytest.raises(NotNonDegenerate):
+        witt_extend(big, zero_form, zero_form)
 
 
 def test_radical_equivariance():
@@ -150,10 +155,10 @@ def test_radical_equivariance():
         seq = random_nondeg_seq(space, 3, rng)
         v = Subspace(space, seq.vectors)
         g = random_sp(space, rng)
-        _, x = _radical(v)
+        _, x = radical_oracle(v)
         gx = g.apply(x)
         moved = Subspace(space, [g.apply(b) for b in v.basis])
-        _, y = _radical(moved)
+        _, y = radical_oracle(moved)
         # gx and y span the same line
         assert Matrix.from_columns(Q, [gx, y]).rank() == 1
 
@@ -266,7 +271,7 @@ def test_witt_extend_odd_all_fields(field):
         v = random_nondeg_seq(space, r, rng)
         # the radical's kernel coefficients are the coordinates of its
         # generator in the v basis, which witt_extend sends to the w basis
-        coeffs, x = _radical(Subspace(space, v.vectors))
+        coeffs, x = radical_oracle(Subspace(space, v.vectors))
         coords = Matrix.from_columns(field, v.vectors).solve_any(Matrix.column(field, x))
         assert coords.col(1) == coeffs
         w = v.transform(random_sp(space, rng, steps=2, bound=3))
@@ -391,6 +396,29 @@ def partner_oracle(space, v0, x):
     return tuple(rows.solve_any(rhs).col(1))
 
 
+def radical_oracle(v):
+    """`symplectic._radical` as it was: (c, x), the kernel vector c of V's
+    Gram matrix, and x = sum c_i v_i."""
+    g = v.gram().full_matrix()
+    kernel = g.nullspace()
+    if len(kernel) != 1:
+        raise NotNonDegenerate(
+            f"restricted form has radical of rank {len(kernel)}, expected 1")
+    coeffs = kernel[0]
+    return coeffs, Matrix.from_columns(v.space.field, v.basis).apply_vector(coeffs)
+
+
+def corank1_piece_oracle(basis, coeffs):
+    """`symplectic._corank1_piece` as it was: the basis without its last
+    vector whose radical coefficient is nonzero."""
+    drop = _last_nonzero(coeffs)
+    return list(basis[:drop]) + list(basis[drop + 1:])
+
+
+def _last_nonzero(coeffs):
+    return max(i for i, c in enumerate(coeffs) if not c.is_zero())
+
+
 def independent_oracle(space, basis) -> bool:
     """`Subspace`'s independence check as it was: the rank of the Scalar
     matrix of columns."""
@@ -456,13 +484,15 @@ def _against_oracles(field, rng):
     if not accepted or len(vectors) % 2 == 0:
         return accepted, False
     v = Subspace(space, vectors)
-    radical = _outcome(_radical, v)
+    radical = _outcome(radical_oracle, v)
     if isinstance(radical, type):
         return accepted, False
     coeffs, x = radical
     assert x == combination_oracle(field, coeffs, v.basis)
-    v0 = _corank1_piece(v.basis, coeffs)
-    assert _outcome(_partner, space, v0, x) == _outcome(partner_oracle, space, v0, x)
+    d = _last_nonzero(coeffs)
+    v0 = corank1_piece_oracle(v.basis, coeffs)
+    assert (_outcome(_partner, space, v.basis, d, coeffs[d])
+            == _outcome(partner_oracle, space, v0, x))
     return accepted, True
 
 
@@ -478,6 +508,40 @@ def test_replaced_paths_match_their_oracles(field):
 @given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 10 ** 6))
 def test_replaced_paths_match_their_oracles_property(field, seed):
     _against_oracles(field, random.Random(seed))
+
+
+def _partner_against_oracle(field, rng) -> bool:
+    """One seeded odd-rank basis of R^2, R^4 or R^6: the partner that
+    witt_extend adjoins, one solve on the whole basis, against
+    `partner_oracle` on the corank-1 piece and the radical generator.
+    Returns whether the basis had a radical line to compare on."""
+    space = SymplecticSpace(field, rng.choice([1, 2, 3]))
+    vectors = [space.random_vector(rng, 4) for _ in range(rng.randrange(1, space.dim, 2))]
+    if isinstance(_outcome(Subspace, space, vectors), type):
+        return False
+    v = Subspace(space, vectors)
+    radical = _outcome(radical_oracle, v)
+    if isinstance(radical, type):
+        return False
+    coeffs, x = radical
+    d = _last_nonzero(coeffs)
+    y = _partner(space, v.basis, d, coeffs[d])
+    assert y == partner_oracle(space, corank1_piece_oracle(v.basis, coeffs), x)
+    assert pairing(x, y) == field.one()
+    assert all(pairing(b, y).is_zero() for i, b in enumerate(v.basis) if i != d)
+    return True
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["q", "f2", "f1000003", "f3t"])
+def test_partner_matches_its_oracle(field):
+    rng = random.Random(f"symplectic partner:{field!r}")
+    assert sum(_partner_against_oracle(field, rng) for _ in range(60)) >= 20
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, 10 ** 6))
+def test_partner_matches_its_oracle_property(field, seed):
+    _partner_against_oracle(field, random.Random(seed))
 
 
 def test_transvection_rejects_a_wrong_length_vector():
