@@ -24,7 +24,8 @@ from .fields import Field, sample_until
 
 
 class FormalSum:
-    """A finite formal linear combination of hashable generators.
+    """A finite formal linear combination of hashable generators, each
+    with a `size` and a `face(i)` for 1 <= i <= size.
 
     Coefficients are ints or field scalars; zero coefficients are never
     stored, so structural equality is equality of formal sums.
@@ -82,7 +83,7 @@ class FormalSum:
 
     def degree(self) -> int:
         """Common generator length; mixed-degree sums are rejected."""
-        sizes = {_generator_length(g) for g in self.terms}
+        sizes = {g.size for g in self.terms}
         if len(sizes) > 1:
             raise ShapeMismatch(f"mixed generator lengths {sorted(sizes)}")
         return sizes.pop() if sizes else -1
@@ -107,18 +108,11 @@ def _accumulate(out: dict, pairs) -> dict:
     return out
 
 
-def _generator_length(gen) -> int:
-    if hasattr(gen, "size"):
-        return gen.size
-    return len(gen)
-
-
 def boundary(xi: FormalSum) -> FormalSum:
     """Alternating sum of faces, extended linearly."""
     out = {}
     for gen, coeff in xi.items():
-        q = _generator_length(gen)
-        for i in range(1, q + 1):
+        for i in range(1, gen.size + 1):
             face = gen.face(i)
             c = coeff if i % 2 == 1 else -coeff
             total = out.get(face)

@@ -512,17 +512,12 @@ class Scalar:
     def __neg__(self):
         return Scalar(self.field, self.field.ring().value_neg(self.value))
 
+    # coercion happens once, in __add__
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)

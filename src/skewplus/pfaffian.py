@@ -14,22 +14,22 @@ principal submatrices are all invertible, or equivalently all have
 nonzero Pfaffian.  These are exactly the Gram matrices of the
 non-degenerate vector sequences the rest of the library works with, and
 the certificate is inherited by principal submatrices.  `SkewPlusMatrix`
-is the subclass of `SkewMatrix` that holds one: a skew matrix with one
-more slot for its witness, the table of all even principal Pfaffians in
-the ring, and every constructor it inherits certifies.  One
-coding of the last-column expansion above, `_expand`, works fraction-free
-in the ring of `Field.ring()`: it builds that table, answers every
-bordered test, and runs pf_recursive, the reference Pfaffian, whose
-final value alone is reduced to a scalar.  pf_eliminate, the other
-algorithm, is skew elimination: the ring kernel `_pf_ring` and one
-reduction.  Over F_p(t), unless the matrix is large, the kernel runs in Z
-on the entries evaluated at t = 2^w, and its result is read back into
-F_p[t] (`PolynomialRing.lift`).  The gamma oracle runs the kernel's
-pivot-pair step without its search (`_pf_lead`), and reads six Pfaffians
-off one pass.  A skew matrix clears its upper triangle into the ring once,
-on first use, and keeps it (`SkewMatrix.ring_form`) for the table sweep,
-pf_eliminate and the gamma oracle; pf_recursive clears on its own, so the
-two Pfaffians stay independent.
+is the subclass of `SkewMatrix` that holds one: its witness is the table
+of all even principal Pfaffians in the ring, which a face restricts from
+its parent's on first use, and every constructor it inherits certifies.
+One coding of the last-column expansion above, `_expand`, works
+fraction-free in the ring of `Field.ring()`: it builds that table, names
+the first vanishing subset of every bordered test, and runs pf_recursive,
+the reference Pfaffian, whose final value alone is reduced to a scalar.
+pf_eliminate, the other algorithm, is skew elimination: the ring kernel
+`_pf_ring` and one reduction.  Over F_p(t), unless the matrix is large,
+the kernel runs in Z on the entries evaluated at t = 2^w, and its result
+is read back into F_p[t] (`PolynomialRing.lift`).  The gamma oracle runs
+the kernel's pivot-pair step without its search (`_pf_lead`), and reads
+six Pfaffians off one pass.  A skew matrix clears its upper triangle into
+the ring once, on first use, and keeps it (`SkewMatrix.ring_form`) for the
+table sweep, pf_eliminate and the gamma oracle; pf_recursive clears on its
+own, so the two Pfaffians stay independent.
 
 A skew matrix stores its upper triangle flat, as the canonical values of
 its entries (`Scalar.value`), which the ring clears directly: hashing and
@@ -465,28 +465,12 @@ class PfaffianTable:
     them: raw[s] = L^k Pf(A on s) for a sorted index tuple s of size 2k,
     L = scale a nonzero ring element that clears A's upper triangle (L^2
     for a Gram matrix of vectors cleared by L).  Zero tests read raw; only
-    an entry read as a scalar is reduced.  A table made by `restrict` holds
-    its source table and indices, and picks its entries out on the first
-    read of raw."""
+    an entry read as a scalar is reduced."""
 
-    __slots__ = ("ring", "scale", "_raw", "_source")
+    __slots__ = ("ring", "scale", "raw")
 
-    def __init__(self, ring, scale, raw: dict | None, _source=None):
-        self.ring, self.scale, self._raw, self._source = ring, scale, raw, _source
-
-    @property
-    def raw(self) -> dict:
-        if self._raw is None:
-            # a table holds every subset of each even size up to its cap;
-            # the subsets of keep come in the order of their positions
-            table, keep = self._source
-            raw, n = table.raw, len(keep)
-            self._raw = {s: raw[kept] for size in range(0, n + 1, 2)
-                         if tuple(keep[:size]) in raw
-                         for s, kept in zip(combinations(range(1, n + 1), size),
-                                            combinations(keep, size))}
-            self._source = None
-        return self._raw
+    def __init__(self, ring, scale, raw: dict):
+        self.ring, self.scale, self.raw = ring, scale, raw
 
     def __getitem__(self, s) -> Scalar:
         """Pf of the principal submatrix on the sorted index tuple s."""
@@ -495,32 +479,32 @@ class PfaffianTable:
     def all_nonzero(self) -> bool:
         return all(self.raw.values())
 
-    def bordered_nonzero(self, border, max_size: int) -> bool:
-        """Whether A bordered by a last column of q scalars has a nonzero
-        Pfaffian on I plus the border index for each odd I in 1..q with
-        |I| <= max_size; the table must reach size max_size - 1.  The
-        border is given in the ring as L_b times the scalars, for any
-        nonzero L_b: every term on I, |I| = 2k+1, carries the same nonzero
-        L_b L^k, so the ring value vanishes exactly when the Pfaffian does."""
+    def bordered_zero(self, border, max_size: int):
+        """The first odd I in 1..q with |I| <= max_size, by size and then
+        in `combinations` order, on which A bordered by a last column of q
+        scalars has Pfaffian zero on I plus the border index; None if there
+        is none.  The table must reach size max_size - 1.  The border is
+        given in the ring as L_b times the scalars, for any nonzero L_b:
+        every term on I, |I| = 2k+1, carries the same nonzero L_b L^k, so
+        the ring value vanishes exactly when the Pfaffian does."""
         ring, q, raw = self.ring, len(border), self.raw
         signed = _signed(ring, border)
-        return all(_expand(ring, signed, s, raw)
-                   for size in range(1, min(q, max_size) + 1, 2)
-                   for s in combinations(range(1, q + 1), size))
+        return next((s for size in range(1, min(q, max_size) + 1, 2)
+                     for s in combinations(range(1, q + 1), size)
+                     if not _expand(ring, signed, s, raw)), None)
 
     def restrict(self, keep) -> "PfaffianTable":
         """The table of A's principal submatrix on the sorted indices `keep`,
         with the same ring and L: the entries on subsets of keep, relabelled
-        to 1..len(keep), picked out on first read with no ring arithmetic.
-        It holds this table (never A), or this table's source while this
-        table is unread, so a face of a face restricts once.  Most faces
-        that `chains.boundary` makes are only hashed, and their table is
-        never read (about nine in ten on `cycles-q`)."""
-        if self._raw is None:
-            table, outer = self._source
-            return PfaffianTable(self.ring, self.scale, None,
-                                 (table, [outer[i - 1] for i in keep]))
-        return PfaffianTable(self.ring, self.scale, None, (self, keep))
+        to 1..len(keep), picked out with no ring arithmetic."""
+        # a table holds every subset of each even size up to its cap;
+        # the subsets of keep come in the order of their positions
+        raw, n = self.raw, len(keep)
+        return PfaffianTable(self.ring, self.scale,
+                             {s: raw[kept] for size in range(0, n + 1, 2)
+                              if tuple(keep[:size]) in raw
+                              for s, kept in zip(combinations(range(1, n + 1), size),
+                                                 combinations(keep, size))})
 
 
 def random_skew(field: Field, q: int, rng, bound: int = 9) -> SkewMatrix:
@@ -560,13 +544,15 @@ def is_skew_plus(a: "SkewMatrix") -> bool:
 class SkewPlusMatrix(SkewMatrix):
     """A skew matrix with its certificate: its PfaffianTable of even
     principal Pfaffians, all nonzero.  Certification keeps the table it
-    computes.  A face or principal submatrix of a matrix that has a table
-    gets that table's `restrict`, read on first use; other trusted
-    constructions (relabelings, borders) fill it by a sweep on first use.
-    Every constructor inherited from SkewMatrix certifies, through `_of`;
+    computes.  A face or principal submatrix holds its parent and its kept
+    indices, and on the first read of its table restricts the parent's:
+    most faces that `chains.boundary` makes are only hashed, and the faces
+    of one matrix share its single sweep.  Other trusted constructions
+    (relabelings, borders) sweep their own table on first use.  Every
+    constructor inherited from SkewMatrix certifies, through `_of`;
     borders and scalings (`star_extend`, `scale`) are plain skew matrices."""
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_parent")
 
     def __init__(self, inner: SkewMatrix, _trusted: bool = False, _table=None):
         if not _trusted:
@@ -574,7 +560,7 @@ class SkewPlusMatrix(SkewMatrix):
             if not _table.all_nonzero():
                 raise NotSkewPlus("a nonempty even principal submatrix is singular")
         self._set(inner.field, inner.size, inner.flat)
-        self._form, self._table = inner._form, _table
+        self._form, self._table, self._parent = inner._form, _table, None
 
     @classmethod
     def certify(cls, inner: SkewMatrix) -> "SkewPlusMatrix":
@@ -595,7 +581,11 @@ class SkewPlusMatrix(SkewMatrix):
     def table(self) -> PfaffianTable:
         """Pf of every even principal submatrix, keyed by sorted index tuple."""
         if self._table is None:
-            self._table = even_principal_pfaffians(self)
+            if self._parent is None:
+                self._table = even_principal_pfaffians(self)
+            else:
+                (parent, keep), self._parent = self._parent, None
+                self._table = parent.table.restrict(keep)
         return self._table
 
     def pf_without(self, *drop) -> Scalar:
@@ -609,8 +599,7 @@ class SkewPlusMatrix(SkewMatrix):
         keep = tuple(keep)
         face = SkewPlusMatrix.__new__(SkewPlusMatrix)
         face._set(self.field, len(keep), _picker(self.size, keep)(self.flat))
-        table = self._table
-        face._table = None if table is None else table.restrict(keep)
+        face._table, face._parent = None, (self, keep)
         return face
 
     def face(self, i: int) -> "SkewPlusMatrix":

@@ -34,7 +34,6 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import BadRange, EvenSize, InternalInvariant
-from .fields import Scalar
 from .pfaffian import _as_certified
 from .symplectic import SymplecticSpace, apply_psi
 from .unimod import NonDegSeq
@@ -110,13 +109,13 @@ def _det1_vectors(a):
     the first q - 1 diagonal entries) added to the zero q-th coordinate of
     the last vector."""
     vectors = _section(a, roomy=False)
-    field = a.field
+    ring = a.field.ring()
     # the first q - 1 vectors are upper triangular: the determinant of
-    # their block is the product of the diagonal
-    det_block = field.one()
-    for i, v in enumerate(vectors[:-1]):
-        det_block = det_block * Scalar(field, v[i])
-    return vectors[:-1] + [vectors[-1] + (det_block.inv().value,)]
+    # their block is the product of the diagonal, whose entries are the
+    # substitution's pivots, so nonzero
+    det_block = reduce(ring.value_mul, (v[i] for i, v in enumerate(vectors[:-1])),
+                       a.field.one().value)
+    return vectors[:-1] + [vectors[-1] + (ring.value_inv(det_block),)]
 
 
 def _det1_checked(a, scale, upper):

@@ -289,12 +289,12 @@ def _pairing_matrix(space: SymplecticSpace, vectors) -> Matrix:
     return Matrix._of(space.field, [apply_psi(v, operator.neg) for v in vectors], space.dim)
 
 
-def _partner(space: SymplecticSpace, basis, d: int, c_d: Scalar):
-    """A y with <y, v_i> = 0 for i != d and <y, v_d> = -1 / c_d, solved in
-    the functionals of `_pairing_matrix`: for x = sum c_i v_i, <x, y> = 1
-    and y is orthogonal to the basis without v_d."""
+def _partner(space: SymplecticSpace, basis, d: int):
+    """A y with <y, v_i> = 0 for i != d and <y, v_d> = -1, solved in the
+    functionals of `_pairing_matrix`: for x = sum c_i v_i with c_d = 1,
+    <x, y> = 1 and y is orthogonal to the basis without v_d."""
     rhs = [0] * len(basis)
-    rhs[d] = -c_d.inv()
+    rhs[d] = -1
     rows = _pairing_matrix(space, basis)
     return tuple(rows.solve_any(Matrix.column(space.field, rhs)).col(1))
 
@@ -352,8 +352,6 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
     by construction.
     """
     field = space.field
-    v_basis = [pad_vector(v, space.dim, field) for v in v_basis]
-    w_basis = [pad_vector(w, space.dim, field) for w in w_basis]
     if len(v_basis) != len(w_basis):
         raise RankMismatch(f"{len(v_basis)} vectors against {len(w_basis)}")
     V = Subspace(space, v_basis)
@@ -373,9 +371,11 @@ def witt_extend(space: SymplecticSpace, v_basis, w_basis) -> SpMatrix:
             raise NotNonDegenerate(
                 f"restricted form has radical of rank {len(kernel)}, expected 1")
         c = kernel[0]
+        # nullspace sets the free coordinate to 1 and, in reduced echelon
+        # form, every pivot coordinate after it to 0: the last nonzero c_d is 1
         d = max(i for i, x in enumerate(c) if not x.is_zero())
-        v_basis.append(_partner(space, v_basis, d, c[d]))
-        w_basis.append(_partner(space, w_basis, d, c[d]))
+        v_basis.append(_partner(space, v_basis, d))
+        w_basis.append(_partner(space, w_basis, d))
     if len(v_basis) < space.dim:
         v_basis += symplectic_basis(orthogonal_complement(space, v_basis))
         w_basis += symplectic_basis(orthogonal_complement(space, w_basis))

@@ -13,11 +13,11 @@ vectors cleared once by one common L, with their psi-rotations, from
 whose products the table is swept.  A sequence stores its vectors as
 tuples of canonical values (`Scalar.value`), which the ring clears
 directly and which hash and compare in C; scalars are made only for the
-`vectors` view, repr and JSON.  A face is a tuple slice of them, and it
-slices the ring form and restricts the table only on the first read of
-either; an isometric image keeps the table; one more vector or border
-adds bordered Pfaffians, by the table's expansion, on a border read off
-the ring form.
+`vectors` view, repr and JSON.  A face is a tuple slice of them that
+holds its parent, whose ring form it slices and whose table it restricts
+on the first read of either; an isometric image keeps the table; one
+more vector or border adds bordered Pfaffians, by the table's expansion,
+on a border read off the ring form.
 
 A vector x is in good position with respect to a sequence v when (v, x)
 is again non-degenerate unimodular.  Over an infinite field the bad set
@@ -37,7 +37,6 @@ surgery round when a generator obstructs the constant border.
 from __future__ import annotations
 
 from contextlib import suppress
-from itertools import combinations
 
 from .chains import FormalSum, boundary
 from .errors import (
@@ -71,11 +70,11 @@ class NonDegSeq:
     length 2n, so hashing and equality run in C on ints and tuples.
     `vectors` is their view as scalars, kept when the sequence was built
     from scalars and made on first read otherwise.  Faces (and more
-    generally subsequences) inherit the certificate, and with it the ring
-    form and the Gram table, if the parent has them.  A face is a slice of
-    `values` that holds its parent and its kept indices until the first
-    read of its ring form or table, which slices the one and restricts the
-    other: most faces that `chains.boundary` makes are only hashed.
+    generally subsequences) inherit the certificate.  A face is a slice of
+    `values` that holds its parent and its kept indices: the first read of
+    its ring form slices the parent's, and the first read of its table
+    restricts the parent's, each made for the parent if it has none.  Most
+    faces that `chains.boundary` makes are only hashed.
     """
 
     __slots__ = ("space", "values", "_vectors", "_hash", "_form", "_gram_table", "_parent")
@@ -94,7 +93,7 @@ class NonDegSeq:
         self._vectors = self._hash = None
         self._form = form
         self._gram_table = table
-        # (parent, kept indices) until the first read of the form or table
+        # (parent, kept indices) of a face or subsequence
         self._parent = parent
 
     @classmethod
@@ -153,19 +152,6 @@ class NonDegSeq:
         return NonDegSeq._of(self.space, tuple([self.values[i - 1] for i in keep]),
                              parent=(self, keep))
 
-    def _inherit(self):
-        """Slice the parent's ring form and restrict its table, as far as
-        the parent has them; called on the first read of either."""
-        (parent, keep), self._parent = self._parent, None
-        if parent._parent is not None:
-            parent._inherit()
-        form, table = parent._form, parent._gram_table
-        if form is not None:
-            scale, rows, psi = form
-            self._form = scale, [rows[i - 1] for i in keep], [psi[i - 1] for i in keep]
-        if table is not None:
-            self._gram_table = table.restrict(keep)
-
     def prepend(self, x, _trusted: bool = False) -> "NonDegSeq":
         return self._grown((self._vector_values(x),) + self.values, _trusted)
 
@@ -181,11 +167,14 @@ class NonDegSeq:
         return seq if trusted else seq._certify()
 
     def ring_form(self):
-        """`symplectic.ring_form` of the vectors, made once."""
-        if self._parent is not None:
-            self._inherit()
+        """`symplectic.ring_form` of the vectors, made once; a part slices its parent's."""
         if self._form is None:
-            self._form = ring_form(self.space.field, self.values)
+            if self._parent is None:
+                self._form = ring_form(self.space.field, self.values)
+            else:
+                parent, keep = self._parent
+                scale, rows, psi = parent.ring_form()
+                self._form = scale, [rows[i - 1] for i in keep], [psi[i - 1] for i in keep]
         return self._form
 
     def gram(self) -> SkewMatrix:
@@ -193,11 +182,14 @@ class NonDegSeq:
 
     def gram_table(self) -> PfaffianTable:
         """Even principal Pfaffians of the Gram matrix up to size
-        min(q, 2n), all nonzero by membership; computed once."""
-        if self._parent is not None:
-            self._inherit()
+        min(q, 2n), all nonzero by membership; computed once, and for a
+        part restricted from its parent's."""
         if self._gram_table is None:
-            self._gram_table = _gram_table(self.space, self.ring_form())
+            if self._parent is None:
+                self._gram_table = _gram_table(self.space, self.ring_form())
+            else:
+                parent, keep = self._parent
+                self._gram_table = parent.gram_table().restrict(keep)
         return self._gram_table
 
     def gram_certified(self) -> SkewPlusMatrix:
@@ -209,12 +201,11 @@ class NonDegSeq:
 
     def transform(self, g) -> "NonDegSeq":
         """Apply an isometry; membership is preserved, and so is every
-        pairing, hence the Gram table."""
-        if self._parent is not None:
-            self._inherit()
+        pairing, hence the Gram table: the one it has, or a part's."""
+        table = self._gram_table if self._parent is None else self.gram_table()
         vectors = tuple(g.apply(v) for v in self.vectors)
         seq = NonDegSeq._of(self.space, tuple(tuple(x.value for x in v) for v in vectors),
-                            None, self._gram_table)
+                            None, table)
         seq._vectors = vectors
         return seq
 
@@ -291,7 +282,7 @@ def is_good_position(seq: NonDegSeq, x) -> bool:
     max_size = min(seq.length + 1, space.dim) - 1
     if max_size > 0:
         dot = space.field.ring().dot
-        if not seq.gram_table().bordered_nonzero([dot(r, psi_x) for r in rows], max_size):
+        if seq.gram_table().bordered_zero([dot(r, psi_x) for r in rows], max_size) is not None:
             return False
     return _full_rank_if_odd(space, [*rows, row_x])
 
@@ -328,7 +319,7 @@ def star_is_certified(a: SkewPlusMatrix, v) -> bool:
     v = as_values(a.field, v)
     if len(v) != a.size:
         raise ShapeMismatch("border vector has the wrong length")
-    return a.table.bordered_nonzero(a.table.ring.clear([v])[1][0], a.size)
+    return a.table.bordered_zero(a.table.ring.clear([v])[1][0], a.size) is None
 
 
 def skew_plus_extend(a: SkewPlusMatrix, rng, max_attempts: int = 256):
@@ -437,10 +428,11 @@ def _contract_skew(xi, rng, max_attempts):
     for g in obstructed:
         # the proper odd subsets are those of g's faces, and (g * w).face(i)
         # keeps g.face(i)'s tests for every w: no border clears these
-        if not g.table.bordered_nonzero([g.table.ring.one] * q, q - 1):
+        s = g.table.bordered_zero([g.table.ring.one] * q, q - 1)
+        if s is not None:
             raise SamplerExhausted(
                 f"size-{q} generator obstructed on the proper odd subset "
-                f"{_first_obstruction(g)}: no border clears it")
+                f"{s}: no border clears it")
     borders = {}
     for _ in range(max_attempts):
         for g in obstructed:
@@ -456,11 +448,3 @@ def _contract_skew(xi, rng, max_attempts):
         raise InternalInvariant("surgery left an obstructed remainder")
     return eta0 + _bordered_sum(remainder, q, lambda g: ones)
 
-
-def _first_obstruction(g: SkewPlusMatrix):
-    """The first odd index set s of g, by size and then in order, with
-    g.principal(s) obstructed; every smaller odd set passes, so the
-    all-ones bordered Pfaffian vanishes on s itself."""
-    return next(s for size in range(1, g.size + 1, 2)
-                for s in combinations(range(1, g.size + 1), size)
-                if constant_border_obstructed(g.principal(s)))

@@ -938,3 +938,56 @@ def test_sample_matches_per_kind_body(field):
     got_rng, want_rng = random.Random(31), random.Random(31)
     for bound in (1, 2, 5, 9, 40) * 20:
         assert field.sample(got_rng, bound).value == sample_body(field, want_rng, bound)
+
+
+def sub_oracle(self, other):
+    """`Scalar.__sub__` as it was: its own coercion, then self + (-other)."""
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return self + (-other)
+
+
+def rsub_oracle(self, other):
+    """`Scalar.__rsub__` as it was: its own coercion, then other + (-self)."""
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return other + (-self)
+
+
+def _differences(pairs):
+    """x - y for each pair (x, y): a scalar as (field, value), any other
+    result as it is, and an error as its type."""
+    out = []
+    for x, y in pairs:
+        try:
+            z = x - y
+        except Exception as exc:  # noqa: BLE001  (the error's type is the outcome)
+            out.append(type(exc))
+        else:
+            out.append((z.field, z.value) if isinstance(z, Scalar) else z)
+    return out
+
+
+def test_subtraction_matches_the_bodies_that_coerced_for_themselves():
+    """Scalar - and its reflection, which coerce once through __add__,
+    against the bodies that coerced for themselves, on every pair from a
+    grid of ints, bools, a Fraction, a float, a string, None, a Decimal and
+    scalars of Q, F_5 and F_3(t), zero among them, on either side: the
+    same result, or the same type of error."""
+    from decimal import Decimal
+    from unittest import mock
+
+    q, f5, f3t = Field.rationals(), Field.prime(5), Field.function_field(3)
+    scalars = [q.zero(), q.one(), q.scalar(Fraction(-7, 4)), f5.zero(), f5.scalar(3),
+               f3t.zero(), f3t.one(), f3t.t(), f3t.scalar(2) / (f3t.t() + 1)]
+    others = [0, 1, -4, 12, True, False, Fraction(2, 3), 1.5, "x", None, Decimal("2.5")]
+    pairs = [pair for x in scalars for y in scalars + others for pair in ((x, y), (y, x))]
+    got = _differences(pairs)
+    with mock.patch.object(Scalar, "__sub__", sub_oracle), \
+            mock.patch.object(Scalar, "__rsub__", rsub_oracle):
+        want = _differences(pairs)
+    assert got == want
+    assert {type(w) for w in want} == {tuple, type}
+    assert {w for w in want if isinstance(w, type)} == {TypeError, FieldMismatch, ParseError}

@@ -134,7 +134,7 @@ def ratio_input(kind, field, q, rng):
         return random_skew_plus(field, q, rng)
     if kind == "face":
         face = random_skew_plus(field, q + 1, rng).face(rng.randint(1, q + 1))
-        assert face._table is not None and face._table._raw is None
+        assert face._table is None and face._parent is not None
         return face
     if kind == "permuted":
         perm = list(range(1, q + 1))

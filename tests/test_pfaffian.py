@@ -20,6 +20,7 @@ from skewplus.pfaffian import (
     random_skew_plus,
 )
 from skewplus.symplectic import psi_matrix
+from skewplus.unimod import star_is_certified
 
 Q = Field.rationals()
 
@@ -337,15 +338,13 @@ def test_faces_and_relabelings_inherit_the_table(a, data):
 @given(skew_matrices(sizes=range(0, 8)), st.one_of(st.none(), st.integers(0, 8)), st.data())
 def test_restricted_table_equals_a_fresh_one(a, max_size, data):
     """PfaffianTable.restrict on any index set, of a full or a capped
-    table, and again on the result, read or not, is the table of the
-    principal submatrix at every key, with the parent's ring and L."""
+    table, and again on the result, is the table of the principal
+    submatrix at every key, with the parent's ring and L."""
     q = a.size
     table = even_principal_pfaffians(a, max_size)
     keep = sorted(data.draw(st.sets(st.integers(1, q), max_size=q))) if q else []
     part = table.restrict(keep)
     inner = sorted(data.draw(st.sets(st.integers(1, len(keep)), max_size=len(keep)))) if keep else []
-    if data.draw(st.booleans()):
-        part.raw  # noqa: B018  (read before restricting again)
     twice = part.restrict(inner)
     assert part.scale is table.scale and twice.scale is table.scale
     sub = a.principal(keep)
@@ -366,14 +365,13 @@ def restricted_raw_oracle(table, keep):
 def test_restricted_raw_picks_the_scanned_entries(a, max_size, data):
     """A restricted table's raw dict, picked by combinations of the kept
     indices, equals the scan of its source's entries, for full and capped
-    tables, and for a restriction of a read or an unread restriction."""
+    tables, and for a restriction of a restriction."""
     q = a.size
     table = even_principal_pfaffians(a, max_size)
     keep = sorted(data.draw(st.sets(st.integers(1, q), max_size=q))) if q else []
     inner = sorted(data.draw(st.sets(st.integers(1, len(keep)), max_size=len(keep)))) if keep else []
     part = table.restrict(keep)
-    if data.draw(st.booleans()):
-        assert part.raw == restricted_raw_oracle(table, keep)
+    assert part.raw == restricted_raw_oracle(table, keep)
     twice = part.restrict(inner)
     assert twice.raw == restricted_raw_oracle(part, inner)
     assert list(part.raw) == list(restricted_raw_oracle(table, keep))
@@ -409,13 +407,67 @@ def test_faces_of_a_certificate_restrict_its_table(sparse_field, monkeypatch):
             assert table == scalars(even_principal_pfaffians(part.inner))
 
 
-def test_face_of_an_untabled_matrix_sweeps_its_own_table(monkeypatch):
+def test_face_of_an_untabled_matrix_restricts_its_parents_sweep(monkeypatch):
     a = random_skew_plus(Q, 5, random.Random(8))
     calls = _count_sweeps(monkeypatch)
     face = SkewPlusMatrix(a.inner, _trusted=True).face(2)
     table = scalars(face.table)
     assert len(calls) == 1
     assert table == scalars(a.table.restrict([1, 3, 4, 5]))
+
+
+def _parts(a, rng):
+    """(part, kept indices) for a face, a principal submatrix and a
+    removal of a size >= 1 matrix."""
+    q = a.size
+    i = rng.randint(1, q)
+    keep = sorted(rng.sample(range(1, q + 1), rng.randint(0, q)))
+    return [(a.face(i), tuple(j for j in range(1, q + 1) if j != i)),
+            (a.principal(reversed(keep)), tuple(keep)),
+            (a.remove_indices([j for j in range(q, 0, -1) if j not in keep]), tuple(keep))]
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["certified", "untabled"])
+def test_parts_hold_their_parent_until_the_first_read(sparse_field, tabled):
+    """A part of a certified matrix, tabled or not, holds (parent, kept
+    indices) and no table or ring form until the first read of its table,
+    which restricts the parent's and lets the parent go; the part then
+    equals a freshly certified matrix, with a fresh table."""
+    field, _ = sparse_field
+    rng = random.Random(f"parts:{field!r}")
+    for q in range(1, 7):
+        a = random_skew_plus(field, q, rng)
+        if not tabled:
+            a = SkewPlusMatrix(a.inner, _trusted=True)
+        for part, keep in _parts(a, rng):
+            assert part._parent[0] is a and part._parent[1] == keep
+            assert part._table is None and part._form is None
+            table = scalars(part.table)
+            assert part._parent is None
+            assert part == SkewPlusMatrix.certify(part.inner)
+            assert table == scalars(even_principal_pfaffians(part.inner))
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(1000003), Field.function_field(3)],
+                         ids=["q", "f1000003", "f3t"])
+def test_faces_of_a_trusted_bordered_generator_share_one_sweep(field, monkeypatch):
+    """The q+1 faces of a certified matrix bordered without a table, as
+    surgery borders its generators, read one sweep between them: the
+    bordered matrix's, restricted to each face."""
+    rng = random.Random(f"bordered faces:{field!r}")
+    calls = _count_sweeps(monkeypatch)
+    for q in range(0, 6):
+        a = random_skew_plus(field, q, rng)
+        v = [field.sample(rng, 5) for _ in range(q)]
+        while not star_is_certified(a, v):
+            v = [field.sample(rng, 5) for _ in range(q)]
+        b = SkewPlusMatrix(a.star_extend(v), _trusted=True)
+        calls.clear()
+        faces = [b.face(i) for i in range(1, q + 2)]
+        tables = [scalars(face.table) for face in faces]
+        assert len(calls) == 1
+        for face, table in zip(faces, tables):
+            assert table == scalars(even_principal_pfaffians(face.inner))
 
 
 BORDER_FIELDS = [Q, Field.prime(5), Field.function_field(3)]
@@ -444,17 +496,19 @@ def bordered_skew(draw):
 @given(bordered_skew())
 def test_bordered_ring_test_matches_scalar_oracle(case):
     """The ring bordered test against `_bordered_pf` on the Scalar table,
-    for every max_size up to the size, on tables built only that far."""
+    for every max_size up to the size, on tables built only that far: the
+    first odd subset, by size and then in order, whose bordered Pfaffian
+    vanishes, or None."""
     a, border = case
     q, zero = a.size, a.field.zero()
     for max_size in range(q + 1):
         table = even_principal_pfaffians(a, max_size - 1)
         oracle = scalars(table)
-        want = all(not _bordered_pf(oracle, border, s, zero).is_zero()
-                   for size in range(1, max_size + 1, 2)
-                   for s in combinations(range(1, q + 1), size))
+        want = next((s for size in range(1, max_size + 1, 2)
+                     for s in combinations(range(1, q + 1), size)
+                     if _bordered_pf(oracle, border, s, zero).is_zero()), None)
         ring_border = table.ring.clear([[x.value for x in border]])[1][0]
-        assert table.bordered_nonzero(ring_border, max_size) == want
+        assert table.bordered_zero(ring_border, max_size) == want
 
 
 def test_remove_indices():

@@ -126,10 +126,9 @@ def _split(v):
     """(V0, x, y) for an odd-rank V: V0 the even corank-1 piece of V, x the
     radical generator (both by the oracles below), and y the partner that
     witt_extend's odd branch adjoins."""
-    coeffs, x = radical_oracle(v)
-    d = _last_nonzero(coeffs)
+    d, coeffs, x = _with_last_one(*radical_oracle(v))
     v0 = corank1_piece_oracle(v.basis, coeffs)
-    return Subspace(v.space, v0), x, _partner(v.space, v.basis, d, coeffs[d])
+    return Subspace(v.space, v0), x, _partner(v.space, v.basis, d)
 
 
 def test_radical_line():
@@ -419,6 +418,14 @@ def _last_nonzero(coeffs):
     return max(i for i, c in enumerate(coeffs) if not c.is_zero())
 
 
+def _with_last_one(coeffs, x):
+    """(d, c, x) for a radical (c, x) scaled by 1 / c_d, c_d its last
+    nonzero coefficient: the radical generator `_partner` pairs to 1."""
+    d = _last_nonzero(coeffs)
+    inv = coeffs[d].inv()
+    return d, [inv * c for c in coeffs], tuple(inv * y for y in x)
+
+
 def independent_oracle(space, basis) -> bool:
     """`Subspace`'s independence check as it was: the rank of the Scalar
     matrix of columns."""
@@ -489,9 +496,9 @@ def _against_oracles(field, rng):
         return accepted, False
     coeffs, x = radical
     assert x == combination_oracle(field, coeffs, v.basis)
-    d = _last_nonzero(coeffs)
+    d, coeffs, x = _with_last_one(coeffs, x)
     v0 = corank1_piece_oracle(v.basis, coeffs)
-    assert (_outcome(_partner, space, v.basis, d, coeffs[d])
+    assert (_outcome(_partner, space, v.basis, d)
             == _outcome(partner_oracle, space, v0, x))
     return accepted, True
 
@@ -523,9 +530,8 @@ def _partner_against_oracle(field, rng) -> bool:
     radical = _outcome(radical_oracle, v)
     if isinstance(radical, type):
         return False
-    coeffs, x = radical
-    d = _last_nonzero(coeffs)
-    y = _partner(space, v.basis, d, coeffs[d])
+    d, coeffs, x = _with_last_one(*radical)
+    y = _partner(space, v.basis, d)
     assert y == partner_oracle(space, corank1_piece_oracle(v.basis, coeffs), x)
     assert pairing(x, y) == field.one()
     assert all(pairing(b, y).is_zero() for i, b in enumerate(v.basis) if i != d)

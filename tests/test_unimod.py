@@ -266,7 +266,7 @@ def test_faces_of_a_checked_sequence_restrict_its_table(field, monkeypatch):
     assert max(lengths) > 4
 
 
-def test_face_of_an_untabled_sequence_sweeps_its_own_table(monkeypatch):
+def test_face_of_an_untabled_sequence_restricts_its_parents_sweep(monkeypatch):
     space = SymplecticSpace(Q, 2)
     seq = NonDegSeq(space, random_nondeg_seq(space, 4, random.Random(3)).vectors, _trusted=True)
     calls = _count_sweeps(monkeypatch)
@@ -274,6 +274,34 @@ def test_face_of_an_untabled_sequence_sweeps_its_own_table(monkeypatch):
     table = _scalars(face.gram_table())
     assert len(calls) == 1
     assert table == _fresh_gram_table(face)
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_sequence_parts_hold_their_parent_until_the_first_read(field):
+    """A face or subsequence of a sequence, checked or not, holds (parent,
+    kept indices) and no ring form or table until the first read of one;
+    then its form clears its own vectors, its Gram matrix and table equal
+    fresh ones, and it equals a freshly checked sequence."""
+    rng = random.Random(f"sequence parts:{field!r}")
+    space = SymplecticSpace(field, 2)
+    ring = field.ring()
+    for q in range(1, 5):
+        seq = random_nondeg_seq(space, q, rng)
+        for parent in (seq, NonDegSeq(space, seq.vectors)):
+            i = rng.randint(1, q)
+            keep = sorted(rng.sample(range(1, q + 1), rng.randint(0, q)))
+            for part, kept in ((parent.face(i), [j for j in range(1, q + 1) if j != i]),
+                               (parent.subsequence(reversed(keep)), keep)):
+                assert part._parent[0] is parent and list(part._parent[1]) == kept
+                assert part._form is None and part._gram_table is None
+                if rng.randrange(2):
+                    part.gram_table()
+                scale, rows, _ = part.ring_form()
+                cleared = [tuple(ring.to_value(x, scale, 1) for x in row) for row in rows]
+                assert cleared == list(part.values)
+                assert part.gram() == gram(part.vectors, field)
+                assert _scalars(part.gram_table()) == _fresh_gram_table(part)
+                assert part == NonDegSeq(space, part.vectors)
 
 
 @pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
@@ -310,8 +338,8 @@ def good_position_oracle(seq, x) -> bool:
     border = [_scalar_pairing(v, x) for v in seq.vectors] if max_size > 0 else []
     table = even_principal_pfaffians(gram(seq.vectors, space.field),
                                      min(seq.length, space.dim))
-    if not table.bordered_nonzero(table.ring.clear([[x.value for x in border]])[1][0],
-                                  max_size):
+    if table.bordered_zero(table.ring.clear([[x.value for x in border]])[1][0],
+                           max_size) is not None:
         return False
     return full_rank_if_odd_oracle(seq.vectors + (x,), space)
 
@@ -541,6 +569,71 @@ def test_surgery_refuses_proper_obstructions_before_any_draw(field, monkeypatch)
     monkeypatch.setattr(unimod, "skew_plus_extend", no_search)
     with pytest.raises(SamplerExhausted, match=r"size-4 .* subset \(1, 2, 3\)"):
         contract_cycle_skew(xi, rng)
+
+
+def first_obstruction_oracle(g):
+    """`unimod._first_obstruction` as it was, with None for an unobstructed
+    g: the first odd index set s of g, by size and then in order, with
+    g.principal(s) obstructed."""
+    return next((s for size in range(1, g.size + 1, 2)
+                 for s in combinations(range(1, g.size + 1), size)
+                 if constant_border_obstructed(g.principal(s))), None)
+
+
+def bordered_zero_scan(a, border, max_size):
+    """The first odd I in 1..q with |I| <= max_size, by size and then in
+    order, on which `a` bordered by `border` has Pfaffian zero on I plus
+    the border index, each Pfaffian eliminated on its own."""
+    q = a.size
+    bordered = a.star_extend(border)
+    return next((s for size in range(1, min(q, max_size) + 1, 2)
+                 for s in combinations(range(1, q + 1), size)
+                 if pf_eliminate(bordered.principal(s + (q + 1,))).is_zero()), None)
+
+
+def _check_bordered_zero(field, rng) -> str:
+    """One case of `PfaffianTable.bordered_zero`: a certified generator
+    (obstructed on a proper subset, on its full index set, or random)
+    against both oracles with the all-ones border, and a skew matrix with
+    some zero entries against the scan, with a random border, on tables
+    capped at each size.  Returns where the generator's first obstruction
+    lies."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        g = _with_obstructed_face(field, rng)
+    else:
+        g = random_skew_plus(field, rng.randint(0, 6), rng)
+    if kind == 1:
+        g = g.principal([1, 2, 3])
+    q = g.size
+    ones, ring_ones = [field.one()] * q, [g.table.ring.one] * q
+    got = g.table.bordered_zero(ring_ones, q)
+    assert got == first_obstruction_oracle(g) == bordered_zero_scan(g, ones, q)
+    assert (got is not None) == constant_border_obstructed(g)
+    assert g.table.bordered_zero(ring_ones, q - 1) == bordered_zero_scan(g, ones, q - 1)
+    size = rng.randint(0, 6)
+    a = SkewMatrix.from_upper(field, size, [field.sample(rng, 2)
+                                            for _ in range(size * (size - 1) // 2)])
+    border = [field.sample(rng, 2) for _ in range(size)]
+    for max_size in range(size + 1):
+        table = even_principal_pfaffians(a, max_size - 1)
+        ring_border = table.ring.clear([[x.value for x in border]])[1][0]
+        want = bordered_zero_scan(a, border, max_size)
+        assert table.bordered_zero(ring_border, max_size) == want
+    return "none" if got is None else "full" if len(got) == q else "proper"
+
+
+@pytest.mark.parametrize("field", [Q, FP, F3T], ids=["q", "fp", "f3t"])
+def test_bordered_zero_names_the_first_obstruction(field):
+    rng = random.Random(f"bordered zero:{field!r}")
+    seen = {_check_bordered_zero(field, rng) for _ in range(30 if field is F3T else 60)}
+    assert seen == {"none", "full", "proper"}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([Q, FP, F3T]), st.integers(0, 10 ** 6))
+def test_bordered_zero_property(field, seed):
+    _check_bordered_zero(field, random.Random(seed))
 
 
 # -- the odd-length rank check in the ring ----------------------------------
